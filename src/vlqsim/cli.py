@@ -57,6 +57,26 @@ class ConfigError(ValueError):
     pass
 
 
+def _integer(value, name: str) -> int:
+    """A JSON integer; bool is rejected although it subclasses int."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name} must be an integer")
+    return value
+
+
+def _finite(value, name: str) -> float:
+    """A finite JSON number (int or float, not bool) as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be a number")
+    try:
+        x = float(value)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise ConfigError(f"{name} must be finite")
+    return x
+
+
 @dataclass(frozen=True)
 class SimulationConfig:
     t: int
@@ -80,8 +100,8 @@ class SimulationConfig:
         for key in ("t", "strategy", "P-grid-dB", "samples", "seed", "output-path"):
             if key not in doc:
                 raise ConfigError(f"missing required key {key!r}")
-        t = doc["t"]
-        if not isinstance(t, int) or not 1 <= t <= 8:
+        t = _integer(doc["t"], "t")
+        if not 1 <= t <= 8:
             raise ConfigError("t must be an integer in [1, 8]")
         strategy = doc["strategy"]
         if strategy not in _STRATEGIES:
@@ -89,16 +109,19 @@ class SimulationConfig:
         grid = doc["P-grid-dB"]
         if not isinstance(grid, list) or not grid:
             raise ConfigError("P-grid-dB must be a nonempty list")
-        if any(not isinstance(g, (int, float)) for g in grid):
-            raise ConfigError("P-grid-dB entries must be numbers")
+        grid = [_finite(g, "P-grid-dB entries") for g in grid]
+        if any(abs(g) >= 3000.0 for g in grid):
+            raise ConfigError("P-grid-dB entries must lie in (-3000, 3000) dB")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ConfigError("P-grid-dB must be strictly ascending")
-        samples = doc["samples"]
-        if not isinstance(samples, int) or samples < 1:
+        samples = _integer(doc["samples"], "samples")
+        if samples < 1:
             raise ConfigError("samples must be a positive integer")
-        seed = doc["seed"]
-        if not isinstance(seed, int) or not 0 <= seed < 2**64:
+        seed = _integer(doc["seed"], "seed")
+        if not 0 <= seed < 2**64:
             raise ConfigError("seed must be a 64-bit unsigned integer")
+        if not isinstance(doc["output-path"], str) or not doc["output-path"]:
+            raise ConfigError("output-path must be a nonempty string")
         delta = doc.get("delta")
         schedule = doc.get("schedule")
         cb_path = doc.get("codebook-path")
@@ -111,16 +134,20 @@ class SimulationConfig:
         else:
             if delta is not None or schedule is not None or cb_path is not None:
                 raise ConfigError(f"strategy {strategy} takes no codebook fields")
-        if delta is not None and not 0.0 < float(delta) < 1.0:
-            raise ConfigError("delta must be in (0, 1)")
+        if delta is not None:
+            delta = _finite(delta, "delta")
+            if not 0.0 < delta < 1.0:
+                raise ConfigError("delta must be in (0, 1)")
+        if cb_path is not None and not isinstance(cb_path, str):
+            raise ConfigError("codebook-path must be a string")
         if schedule is not None:
             if strategy != "bf-vlq":
                 raise ConfigError("schedule form is only supported for bf-vlq")
-            if set(schedule) != {"f", "c0"}:
+            if not isinstance(schedule, dict) or set(schedule) != {"f", "c0"}:
                 raise ConfigError('schedule must have exactly keys {"f", "c0"}')
             if schedule["f"] not in ("logP", "sqrtP"):
                 raise ConfigError('schedule f must be "logP" or "sqrtP"')
-            if not isinstance(schedule["c0"], (int, float)) or schedule["c0"] <= 0:
+            if _finite(schedule["c0"], "schedule c0") <= 0:
                 raise ConfigError("schedule c0 must be positive")
         conditioning = doc.get("conditioning", "radial")
         if conditioning not in ("none", "radial"):
@@ -128,10 +155,10 @@ class SimulationConfig:
         return cls(
             t=t,
             strategy=strategy,
-            P_grid_dB=tuple(float(g) for g in grid),
+            P_grid_dB=tuple(grid),
             samples=samples,
             seed=seed,
-            delta=None if delta is None else float(delta),
+            delta=delta,
             schedule=None if schedule is None else dict(schedule),
             codebook_path=cb_path,
             output_path=doc["output-path"],

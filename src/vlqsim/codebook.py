@@ -31,6 +31,7 @@ __all__ = [
 ]
 
 _DUPLICATE_CORR = 1.0 - 1e-9
+_CORR_BLOCK = 4096  # channel rows per real GEMM in correlation_stats
 
 
 class CoveringError(RuntimeError):
@@ -56,6 +57,9 @@ class BeamformingCodebook:
         np.fill_diagonal(corr, 0.0)
         if corr.size and np.max(corr) >= _DUPLICATE_CORR:
             raise ValueError("duplicate codewords")
+        lifted = _lift(self.vectors)
+        lifted[self.t :] *= 2.0
+        self._lifted = np.ascontiguousarray(lifted.T)  # (|B|, t^2)
 
     @property
     def t(self) -> int:
@@ -64,10 +68,44 @@ class BeamformingCodebook:
     def __len__(self) -> int:
         return len(self.vectors)
 
-    def max_correlation_sq(self, h: np.ndarray) -> np.ndarray:
-        """max_i |<x_i, hbar>|^2 for unit rows hbar of h, vectorized."""
+    def correlation_stats(self, h: np.ndarray):
+        """Per row of h: (max_i, min_i, i = 0) of |<x_i, h>|^2.
+
+        Uses |x^H h|^2 = <lift(h), lift(x)> with the codeword side's
+        off-diagonal terms doubled, so each block of rows is one real GEMM
+        of inner dimension t^2 whose (|B|, block) result is reduced in
+        place.  Rows need not be unit norm.
+        """
         h = np.atleast_2d(h)
-        return np.max(np.abs(h @ self.vectors.conj().T) ** 2, axis=1)
+        n = len(h)
+        c_max, c_min, c_first = np.empty(n), np.empty(n), np.empty(n)
+        buf = np.empty(len(self) * min(n, _CORR_BLOCK))
+        for lo in range(0, n, _CORR_BLOCK):
+            hi = min(lo + _CORR_BLOCK, n)
+            corr = buf[: len(self) * (hi - lo)].reshape(len(self), hi - lo)
+            np.matmul(self._lifted, _lift(h[lo:hi]), out=corr)
+            np.max(corr, axis=0, out=c_max[lo:hi])
+            np.min(corr, axis=0, out=c_min[lo:hi])
+            c_first[lo:hi] = corr[0]
+        # |.|^2 >= 0; rounding in the lifted sum can leave -1e-17
+        for out in (c_max, c_min, c_first):
+            np.maximum(out, 0.0, out=out)
+        return c_max, c_min, c_first
+
+    def max_correlation_sq(self, h: np.ndarray) -> np.ndarray:
+        """max_i |<x_i, h>|^2 for each row of h, vectorized."""
+        return self.correlation_stats(h)[0]
+
+
+def _lift(z: np.ndarray) -> np.ndarray:
+    """Real (t^2, n) lift of complex rows z (n, t).
+
+    Rows: |z_k|^2, then Re and Im of z_k conj(z_l) for k < l.
+    """
+    zt = z.T
+    k, l = np.triu_indices(z.shape[1], 1)
+    cross = zt[k] * zt[l].conj()
+    return np.concatenate((zt.real**2 + zt.imag**2, cross.real, cross.imag))
 
 
 @dataclass(frozen=True)

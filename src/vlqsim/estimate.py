@@ -13,12 +13,20 @@ Q(sqrt(2 snr(h))) over channel draws.  Two conditioning modes:
 Common random numbers: every quantizer evaluated in one sweep batch sees
 the same draws, and the chunk partition is fixed, so outputs do not depend
 on the worker count.
+
+Because the draws are shared, so is the codebook correlation.  Each spec
+names the beamforming codebook it quantizes with (``spec.codebook``, None
+for full CSIT and open loop); per chunk, ``correlation_stats`` runs once
+per distinct codebook and every spec using it receives the same per-draw
+(max, min, column-0) of |<x_i, h>|^2 through ``snr_bits(H, P, corr)`` or
+``conditioned(Hbar, P, corr)``.  The kernel itself is a blocked real GEMM
+on lifted vectors (see ``BeamformingCodebook.correlation_stats``); called
+without ``corr``, a spec computes its own.
 """
 
 from __future__ import annotations
 
 import csv
-import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -53,7 +61,6 @@ __all__ = [
     "estimate_gains",
     "paired_compare",
     "write_records_csv",
-    "write_records_json",
 ]
 
 _CHUNK = 1 << 16
@@ -90,12 +97,13 @@ class FullCsitBeamforming:
     def __init__(self, t: int):
         self.t = t
         self.quantizer_id = "bf-full"
+        self.codebook = None
 
-    def snr_bits(self, H: np.ndarray, P: float):
+    def snr_bits(self, H: np.ndarray, P: float, corr=None):
         snr = np.sum(np.abs(H) ** 2, axis=1) * P
         return snr, np.zeros(len(H))
 
-    def conditioned(self, Hbar: np.ndarray, P: float):
+    def conditioned(self, Hbar: np.ndarray, P: float, corr=None):
         n = len(Hbar)
         return np.full(n, bpsk_mrc_ser(self.t, P)), np.zeros(n), 0.0
 
@@ -104,18 +112,18 @@ class FixedLengthBeamforming:
     """Nearest-codeword encoder; always sends the full index."""
 
     def __init__(self, book: BeamformingCodebook):
-        self.book = book
+        self.codebook = book
         self.t = book.t
         self.bits = max(1, (len(book) - 1).bit_length())
         self.quantizer_id = "bf-flq"
 
-    def snr_bits(self, H: np.ndarray, P: float):
-        snr = self.book.max_correlation_sq(H) * P
-        return snr, np.full(len(H), float(self.bits))
+    def snr_bits(self, H: np.ndarray, P: float, corr=None):
+        c_max = (corr or self.codebook.correlation_stats(H))[0]
+        return c_max * P, np.full(len(H), float(self.bits))
 
-    def conditioned(self, Hbar: np.ndarray, P: float):
-        c = self.book.max_correlation_sq(Hbar)
-        return bpsk_mrc_ser(self.t, c * P), np.full(len(Hbar), float(self.bits)), 0.0
+    def conditioned(self, Hbar: np.ndarray, P: float, corr=None):
+        c_max = (corr or self.codebook.correlation_stats(Hbar))[0]
+        return bpsk_mrc_ser(self.t, c_max * P), np.full(len(Hbar), float(self.bits)), 0.0
 
 
 class VariableLengthBeamforming:
@@ -130,22 +138,19 @@ class VariableLengthBeamforming:
 
     def __init__(self, spec: VlqBeamformingSpec):
         self.spec = spec
+        self.codebook = spec.codebook
         self.t = spec.codebook.t
         self.quantizer_id = "bf-vlq"
 
-    def snr_bits(self, H: np.ndarray, P: float):
-        book = self.spec.codebook
-        snr_all = np.abs(H @ book.vectors.conj().T) ** 2 * P
-        short = np.min(snr_all, axis=1) >= self.spec.beta(P)
-        snr = np.where(short, snr_all[:, 0], np.max(snr_all, axis=1))
+    def snr_bits(self, H: np.ndarray, P: float, corr=None):
+        c_max, c_min, c_first = corr or self.codebook.correlation_stats(H)
+        short = c_min * P >= self.spec.beta(P)
+        snr = np.where(short, c_first, c_max) * P
         bits = np.where(short, 1.0, 1.0 + self.spec.index_bits)
         return snr, bits
 
-    def conditioned(self, Hbar: np.ndarray, P: float):
-        book = self.spec.codebook
-        corr = np.abs(Hbar @ book.vectors.conj().T) ** 2
-        c_max = np.max(corr, axis=1)
-        c_min = np.min(corr, axis=1)
+    def conditioned(self, Hbar: np.ndarray, P: float, corr=None):
+        c_max, c_min, _ = corr or self.codebook.correlation_stats(Hbar)
         beta = self.spec.beta(P)
         p_short = gamma_tail(self.t, beta / (np.maximum(c_min, 1e-300) * P))
         gap = q_function(math.sqrt(2.0 * beta))
@@ -161,12 +166,13 @@ class FullCsitPrecoding:
         self.t = t
         self.r = float(r)
         self.quantizer_id = "pc-full"
+        self.codebook = None
 
-    def snr_bits(self, H: np.ndarray, P: float):
+    def snr_bits(self, H: np.ndarray, P: float, corr=None):
         snr = np.sum(np.abs(H) ** 2, axis=1) * P / self.r
         return snr, np.zeros(len(H))
 
-    def conditioned(self, Hbar: np.ndarray, P: float):
+    def conditioned(self, Hbar: np.ndarray, P: float, corr=None):
         n = len(Hbar)
         return np.full(n, bpsk_mrc_ser(self.t, P / self.r)), np.zeros(n), 0.0
 
@@ -178,12 +184,13 @@ class OpenLoopPrecoding:
         self.t = t
         self.r = float(r)
         self.quantizer_id = "open-loop"
+        self.codebook = None
 
-    def snr_bits(self, H: np.ndarray, P: float):
+    def snr_bits(self, H: np.ndarray, P: float, corr=None):
         snr = np.sum(np.abs(H) ** 2, axis=1) * P / (self.r * self.t)
         return snr, np.zeros(len(H))
 
-    def conditioned(self, Hbar: np.ndarray, P: float):
+    def conditioned(self, Hbar: np.ndarray, P: float, corr=None):
         n = len(Hbar)
         return np.full(n, bpsk_mrc_ser(self.t, P / (self.r * self.t))), np.zeros(n), 0.0
 
@@ -201,18 +208,18 @@ class VariableLengthPrecoding:
 
     def __init__(self, spec: VlqPrecodingSpec, quad: QuadratureSpec | None = None):
         self.spec = spec
+        self.codebook = spec.codebook.beamforming
         self.t = spec.codebook.t
         self.r = float(spec.r)
         self.quantizer_id = "pc-vlq"
         self._quad = quad or QuadratureSpec(relative_tolerance=1e-9)
         self._tables: dict[float, tuple] = {}
 
-    def snr_bits(self, H: np.ndarray, P: float):
-        book = self.spec.codebook.beamforming
+    def snr_bits(self, H: np.ndarray, P: float, corr=None):
         norm2 = np.sum(np.abs(H) ** 2, axis=1)
         short = norm2 * P >= self.spec.threshold
-        c = book.max_correlation_sq(H)
-        snr = np.where(short, norm2 * P / (self.t * self.r), c * P / self.r)
+        c_max = (corr or self.codebook.correlation_stats(H))[0]
+        snr = np.where(short, norm2 * P / (self.t * self.r), c_max * P / self.r)
         bits = np.where(short, 1.0, 1.0 + self.spec.index_bits)
         return snr, bits
 
@@ -238,11 +245,11 @@ class VariableLengthPrecoding:
         )
         self._tables[P] = (np.log(s_grid), np.log(np.maximum(tail, 1e-300)), tail_short)
 
-    def conditioned(self, Hbar: np.ndarray, P: float):
+    def conditioned(self, Hbar: np.ndarray, P: float, corr=None):
         self.prepare(P)
         log_s_grid, log_tail, tail_short = self._tables[P]
-        book = self.spec.codebook.beamforming
-        c = np.clip(book.max_correlation_sq(Hbar), 1.0 - self.spec.delta, 1.0)
+        c_max = (corr or self.codebook.correlation_stats(Hbar))[0]
+        c = np.clip(c_max, 1.0 - self.spec.delta, 1.0)
         s = c * P / self.r
         tail_long = np.exp(np.interp(np.log(s), log_s_grid, log_tail))
         ser = np.maximum(bpsk_mrc_ser(self.t, s) - tail_long, 0.0) + tail_short
@@ -268,38 +275,42 @@ def _chunk_bounds(samples: int, chunk: int = _CHUNK):
     return [(i, min(i + chunk, samples)) for i in range(0, samples, chunk)]
 
 
+def _conditional_ser(specs, H, P, conditioning):
+    """Per-draw (ser, rate, half-width) of every spec on one chunk of draws.
+
+    The codebook correlation is computed once per distinct codebook and
+    shared by every spec that quantizes with it.
+    """
+    if conditioning == "radial":
+        H = H / np.linalg.norm(H, axis=1, keepdims=True)
+    stats = {}
+    out = []
+    for spec in specs:
+        book = spec.codebook
+        if book is not None and id(book) not in stats:
+            stats[id(book)] = book.correlation_stats(H)
+        corr = None if book is None else stats[id(book)]
+        if conditioning == "radial":
+            out.append(spec.conditioned(H, P, corr))
+        else:
+            snr, bits = spec.snr_bits(H, P, corr)
+            out.append((q_function(np.sqrt(2.0 * snr)), bits, 0.0))
+    return out
+
+
 def _chunk_task(specs, P, stream, p_idx, c_idx, n, conditioning):
     """Per-chunk raw moments for every spec; identical for any worker layout."""
-    t = specs[0].t
-    H = sample_channels(stream.child(p_idx, c_idx), t, n)
-    out = []
-    if conditioning == "radial":
-        Hbar = H / np.linalg.norm(H, axis=1, keepdims=True)
-        for spec in specs:
-            ser_v, rate_v, hw = spec.conditioned(Hbar, P)
-            out.append(
-                (
-                    float(np.sum(ser_v)),
-                    float(np.sum(ser_v**2)),
-                    float(np.sum(rate_v)),
-                    float(np.sum(rate_v**2)),
-                    hw,
-                )
-            )
-    else:
-        for spec in specs:
-            snr, bits = spec.snr_bits(H, P)
-            ser_v = q_function(np.sqrt(2.0 * snr))
-            out.append(
-                (
-                    float(np.sum(ser_v)),
-                    float(np.sum(ser_v**2)),
-                    float(np.sum(bits)),
-                    float(np.sum(bits**2)),
-                    0.0,
-                )
-            )
-    return out
+    H = sample_channels(stream.child(p_idx, c_idx), specs[0].t, n)
+    return [
+        (
+            float(np.sum(ser_v)),
+            float(np.sum(ser_v**2)),
+            float(np.sum(rate_v)),
+            float(np.sum(rate_v**2)),
+            hw,
+        )
+        for ser_v, rate_v, hw in _conditional_ser(specs, H, P, conditioning)
+    ]
 
 
 def _mean_stderr(s1: float, s2: float, n: int):
@@ -426,15 +437,7 @@ def paired_compare(
     worst = 0.0
     for c_idx, (lo, hi) in enumerate(bounds):
         H = sample_channels(stream.child(0, c_idx), spec_a.t, hi - lo)
-        if conditioning == "radial":
-            Hbar = H / np.linalg.norm(H, axis=1, keepdims=True)
-            va, _, _ = spec_a.conditioned(Hbar, P)
-            vb, _, _ = spec_b.conditioned(Hbar, P)
-        else:
-            snr_a, _ = spec_a.snr_bits(H, P)
-            snr_b, _ = spec_b.snr_bits(H, P)
-            va = q_function(np.sqrt(2.0 * snr_a))
-            vb = q_function(np.sqrt(2.0 * snr_b))
+        (va, _, _), (vb, _, _) = _conditional_ser((spec_a, spec_b), H, P, conditioning)
         gap = va - vb
         s1.append(float(np.sum(gap)))
         s2.append(float(np.sum(gap**2)))
@@ -469,21 +472,3 @@ def write_records_csv(records, path) -> None:
                 ]
             )
 
-
-def write_records_json(records, path) -> None:
-    doc = [
-        {
-            "quantizer": r.quantizer_id,
-            "P_dB": 10.0 * math.log10(r.P),
-            "P_linear": r.P,
-            "ser": r.ser,
-            "ser_stderr": r.ser_stderr,
-            "rate": r.rate,
-            "rate_stderr": r.rate_stderr,
-            "samples": r.samples,
-            "seed": r.seed,
-        }
-        for r in records
-    ]
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vlqsim.cli import ConfigError, SimulationConfig, main, run_config, selftest
 from vlqsim.estimate import ser_full_analytic
@@ -77,6 +79,85 @@ class TestConfigValidation:
     def test_db_conversion(self):
         cfg = SimulationConfig.from_dict(base_config(**{"P-grid-dB": [0.0, 10.0, 20.0]}))
         assert cfg.P_grid == pytest.approx((1.0, 10.0, 100.0))
+
+    @pytest.mark.parametrize("key", ["t", "samples", "seed"])
+    def test_bool_is_not_an_integer(self, key):
+        with pytest.raises(ConfigError, match=key):
+            SimulationConfig.from_dict(base_config(**{key: True}))
+
+    @pytest.mark.parametrize(
+        "delta", [[0.3], "0.3", None, True, math.nan, math.inf, 10**400], ids=repr
+    )
+    def test_delta_must_be_a_finite_number(self, delta):
+        doc = base_config(strategy="bf-flq", t=2, delta=delta)
+        with pytest.raises(ConfigError):
+            SimulationConfig.from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "bad", [math.nan, math.inf, -math.inf, True, "10", 10**400, 1e4], ids=repr
+    )
+    def test_grid_entries_must_be_finite_numbers(self, bad):
+        with pytest.raises(ConfigError, match="P-grid-dB"):
+            SimulationConfig.from_dict(base_config(**{"P-grid-dB": [0.0, bad]}))
+
+    def test_schedule_c0_must_be_finite(self):
+        for c0 in (math.nan, math.inf, True):
+            doc = base_config(strategy="bf-vlq", t=2, schedule={"f": "logP", "c0": c0})
+            with pytest.raises(ConfigError, match="c0"):
+                SimulationConfig.from_dict(doc)
+
+
+_JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(2**70), max_value=2**70)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=8,
+)
+# values that have slipped past type checks before: bools pass isinstance(_, int)
+_NASTY = st.sampled_from(
+    [True, False, None, math.nan, math.inf, -math.inf, 10**400, 0, -1, 0.5, 1e4, [0.3], "0.3", {}]
+)
+_VALID = {
+    "t": 2,
+    "strategy": "bf-vlq",
+    "delta": 0.3,
+    "P-grid-dB": [0.0, 10.0],
+    "samples": 10,
+    "seed": 1,
+    "output-path": "o.csv",
+    "conditioning": "radial",
+}
+_KEYS = sorted(_VALID) + ["schedule", "codebook-path", "extra"]
+
+
+@st.composite
+def _fuzzed_configs(draw):
+    """A valid config with some keys replaced by, or added as, random JSON values."""
+    doc = dict(_VALID)
+    for key in draw(st.lists(st.sampled_from(_KEYS), min_size=1, max_size=3, unique=True)):
+        if draw(st.integers(0, 4)) == 0:
+            doc.pop(key, None)
+        else:
+            doc[key] = draw(_NASTY | _JSON)
+    return doc
+
+
+class TestConfigFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(doc=_fuzzed_configs() | _JSON)
+    def test_only_config_errors_escape(self, doc):
+        try:
+            cfg = SimulationConfig.from_dict(doc)
+        except ConfigError:
+            return
+        assert all(math.isfinite(P) and P > 0.0 for P in cfg.P_grid)
+        for value in (cfg.t, cfg.samples, cfg.seed):
+            assert type(value) is int
+        assert cfg.delta is None or 0.0 < cfg.delta < 1.0
+        assert SimulationConfig.from_dict(cfg.to_dict()) == cfg
 
 
 class TestRunConfig:

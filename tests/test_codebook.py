@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from vlqsim.channel import RngStream
 from vlqsim.codebook import (
@@ -99,6 +101,35 @@ class TestBuild:
         # small delta, so the adversarial certificate must reject the build
         with pytest.raises(CoveringError):
             build_covering_codebook(3, 0.05, RngStream(1), stop_streak=1)
+
+
+class TestCorrelationKernel:
+    """The lifted real-GEMM kernel against the brute-force complex product."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        t=st.integers(1, 4),
+        size=st.integers(1, 40),
+        n=st.integers(1, 300) | st.sampled_from([4095, 4096, 4097, 8192, 9001]),
+        unit_rows=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(t=4, size=1, n=5000, unit_rows=False, seed=0)
+    def test_matches_brute_force(self, t, size, n, unit_rows, seed):
+        gen = np.random.default_rng(seed)
+        size = 1 if t == 1 else size  # every pair of unit scalars is a duplicate
+        v = gen.standard_normal((size, t)) + 1j * gen.standard_normal((size, t))
+        book = BeamformingCodebook(v / np.linalg.norm(v, axis=1, keepdims=True), 0.5)
+        # plain-mode channels, as sample_channels draws them, or their directions
+        h = (gen.standard_normal((n, t)) + 1j * gen.standard_normal((n, t))) / math.sqrt(2.0)
+        if unit_rows:
+            h /= np.linalg.norm(h, axis=1, keepdims=True)
+        want = np.abs(h @ book.vectors.conj().T) ** 2
+        c_max, c_min, c_first = book.correlation_stats(h)
+        for got, ref in ((c_max, want.max(axis=1)), (c_min, want.min(axis=1)), (c_first, want[:, 0])):
+            assert got.shape == (n,)
+            np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-12)
+        assert np.array_equal(book.max_correlation_sq(h), c_max)
 
 
 class TestPrecoding:

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from vlqsim.channel import RngStream, sample_channels
-from vlqsim.codebook import build_covering_codebook, precoding_codebook
+from vlqsim.codebook import BeamformingCodebook, build_covering_codebook, precoding_codebook
 from vlqsim.estimate import (
+    _CHUNK,
     FixedLengthBeamforming,
     FullCsitBeamforming,
     FullCsitPrecoding,
@@ -165,6 +166,51 @@ class TestDeterminism:
             ser_rate_sweep(all_specs, [3.0], 50000, RngStream(41), workers=8), p2
         )
         assert p1.read_bytes() == p2.read_bytes()
+
+
+class TestSharedCorrelation:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        original = BeamformingCodebook.correlation_stats
+
+        def counted(book, h):
+            calls.append(len(h))
+            return original(book, h)
+
+        monkeypatch.setattr(BeamformingCodebook, "correlation_stats", counted)
+        return calls
+
+    @staticmethod
+    def coded_specs(book):
+        return [
+            FixedLengthBeamforming(book),
+            VariableLengthBeamforming(VlqBeamformingSpec(book)),
+            VariableLengthPrecoding(VlqPrecodingSpec(precoding_codebook(book))),
+        ]
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_once_per_chunk_and_power(self, book, calls, workers):
+        samples = 2 * _CHUNK + 5  # three chunks, the last one short
+        P_grid = [10.0, 100.0]
+        ser_rate_sweep(self.coded_specs(book), P_grid, samples, RngStream(48), workers=workers)
+        assert len(calls) == 3 * len(P_grid)
+        assert sorted(calls) == sorted([_CHUNK, _CHUNK, 5] * len(P_grid))
+
+    def test_paired_compare_shares_too(self, book, calls):
+        flq, vlq, _ = self.coded_specs(book)
+        paired_compare(vlq, flq, 100.0, _CHUNK + 1, RngStream(49), conditioning="radial")
+        assert len(calls) == 2
+
+    def test_sharing_does_not_change_records(self, book):
+        specs = [FullCsitBeamforming(2)] + self.coded_specs(book)
+        for conditioning in ("radial", "none"):
+            together = ser_rate_sweep(specs, [10.0], 20000, RngStream(50), conditioning=conditioning)
+            alone = [
+                ser_rate_sweep([spec], [10.0], 20000, RngStream(50), conditioning=conditioning)[0]
+                for spec in specs
+            ]
+            assert together == alone
 
 
 class TestPairedCompare:
