@@ -114,6 +114,10 @@ class SimulationConfig:
             raise ConfigError("P-grid-dB entries must lie in (-3000, 3000) dB")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ConfigError("P-grid-dB must be strictly ascending")
+        if strategy == "bf-vlq" and 10.0 ** (grid[0] / 10.0) <= 1.0:
+            raise ConfigError(
+                "P-grid-dB entries must be > 0 dB for bf-vlq: its threshold (t+1) ln P needs P > 1"
+            )
         samples = _integer(doc["samples"], "samples")
         if samples < 1:
             raise ConfigError("samples must be a positive integer")

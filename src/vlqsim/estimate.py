@@ -22,6 +22,14 @@ per distinct codebook and every spec using it receives the same per-draw
 ``conditioned(Hbar, P, corr)``.  The kernel itself is a blocked real GEMM
 on lifted vectors (see ``BeamformingCodebook.correlation_stats``); called
 without ``corr``, a spec computes its own.
+
+No adaptive quadrature runs in a sweep.  The precoding VLQ's radial SER
+needs the truncated Rayleigh-Q integral I(s, x0); ``prepare(P)`` evaluates
+it with the fixed Craig-form kernel ``gamma_weighted_q_tail`` on a 33-point
+table per chunk, and the sweep keeps no per-P state.  Per-chunk moments
+are centred and combined in chunk order, so the standard error of a
+constant per-draw value is rounding-sized.  ``ser_full_analytic`` keeps
+the adaptive quadrature as an independent oracle.
 """
 
 from __future__ import annotations
@@ -42,10 +50,11 @@ from .numerics import (
     bpsk_mrc_ser,
     fit_loglog,
     gamma_tail,
+    gamma_weighted_q_tail,
     integrate_gamma_weighted,
     q_function,
 )
-from .quantizer import VlqBeamformingSpec, VlqPrecodingSpec
+from .quantizer import VlqBeamformingSpec, VlqPrecodingSpec, index_bits
 
 __all__ = [
     "SweepRecord",
@@ -114,7 +123,7 @@ class FixedLengthBeamforming:
     def __init__(self, book: BeamformingCodebook):
         self.codebook = book
         self.t = book.t
-        self.bits = max(1, (len(book) - 1).bit_length())
+        self.bits = index_bits(len(book))
         self.quantizer_id = "bf-flq"
 
     def snr_bits(self, H: np.ndarray, P: float, corr=None):
@@ -199,21 +208,25 @@ class VariableLengthPrecoding:
     """Identity precoder when ||h||^2 P >= t/delta, else nearest codeword.
 
     Radial mode splits the magnitude integral at the branch threshold
-    x0 = t/(delta P).  The short-branch tail integral is direction-free
-    (one quadrature per P); the long-branch head F(s) - U(s, x0), with
-    s = c_max P / r, is evaluated through a per-P interpolation table of
-    the tail integral U over the narrow range s in [(1-delta) P/r, P/r].
+    x0 = t/(delta P).  With the truncated Rayleigh-Q integral
+    I(s, x0) = ``gamma_weighted_q_tail(t, s, x0)``, the SER per direction is
+
+        F(s) - I(s, x0) + I(P/(t r), x0),    s = c_max P / r,
+
+    where F = ``bpsk_mrc_ser``.  The short-branch term is direction-free.
+    ``prepare(P)`` evaluates I once per call on a 33-point geometric grid of
+    s over [(1-delta) P/r, P/r], which a delta-cover's c_max lands in, and
+    draws are interpolated log-log on it.  Draws the codebook does not cover
+    (c_max < 1 - delta) get the kernel directly instead of a clipped value.
     The feedback rate conditioned on the direction is exact and constant.
     """
 
-    def __init__(self, spec: VlqPrecodingSpec, quad: QuadratureSpec | None = None):
+    def __init__(self, spec: VlqPrecodingSpec):
         self.spec = spec
         self.codebook = spec.codebook.beamforming
         self.t = spec.codebook.t
         self.r = float(spec.r)
         self.quantizer_id = "pc-vlq"
-        self._quad = quad or QuadratureSpec(relative_tolerance=1e-9)
-        self._tables: dict[float, tuple] = {}
 
     def snr_bits(self, H: np.ndarray, P: float, corr=None):
         norm2 = np.sum(np.abs(H) ** 2, axis=1)
@@ -223,37 +236,24 @@ class VariableLengthPrecoding:
         bits = np.where(short, 1.0, 1.0 + self.spec.index_bits)
         return snr, bits
 
-    def prepare(self, P: float) -> None:
-        """Precompute the per-P quadrature table (call before chunked use)."""
-        if P in self._tables:
-            return
+    def prepare(self, P: float):
+        """(log s grid, log I on it, short-branch I) for power P."""
         t, r = self.t, self.r
         x0 = self.spec.threshold / P
-        tail_short = integrate_gamma_weighted(
-            lambda x: q_function(np.sqrt(2.0 * x * P / (t * r))), t, self._quad, lower=x0
-        )
-        s_lo = (1.0 - self.spec.delta) * P / r
-        s_hi = P / r
-        s_grid = np.geomspace(s_lo, s_hi, 33)
-        tail = np.array(
-            [
-                integrate_gamma_weighted(
-                    lambda x, s=s: q_function(np.sqrt(2.0 * x * s)), t, self._quad, lower=x0
-                )
-                for s in s_grid
-            ]
-        )
-        self._tables[P] = (np.log(s_grid), np.log(np.maximum(tail, 1e-300)), tail_short)
+        s_grid = np.geomspace((1.0 - self.spec.delta) * P / r, P / r, 33)
+        tail = gamma_weighted_q_tail(t, np.append(s_grid, P / (t * r)), x0)
+        return np.log(s_grid), np.log(np.maximum(tail[:-1], 1e-300)), tail[-1]
 
     def conditioned(self, Hbar: np.ndarray, P: float, corr=None):
-        self.prepare(P)
-        log_s_grid, log_tail, tail_short = self._tables[P]
+        log_s_grid, log_tail, tail_short = self.prepare(P)
         c_max = (corr or self.codebook.correlation_stats(Hbar))[0]
-        c = np.clip(c_max, 1.0 - self.spec.delta, 1.0)
-        s = c * P / self.r
-        tail_long = np.exp(np.interp(np.log(s), log_s_grid, log_tail))
-        ser = np.maximum(bpsk_mrc_ser(self.t, s) - tail_long, 0.0) + tail_short
+        s = c_max * P / self.r
         x0 = self.spec.threshold / P
+        tail_long = np.exp(np.interp(np.log(s), log_s_grid, log_tail))
+        uncovered = c_max < 1.0 - self.spec.delta
+        if np.any(uncovered):
+            tail_long[uncovered] = gamma_weighted_q_tail(self.t, s[uncovered], x0)
+        ser = np.maximum(bpsk_mrc_ser(self.t, s) - tail_long, 0.0) + tail_short
         rate = np.full(len(Hbar), 1.0 + self.spec.index_bits * (1.0 - gamma_tail(self.t, x0)))
         return ser, rate, 0.0
 
@@ -299,24 +299,31 @@ def _conditional_ser(specs, H, P, conditioning):
 
 
 def _chunk_task(specs, P, stream, p_idx, c_idx, n, conditioning):
-    """Per-chunk raw moments for every spec; identical for any worker layout."""
+    """Per-chunk moments for every spec; identical for any worker layout."""
     H = sample_channels(stream.child(p_idx, c_idx), specs[0].t, n)
     return [
-        (
-            float(np.sum(ser_v)),
-            float(np.sum(ser_v**2)),
-            float(np.sum(rate_v)),
-            float(np.sum(rate_v**2)),
-            hw,
-        )
+        (_moments(ser_v), _moments(rate_v), hw)
         for ser_v, rate_v, hw in _conditional_ser(specs, H, P, conditioning)
     ]
 
 
-def _mean_stderr(s1: float, s2: float, n: int):
-    mean = s1 / n
-    var = max(s2 - s1 * s1 / n, 0.0) / max(n - 1, 1)
-    return mean, math.sqrt(var / n)
+def _moments(v: np.ndarray):
+    """(count, sum, sum of squared deviations from the mean) of one chunk."""
+    total = float(np.sum(v))
+    return len(v), total, float(np.sum((v - total / len(v)) ** 2))
+
+
+def _mean_stderr(parts):
+    """Mean and its standard error from per-chunk moments.
+
+    Chunks are combined in index order with the parallel-variance update
+    (Chan, Golub & LeVeque), so a constant per-draw value gives a stderr of
+    rounding size instead of the one-pass formula's cancellation.
+    """
+    n = sum(c for c, _, _ in parts)
+    mean = math.fsum(total for _, total, _ in parts) / n
+    m2 = math.fsum(m2 + c * (total / c - mean) ** 2 for c, total, m2 in parts)
+    return mean, math.sqrt(m2 / max(n - 1, 1) / n)
 
 
 def ser_rate_sweep(
@@ -349,9 +356,6 @@ def ser_rate_sweep(
     bounds = _chunk_bounds(samples)
     records = []
     for p_idx, P in enumerate(P_grid):
-        for spec in specs:
-            if hasattr(spec, "prepare") and conditioning == "radial":
-                spec.prepare(P)
         tasks = [
             (p_idx, c_idx, hi - lo) for c_idx, (lo, hi) in enumerate(bounds)
         ]
@@ -368,13 +372,9 @@ def ser_rate_sweep(
                 _chunk_task(specs, P, stream, pi, ci, n, conditioning) for pi, ci, n in tasks
             ]
         for j, spec in enumerate(specs):
-            s1 = math.fsum(r[j][0] for r in results)
-            s2 = math.fsum(r[j][1] for r in results)
-            r1 = math.fsum(r[j][2] for r in results)
-            r2 = math.fsum(r[j][3] for r in results)
-            hw = max(r[j][4] for r in results)
-            ser, ser_se = _mean_stderr(s1, s2, samples)
-            rate, rate_se = _mean_stderr(r1, r2, samples)
+            ser, ser_se = _mean_stderr([r[j][0] for r in results])
+            rate, rate_se = _mean_stderr([r[j][1] for r in results])
+            hw = max(r[j][2] for r in results)
             records.append(
                 SweepRecord(
                     quantizer_id=spec.quantizer_id,
@@ -431,19 +431,17 @@ def paired_compare(
     if spec_a.t != spec_b.t:
         raise ValueError("specs must share the antenna count")
     bounds = _chunk_bounds(samples)
-    s1 = []
-    s2 = []
+    parts = []
     dom = 0
     worst = 0.0
     for c_idx, (lo, hi) in enumerate(bounds):
         H = sample_channels(stream.child(0, c_idx), spec_a.t, hi - lo)
         (va, _, _), (vb, _, _) = _conditional_ser((spec_a, spec_b), H, P, conditioning)
         gap = va - vb
-        s1.append(float(np.sum(gap)))
-        s2.append(float(np.sum(gap**2)))
+        parts.append(_moments(gap))
         dom += int(np.count_nonzero(gap >= 0.0))
         worst = min(worst, float(np.min(gap)))
-    mean, se = _mean_stderr(math.fsum(s1), math.fsum(s2), samples)
+    mean, se = _mean_stderr(parts)
     return mean, se, dom / samples, worst
 
 

@@ -1,7 +1,8 @@
 """Self-contained numeric kernel.
 
-Gaussian tail function, gamma-weighted quadrature, log-log regression and
-1-D minimization.  Everything here is pure and reentrant.
+Gaussian tail function, gamma-weighted quadrature, the truncated
+Rayleigh-Q integral, log-log regression and 1-D minimization.  Everything
+here is pure and reentrant.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ __all__ = [
     "q_function",
     "gamma_tail",
     "integrate_gamma_weighted",
+    "gamma_weighted_q_tail",
     "fit_loglog",
     "minimize_1d",
     "bpsk_mrc_ser",
@@ -39,6 +41,13 @@ _CF_DEPTH = 96
 _ERF_COEF = np.array(
     [(-1.0) ** n / (math.factorial(n) * (2 * n + 1)) for n in range(_ERF_TERMS, -1, -1)]
 )
+
+
+# Fixed 64-node Gauss-Legendre rule on theta in [0, pi/2] for Craig's form
+# of Q.  The weights absorb the 1/pi prefactor and the pi/4 Jacobian.
+_CRAIG_XI, _CRAIG_W = np.polynomial.legendre.leggauss(64)
+_CRAIG_SIN2 = np.sin(0.25 * math.pi * (_CRAIG_XI + 1.0)) ** 2
+_CRAIG_WEIGHTS = 0.25 * _CRAIG_W
 
 
 class QuadratureError(RuntimeError):
@@ -120,6 +129,42 @@ def gamma_tail(t: int, x):
         out = np.exp(-pos) * acc
     out = np.where(a <= 0.0, 1.0, np.where(a >= 700.0, 0.0, out))
     return float(out[0]) if scalar else out
+
+
+def gamma_weighted_q_tail(t: int, s, x0: float):
+    """Truncated Rayleigh-Q integral I(s, x0) = E[Q(sqrt(2 s X)); X >= x0]
+    for X ~ Gamma(t, 1), integer t >= 1; vectorized in s >= 0.
+
+    Craig's form Q(x) = (1/pi) int_0^{pi/2} exp(-x^2 / (2 sin^2 th)) dth
+    turns the magnitude integral into a smooth, positive, finite-range one,
+
+        I(s, x0) = (1/pi) int_0^{pi/2} a^{-t} Gammabar(t, x0 a) dth,
+        a = 1 + s / sin^2 th,
+
+    which a fixed 64-node Gauss-Legendre rule evaluates as one
+    (len(s), 64) array and one matvec.  I(s, 0) is the MRC average
+    ``bpsk_mrc_ser(t, s)``.
+
+    Domain, measured against the closed form by parts at 120 digits for
+    t in 1..8: relative error <= 5e-14 for 1 <= s * x0 <= 600 and s >= 1e-2
+    (I >= ~1e-260), and <= 1e-15 at x0 = 0 for s >= 1e-2.  Outside it the
+    integrand has a sharp step near th = 0 that the fixed rule resolves
+    less well: 5e-13 at s * x0 = 0.1, 2e-10 at 0.01 (t = 1), and at x0 = 0
+    5e-11 for s = 1e-3 (t = 8).  The precoding VLQ's table spans
+    (1-delta) t/(delta r) <= s * x0 <= t/(delta r), and its short branch
+    has s * x0 = 1/(delta r) > 1.
+    """
+    if not (math.isfinite(x0) and x0 >= 0.0):
+        raise ValueError("x0 must be finite and >= 0")
+    a = np.asarray(s, dtype=float)
+    scalar = a.ndim == 0
+    a = np.atleast_1d(a)
+    if not np.all(a >= 0.0):
+        raise ValueError("s must be >= 0")
+    with np.errstate(under="ignore"):
+        ratio = _CRAIG_SIN2 / (_CRAIG_SIN2 + a[:, None])  # 1 / a(th)
+        res = (ratio**t * gamma_tail(t, x0 / ratio)) @ _CRAIG_WEIGHTS
+    return float(res[0]) if scalar else res
 
 
 @dataclass(frozen=True)
@@ -343,7 +388,8 @@ def bpsk_mrc_ser(t: int, snr):
     if np.any(a < 0.0):
         raise ValueError("snr must be >= 0")
     mu = np.sqrt(a / (1.0 + a))
-    lo = 0.5 * (1.0 - mu)
+    # 0.5 (1 - mu) without the cancellation at high SNR: 1 - mu^2 = 1/(1+a).
+    lo = 0.5 / ((1.0 + a) * (1.0 + mu))
     hi = 0.5 * (1.0 + mu)
     acc = np.zeros_like(a)
     for k in range(t):

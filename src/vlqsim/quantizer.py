@@ -82,7 +82,9 @@ class VlqBeamformingSpec:
         return index_bits(len(self.codebook))
 
     def beta(self, P: float) -> float:
-        """Short-branch SNR threshold (t+1) ln P."""
+        """Short-branch SNR threshold (t+1) ln P; defined for P > 1 only."""
+        if not P > 1.0:
+            raise ValueError("P must be > 1 so that beta > 0")
         return (self.codebook.t + 1) * math.log(P)
 
     def prefix_code(self) -> PrefixCode:
@@ -157,12 +159,10 @@ def vlq_encode_bf(spec: VlqBeamformingSpec, h: np.ndarray, P: float) -> Quantize
     """Short branch "0" (first codeword) when every codeword already clears
     the SNR threshold beta; otherwise "1" plus the fixed-width index of the
     nearest codeword."""
-    if P <= 1.0:
-        raise ValueError("P must be > 1 so that beta > 0")
+    beta = spec.beta(P)
     h = np.asarray(h, dtype=complex)
     book = spec.codebook
     snrs = np.abs(book.vectors @ h.conj()) ** 2 * P
-    beta = spec.beta(P)
     if np.min(snrs) >= beta:
         return QuantizerDecision(
             index=0,

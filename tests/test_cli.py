@@ -124,7 +124,7 @@ _VALID = {
     "t": 2,
     "strategy": "bf-vlq",
     "delta": 0.3,
-    "P-grid-dB": [0.0, 10.0],
+    "P-grid-dB": [3.0, 10.0],
     "samples": 10,
     "seed": 1,
     "output-path": "o.csv",
@@ -154,6 +154,7 @@ class TestConfigFuzz:
         except ConfigError:
             return
         assert all(math.isfinite(P) and P > 0.0 for P in cfg.P_grid)
+        assert cfg.strategy != "bf-vlq" or min(cfg.P_grid) > 1.0
         for value in (cfg.t, cfg.samples, cfg.seed):
             assert type(value) is int
         assert cfg.delta is None or 0.0 < cfg.delta < 1.0
@@ -221,6 +222,20 @@ class TestMainExitCodes:
         cfg = write_config(tmp_path, base_config(**{"P-grid-dB": [20.0, 10.0]}))
         assert main(["sweep", "--config", cfg]) == 2
         assert "ascending" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid", [[-3.0, 10.0], [0.0, 10.0]])
+    def test_bf_vlq_grid_at_or_below_0db_is_2(self, tmp_path, capsys, grid):
+        # beta = (t+1) ln P is undefined below 0 dB and zero at 0 dB
+        doc = base_config(
+            strategy="bf-vlq", t=2, delta=0.3,
+            **{"P-grid-dB": grid, "output-path": str(tmp_path / "o.csv")},
+        )
+        with pytest.raises(ConfigError, match="P-grid-dB"):
+            SimulationConfig.from_dict(doc)
+        assert main(["sweep", "--config", write_config(tmp_path, doc)]) == 2
+        err = capsys.readouterr().err
+        assert "P-grid-dB" in err and "Traceback" not in err
+        assert not (tmp_path / "o.csv").exists()
 
     def test_missing_config_file_is_2(self, tmp_path, capsys):
         assert main(["sweep", "--config", str(tmp_path / "missing.json")]) == 2

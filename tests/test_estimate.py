@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from vlqsim import estimate
 from vlqsim.channel import RngStream, sample_channels
 from vlqsim.codebook import BeamformingCodebook, build_covering_codebook, precoding_codebook
 from vlqsim.estimate import (
@@ -23,8 +24,8 @@ from vlqsim.estimate import (
     ser_rate_sweep,
     write_records_csv,
 )
-from vlqsim.numerics import bpsk_mrc_ser, q_function
-from vlqsim.quantizer import VlqBeamformingSpec, VlqPrecodingSpec
+from vlqsim.numerics import bpsk_mrc_ser, gamma_weighted_q_tail, q_function
+from vlqsim.quantizer import VlqBeamformingSpec, VlqPrecodingSpec, flq_encode
 
 
 @pytest.fixture(scope="module")
@@ -86,6 +87,14 @@ class TestSweepUnbiasedness:
         assert rec.ser == pytest.approx(ser_full_analytic(3, 25.0), rel=1e-8)
         assert rec.ser_stderr < 1e-15
 
+    def test_constant_draws_have_rounding_sized_stderr(self):
+        # radial full-CSIT and open-loop values do not depend on the draw;
+        # a one-pass variance reads cancellation noise of ~1e-11 relative
+        specs = [FullCsitBeamforming(4), OpenLoopPrecoding(4)]
+        grid = [3.0, 10.0, 100.0, 1e3, 1e4]
+        for rec in ser_rate_sweep(specs, grid, 2 * _CHUNK + 7, RngStream(39)):
+            assert rec.ser_stderr <= 1e-14 * rec.ser
+
     def test_open_loop_radial_matches_quadrature(self):
         spec = OpenLoopPrecoding(2)
         (rec,) = ser_rate_sweep([spec], [40.0], 1000, RngStream(33))
@@ -124,7 +133,12 @@ class TestSweepInvariants:
             assert rec.ser_stderr >= 0.0 and rec.rate_stderr >= 0.0
 
     def test_monotone_in_power(self, all_specs):
-        recs = ser_rate_sweep(all_specs, [1.0, 10.0, 100.0], 20000, RngStream(38))
+        # bf-vlq's threshold (t+1) ln P needs P > 1, so its grid starts above
+        # 1; the draws do not depend on which specs share a sweep
+        others = [s for s in all_specs if s.quantizer_id != "bf-vlq"]
+        (vlq,) = [s for s in all_specs if s.quantizer_id == "bf-vlq"]
+        recs = ser_rate_sweep(others, [1.0, 10.0, 100.0], 20000, RngStream(38))
+        recs += ser_rate_sweep([vlq], [2.0, 10.0, 100.0], 20000, RngStream(38))
         by_q = {}
         for r in recs:
             by_q.setdefault(r.quantizer_id, []).append(r)
@@ -143,6 +157,13 @@ class TestSweepInvariants:
             ser_rate_sweep(
                 [FullCsitBeamforming(2), FullCsitBeamforming(3)], [1.0], 10, RngStream(1)
             )
+
+    def test_bf_vlq_needs_power_above_one(self, book):
+        vlq = VariableLengthBeamforming(VlqBeamformingSpec(book))
+        for conditioning in ("radial", "none"):
+            for P in (0.5, 1.0):
+                with pytest.raises(ValueError, match="P must be > 1"):
+                    ser_rate_sweep([vlq], [P], 10, RngStream(1), conditioning=conditioning)
 
     def test_record_validation(self):
         with pytest.raises(ValueError):
@@ -211,6 +232,71 @@ class TestSharedCorrelation:
                 for spec in specs
             ]
             assert together == alone
+
+
+class TestPrecodingKernel:
+    def test_sweep_runs_no_adaptive_quadrature(self, book, monkeypatch):
+        calls = []
+        original = estimate.integrate_gamma_weighted
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(estimate, "integrate_gamma_weighted", counted)
+        specs = TestSharedCorrelation.coded_specs(book)
+        recs = ser_rate_sweep(specs, [10.0, 1e3, 1e5], 5000, RngStream(60), workers=2)
+        assert len(recs) == 9
+        assert calls == []
+
+    def test_table_matches_kernel_on_covered_draws(self, book):
+        spec = VariableLengthPrecoding(VlqPrecodingSpec(precoding_codebook(book)))
+        H = sample_channels(RngStream(61), 2, 4000)
+        Hbar = H / np.linalg.norm(H, axis=1, keepdims=True)
+        for P in (10.0, 1e3, 1e5):
+            ser, _, _ = spec.conditioned(Hbar, P)
+            s = book.correlation_stats(Hbar)[0] * P
+            x0 = spec.spec.threshold / P
+            want = bpsk_mrc_ser(2, s) - gamma_weighted_q_tail(2, s, x0)
+            want += gamma_weighted_q_tail(2, P / 2.0, x0)
+            # log-log interpolation on the 33-point grid: measured <= 3.5e-8
+            assert np.max(np.abs(ser / want - 1.0)) <= 1e-7
+
+    def test_uncovered_draws_are_exact_not_clipped(self, book):
+        # a delta-cover with codewords removed leaves directions whose best
+        # correlation is below 1 - delta; clipping it up would be optimistic
+        holed = BeamformingCodebook(vectors=book.vectors[:3], delta=book.delta)
+        spec = VariableLengthPrecoding(VlqPrecodingSpec(precoding_codebook(holed)))
+        H = sample_channels(RngStream(62), 2, 4000)
+        Hbar = H / np.linalg.norm(H, axis=1, keepdims=True)
+        c_max = holed.correlation_stats(Hbar)[0]
+        low = c_max < 1.0 - holed.delta
+        assert 100 <= np.count_nonzero(low) < len(Hbar)
+        P = 100.0
+        x0 = spec.spec.threshold / P
+        ser, _, _ = spec.conditioned(Hbar, P)
+        short = gamma_weighted_q_tail(2, P / 2.0, x0)
+        s = c_max[low] * P
+        exact = bpsk_mrc_ser(2, s) - gamma_weighted_q_tail(2, s, x0) + short
+        assert np.max(np.abs(ser[low] / exact - 1.0)) <= 1e-14
+        s_clip = (1.0 - holed.delta) * P
+        clipped = bpsk_mrc_ser(2, s_clip) - gamma_weighted_q_tail(2, s_clip, x0) + short
+        assert np.all(ser[low] > clipped)
+
+
+class TestSingletonCodebook:
+    def test_flq_charges_no_bits(self):
+        book = BeamformingCodebook(vectors=np.array([[1.0 + 0.0j]]), delta=0.5)
+        spec = FixedLengthBeamforming(book)
+        assert spec.bits == 0
+        H = sample_channels(RngStream(63), 1, 50)
+        _, bits = spec.snr_bits(H, 10.0)
+        assert np.all(bits == 0.0)
+        for conditioning in ("radial", "none"):
+            (rec,) = ser_rate_sweep([spec], [10.0], 1000, RngStream(64), conditioning=conditioning)
+            assert rec.rate == 0.0 and rec.rate_stderr == 0.0
+        d = flq_encode(book, H[0], 10.0)
+        assert d.feedback_bits == 0 and d.codeword == ""
 
 
 class TestPairedCompare:

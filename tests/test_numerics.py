@@ -14,6 +14,7 @@ from vlqsim.numerics import (
     bpsk_mrc_ser,
     fit_loglog,
     gamma_tail,
+    gamma_weighted_q_tail,
     integrate_gamma_weighted,
     minimize_1d,
     q_function,
@@ -130,6 +131,69 @@ class TestGammaWeightedQuadrature:
             integrate_gamma_weighted(lambda x: 1.0, 0)
 
 
+def q_tail_oracle(t: int, s: float, x0: float) -> float:
+    """I(s, x0) in closed form by parts, at 120 digits so the cancellation
+    between its two terms costs nothing:
+    Q(sqrt(2 s x0)) Gbar(t, x0)
+      - sqrt(s / pi) / 2 sum_k Gamma(k + 1/2, (1+s) x0) / (k! (1+s)^(k+1/2))."""
+    with mpmath.workdps(120):
+        s, x0 = mpmath.mpf(s), mpmath.mpf(x0)
+        head = mpmath.erfc(mpmath.sqrt(s * x0)) / 2 * mpmath.gammainc(
+            t, x0, mpmath.inf, regularized=True
+        )
+        half = mpmath.mpf(1) / 2
+        acc = mpmath.fsum(
+            mpmath.gammainc(k + half, (1 + s) * x0, mpmath.inf)
+            / (mpmath.factorial(k) * (1 + s) ** (k + half))
+            for k in range(t)
+        )
+        return float(head - mpmath.sqrt(s / mpmath.pi) / 2 * acc)
+
+
+class TestGammaWeightedQTail:
+    @pytest.mark.parametrize("t", [1, 2, 3, 4, 8])
+    def test_against_mpmath(self, t):
+        worst = 0.0
+        for s in np.geomspace(1.0, 1e6, 7):
+            for sx0 in (1.0, 10.0, 50.0, 300.0):
+                want = q_tail_oracle(t, s, sx0 / s)
+                got = gamma_weighted_q_tail(t, s, sx0 / s)
+                worst = max(worst, abs(got - want) / want)
+        assert worst <= 1e-12
+
+    def test_zero_threshold_is_mrc_average(self):
+        s = np.geomspace(1e-2, 1e6, 41)
+        for t in (1, 2, 3, 4, 8):
+            want = bpsk_mrc_ser(t, s)
+            assert np.max(np.abs(gamma_weighted_q_tail(t, s, 0.0) / want - 1.0)) <= 1e-13
+
+    def test_vector_matches_scalar_calls(self):
+        s = np.geomspace(0.5, 2e4, 37)
+        for t in (1, 3):
+            got = gamma_weighted_q_tail(t, s, 0.01)
+            want = np.array([gamma_weighted_q_tail(t, float(v), 0.01) for v in s])
+            assert got.shape == s.shape
+            assert np.max(np.abs(got / want - 1.0)) <= 1e-15
+
+    def test_agrees_with_adaptive_quadrature(self):
+        # the independent route used by ser_full_analytic
+        t, s, x0 = 2, 40.0, 0.3
+        want = integrate_gamma_weighted(
+            lambda x: q_function(np.sqrt(2.0 * s * x)), t, QuadratureSpec(1e-11), lower=x0
+        )
+        assert gamma_weighted_q_tail(t, s, x0) == pytest.approx(want, rel=1e-9)
+
+    def test_rejects_bad_arguments(self):
+        with pytest.raises(ValueError):
+            gamma_weighted_q_tail(0, 1.0, 0.0)
+        with pytest.raises(ValueError):
+            gamma_weighted_q_tail(2, -1.0, 0.0)
+        with pytest.raises(ValueError):
+            gamma_weighted_q_tail(2, 1.0, -0.1)
+        with pytest.raises(ValueError):
+            gamma_weighted_q_tail(2, 1.0, math.nan)
+
+
 class TestFitLogLog:
     def test_exact_power_law(self):
         P = [10.0, 100.0, 1000.0, 1e4]
@@ -202,6 +266,19 @@ class TestBpskMrcSer:
         ser = bpsk_mrc_ser(3, snr)
         assert ser.shape == snr.shape
         assert np.all(np.diff(ser) < 0.0)
+
+    def test_against_mpmath_without_cancellation(self):
+        # 0.5 (1 - mu) cancels at high SNR; the closed form must not
+        def oracle(t, snr):
+            a = mpmath.mpf(snr)
+            mu = mpmath.sqrt(a / (1 + a))
+            lo, hi = (1 - mu) / 2, (1 + mu) / 2
+            return float(lo**t * mpmath.fsum(mpmath.binomial(t - 1 + k, k) * hi**k for k in range(t)))
+
+        snr = np.geomspace(1e-3, 1e9, 49)
+        for t in (1, 2, 4, 8):
+            want = np.array([oracle(t, x) for x in snr])
+            assert np.max(np.abs(bpsk_mrc_ser(t, snr) / want - 1.0)) <= 1e-13
 
     def test_diversity_slope(self):
         for t in (1, 2, 4):
