@@ -59,6 +59,7 @@ from .quantizer import VlqBeamformingSpec, VlqPrecodingSpec, index_bits
 __all__ = [
     "SweepRecord",
     "GainEstimate",
+    "FeedbackFree",
     "FullCsitBeamforming",
     "FixedLengthBeamforming",
     "VariableLengthBeamforming",
@@ -100,21 +101,39 @@ class GainEstimate:
     fit: LogLogFit
 
 
-class FullCsitBeamforming:
-    """h / ||h||; snr = ||h||^2 P, no feedback."""
+class FeedbackFree:
+    """A scheme with no feedback: snr = ||h||^2 P / divisor.
 
-    def __init__(self, t: int):
+    The divisor is 1 for full-CSIT beamforming (h / ||h||), r for the
+    full-CSIT rank-1 precoder h h^dagger / ||h||^2 and r t for the open-loop
+    identity precoder I / sqrt(t).
+    """
+
+    def __init__(self, t: int, divisor: float, quantizer_id: str):
         self.t = t
-        self.quantizer_id = "bf-full"
+        self.divisor = divisor
+        self.quantizer_id = quantizer_id
         self.codebook = None
 
     def snr_bits(self, H: np.ndarray, P: float, corr=None):
-        snr = np.sum(np.abs(H) ** 2, axis=1) * P
+        snr = np.sum(np.abs(H) ** 2, axis=1) * P / self.divisor
         return snr, np.zeros(len(H))
 
     def conditioned(self, Hbar: np.ndarray, P: float, corr=None):
         n = len(Hbar)
-        return np.full(n, bpsk_mrc_ser(self.t, P)), np.zeros(n), 0.0
+        return np.full(n, bpsk_mrc_ser(self.t, P / self.divisor)), np.zeros(n), 0.0
+
+
+def FullCsitBeamforming(t: int) -> FeedbackFree:
+    return FeedbackFree(t, 1.0, "bf-full")
+
+
+def FullCsitPrecoding(t: int, r: Fraction = Fraction(1)) -> FeedbackFree:
+    return FeedbackFree(t, float(r), "pc-full")
+
+
+def OpenLoopPrecoding(t: int, r: Fraction = Fraction(1)) -> FeedbackFree:
+    return FeedbackFree(t, float(r) * t, "open-loop")
 
 
 class FixedLengthBeamforming:
@@ -166,42 +185,6 @@ class VariableLengthBeamforming:
         ser = bpsk_mrc_ser(self.t, c_max * P) + 0.5 * gap * p_short
         rate = 1.0 + self.spec.index_bits * (1.0 - p_short)
         return ser, rate, 0.5 * gap
-
-
-class FullCsitPrecoding:
-    """Rank-1 projector h h^dagger / ||h||^2; snr = ||h||^2 P / r."""
-
-    def __init__(self, t: int, r: Fraction = Fraction(1)):
-        self.t = t
-        self.r = float(r)
-        self.quantizer_id = "pc-full"
-        self.codebook = None
-
-    def snr_bits(self, H: np.ndarray, P: float, corr=None):
-        snr = np.sum(np.abs(H) ** 2, axis=1) * P / self.r
-        return snr, np.zeros(len(H))
-
-    def conditioned(self, Hbar: np.ndarray, P: float, corr=None):
-        n = len(Hbar)
-        return np.full(n, bpsk_mrc_ser(self.t, P / self.r)), np.zeros(n), 0.0
-
-
-class OpenLoopPrecoding:
-    """Identity precoder I/sqrt(t); snr = ||h||^2 P / (r t), no feedback."""
-
-    def __init__(self, t: int, r: Fraction = Fraction(1)):
-        self.t = t
-        self.r = float(r)
-        self.quantizer_id = "open-loop"
-        self.codebook = None
-
-    def snr_bits(self, H: np.ndarray, P: float, corr=None):
-        snr = np.sum(np.abs(H) ** 2, axis=1) * P / (self.r * self.t)
-        return snr, np.zeros(len(H))
-
-    def conditioned(self, Hbar: np.ndarray, P: float, corr=None):
-        n = len(Hbar)
-        return np.full(n, bpsk_mrc_ser(self.t, P / (self.r * self.t))), np.zeros(n), 0.0
 
 
 class VariableLengthPrecoding:

@@ -25,7 +25,7 @@ from vlqsim.estimate import (
     write_records_csv,
 )
 from vlqsim.numerics import bpsk_mrc_ser, gamma_weighted_q_tail, q_function
-from vlqsim.quantizer import VlqBeamformingSpec, VlqPrecodingSpec, flq_encode
+from vlqsim.quantizer import VlqBeamformingSpec, VlqPrecodingSpec
 
 
 @pytest.fixture(scope="module")
@@ -295,8 +295,6 @@ class TestSingletonCodebook:
         for conditioning in ("radial", "none"):
             (rec,) = ser_rate_sweep([spec], [10.0], 1000, RngStream(64), conditioning=conditioning)
             assert rec.rate == 0.0 and rec.rate_stderr == 0.0
-        d = flq_encode(book, H[0], 10.0)
-        assert d.feedback_bits == 0 and d.codeword == ""
 
 
 class TestPairedCompare:

@@ -1,6 +1,10 @@
-"""Encoder behavior: branch logic, prefix codes, tie-breaking, traces."""
+"""Quantizer decisions as the sweep computes them, against brute force.
 
-import csv
+Every decision rule is checked through the estimators' ``snr_bits``.  The
+reference correlation is the direct complex product |<x_i, h>|^2, which
+does not share code with the lifted kernel ``correlation_stats``.
+"""
+
 import math
 from fractions import Fraction
 
@@ -11,20 +15,28 @@ from hypothesis import strategies as st
 
 from vlqsim.channel import RngStream, sample_channels
 from vlqsim.codebook import build_covering_codebook, precoding_codebook
+from vlqsim.estimate import (
+    FeedbackFree,
+    FixedLengthBeamforming,
+    FullCsitBeamforming,
+    FullCsitPrecoding,
+    OpenLoopPrecoding,
+    VariableLengthBeamforming,
+    VariableLengthPrecoding,
+)
+from vlqsim.numerics import bpsk_mrc_ser
 from vlqsim.quantizer import (
     PrefixCode,
-    QuantizerDecision,
     VlqBeamformingSpec,
     VlqPrecodingSpec,
-    export_trace,
-    flq_encode,
-    full_csit_bf,
-    full_csit_pc,
     index_bits,
     kraft_check,
-    vlq_encode_bf,
-    vlq_encode_pc,
 )
+
+
+def brute_corr(book, H):
+    """|<x_i, h>|^2 for every row h of H and codeword x_i, shape (n, |B|)."""
+    return np.abs(H.conj() @ book.vectors.T) ** 2
 
 
 @pytest.fixture(scope="module")
@@ -76,54 +88,66 @@ class TestPrefixCode:
 
 class TestFullCsit:
     def test_beamformer_achieves_channel_norm(self):
-        h = np.array([1.0 + 1.0j, -2.0])
-        x = full_csit_bf(h)
-        assert np.linalg.norm(x) == pytest.approx(1.0)
-        assert abs(np.vdot(x, h)) ** 2 == pytest.approx(np.vdot(h, h).real)
+        H = sample_channels(RngStream(0), 3, 100)
+        x = H / np.linalg.norm(H, axis=1, keepdims=True)
+        achieved = np.abs(np.sum(x.conj() * H, axis=1)) ** 2 * 7.0
+        snr, bits = FullCsitBeamforming(3).snr_bits(H, 7.0)
+        assert np.allclose(snr, achieved, rtol=1e-12, atol=0.0)
+        assert np.all(bits == 0.0)
 
     def test_precoder_is_rank_one_projector(self):
-        h = np.array([0.3 - 0.7j, 1.1, -0.2j])
-        W = full_csit_pc(h)
-        assert np.allclose(W @ W, W)
-        assert np.linalg.norm(W @ h - h) < 1e-12
-        assert np.linalg.norm(W, 2) == pytest.approx(1.0)
+        # full CSIT sends the projector h h^dagger / ||h||^2, open loop the
+        # identity I / sqrt(t); each spends rate r over the space-time code
+        H = sample_channels(RngStream(1), 3, 100)
+        r = Fraction(3, 4)
+        for h, full, open_ in zip(
+            H,
+            FullCsitPrecoding(3, r).snr_bits(H, 7.0)[0],
+            OpenLoopPrecoding(3, r).snr_bits(H, 7.0)[0],
+        ):
+            W = np.outer(h, h.conj()) / np.vdot(h, h).real
+            assert full == pytest.approx(np.linalg.norm(W @ h) ** 2 * 7.0 / 0.75, rel=1e-12)
+            ident = np.eye(3) / math.sqrt(3.0)
+            assert open_ == pytest.approx(np.linalg.norm(ident @ h) ** 2 * 7.0 / 0.75, rel=1e-12)
 
-    def test_zero_channel_rejected(self):
-        with pytest.raises(ValueError):
-            full_csit_bf(np.zeros(2))
-        with pytest.raises(ValueError):
-            full_csit_pc(np.zeros(2))
+    def test_feedback_free_divisors(self):
+        r = Fraction(3, 4)
+        schemes = {
+            "bf-full": (FullCsitBeamforming(4), 1.0),
+            "pc-full": (FullCsitPrecoding(4, r), 0.75),
+            "open-loop": (OpenLoopPrecoding(4, r), 3.0),
+        }
+        Hbar = sample_channels(RngStream(2), 4, 5)
+        for qid, (spec, divisor) in schemes.items():
+            assert isinstance(spec, FeedbackFree)
+            assert spec.quantizer_id == qid and spec.codebook is None
+            assert spec.divisor == divisor
+            ser, rate, hw = spec.conditioned(Hbar, 30.0)
+            assert np.all(ser == bpsk_mrc_ser(4, 30.0 / divisor))
+            assert np.all(rate == 0.0) and hw == 0.0
 
 
 class TestFlqEncode:
     def test_picks_best_codeword(self, book):
         H = sample_channels(RngStream(1), 2, 200)
-        for h in H:
-            d = flq_encode(book, h, P=2.0)
-            corr = np.abs(book.vectors @ h.conj()) ** 2
-            assert d.index == int(np.argmax(corr))
-            assert d.snr == pytest.approx(2.0 * np.max(corr))
-            assert d.feedback_bits == index_bits(len(book))
-
-    def test_tie_breaks_to_lowest_index(self):
-        from vlqsim.codebook import BeamformingCodebook
-
-        b = BeamformingCodebook(vectors=np.eye(2, dtype=complex), delta=0.51)
-        h = np.array([1.0, 1.0]) / math.sqrt(2.0)  # equidistant from both
-        d = flq_encode(b, h)
-        assert d.index == 0
-
-    def test_codeword_is_fixed_width_big_endian(self, book):
-        d = flq_encode(book, book.vectors[5])
-        assert d.codeword == format(5, f"0{index_bits(len(book))}b")
+        snr, bits = FixedLengthBeamforming(book).snr_bits(H, 2.0)
+        corr = brute_corr(book, H)
+        assert np.allclose(snr, 2.0 * np.max(corr, axis=1), rtol=1e-12, atol=0.0)
+        assert np.all(bits == index_bits(len(book)))
 
     @given(st.floats(min_value=0.0, max_value=2 * math.pi))
     @settings(max_examples=50, deadline=None)
     def test_phase_invariance(self, book, theta):
-        h = np.array([0.6 + 0.2j, -0.5 + 0.9j])
-        base = flq_encode(book, h)
-        rotated = flq_encode(book, np.exp(1j * theta) * h)
-        assert rotated.index == base.index
+        H = np.array([[0.6 + 0.2j, -0.5 + 0.9j]])
+        flq = FixedLengthBeamforming(book)
+        vlq = VariableLengthBeamforming(VlqBeamformingSpec(book))
+        base = flq.snr_bits(H, 5.0)
+        rotated = flq.snr_bits(np.exp(1j * theta) * H, 5.0)
+        assert rotated[0] == pytest.approx(base[0], rel=1e-12)
+        assert np.array_equal(rotated[1], base[1])
+        assert np.array_equal(
+            vlq.snr_bits(np.exp(1j * theta) * H, 5.0)[1], vlq.snr_bits(H, 5.0)[1]
+        )
 
 
 class TestVlqBeamforming:
@@ -131,45 +155,48 @@ class TestVlqBeamforming:
         P = 50.0
         beta = bf_spec.beta(P)
         H = sample_channels(RngStream(2), 2, 2000)
-        book = bf_spec.codebook
-        seen_short = seen_long = False
-        for h in H:
-            d = vlq_encode_bf(bf_spec, h, P)
-            snrs = np.abs(book.vectors @ h.conj()) ** 2 * P
-            if d.codeword == "0":
-                seen_short = True
-                assert np.min(snrs) >= beta
-                assert np.array_equal(d.transmit, book.vectors[0])
-                assert d.feedback_bits == 1
-            else:
-                seen_long = True
-                assert np.min(snrs) < beta
-                assert d.codeword == "1" + format(d.index, f"0{bf_spec.index_bits}b")
-                assert d.snr == pytest.approx(np.max(snrs))
-        assert seen_short and seen_long
+        snr, bits = VariableLengthBeamforming(bf_spec).snr_bits(H, P)
+        snrs = brute_corr(bf_spec.codebook, H) * P
+        short = bits == 1.0
+        assert np.any(short) and not np.all(short)
+        assert np.all(np.min(snrs[short], axis=1) >= beta)
+        assert np.allclose(snr[short], snrs[short, 0], rtol=1e-12, atol=0.0)
+        assert np.all(np.min(snrs[~short], axis=1) < beta)
+        assert np.all(bits[~short] == 1.0 + bf_spec.index_bits)
+        assert np.allclose(snr[~short], np.max(snrs[~short], axis=1), rtol=1e-12, atol=0.0)
 
     def test_threshold_boundary_goes_short(self, bf_spec):
-        # scale a channel so the weakest codeword sits exactly on the
-        # threshold: the >= comparison must choose the short branch
-        P = 50.0
-        h = sample_channels(RngStream(3), 2, 1)[0]
-        book = bf_spec.codebook
-        worst = np.min(np.abs(book.vectors @ h.conj()) ** 2)
-        scale = math.sqrt(bf_spec.beta(P) / (worst * P))
-        d = vlq_encode_bf(bf_spec, scale * h, P)
-        assert d.codeword == "0"
+        # the weakest codeword sits exactly on the threshold: the >=
+        # comparison must choose the short branch.  P is a power of two, so
+        # (beta / P) * P == beta holds exactly.
+        P = 64.0
+        c_min = bf_spec.beta(P) / P
+        assert c_min * P == bf_spec.beta(P)
+        vlq = VariableLengthBeamforming(bf_spec)
+        H = np.ones((1, 2), dtype=complex)
+        at = (np.array([0.9]), np.array([c_min]), np.array([0.5]))
+        below = (at[0], np.nextafter(at[1], 0.0), at[2])
+        snr, bits = vlq.snr_bits(H, P, at)
+        assert bits[0] == 1.0 and snr[0] == 0.5 * P
+        snr, bits = vlq.snr_bits(H, P, below)
+        assert bits[0] == 1.0 + bf_spec.index_bits and snr[0] == 0.9 * P
 
     def test_rejects_unit_power(self, bf_spec):
-        with pytest.raises(ValueError):
-            vlq_encode_bf(bf_spec, np.array([1.0, 0.0]), 1.0)
+        vlq = VariableLengthBeamforming(bf_spec)
+        H = np.array([[1.0, 0.0]], dtype=complex)
+        for P in (1.0, 0.5):
+            with pytest.raises(ValueError):
+                vlq.snr_bits(H, P)
+            with pytest.raises(ValueError):
+                vlq.conditioned(H, P)
 
     def test_short_branch_probability_union_bound(self, bf_spec):
         # Pr[long] <= |B| (1 - exp(-beta/P)) for the all-codewords threshold
         P = 2000.0
         n = 20000
         H = sample_channels(RngStream(4), 2, n)
-        long = sum(1 for h in H if vlq_encode_bf(bf_spec, h, P).codeword != "0")
-        p_hat = long / n
+        _, bits = VariableLengthBeamforming(bf_spec).snr_bits(H, P)
+        p_hat = np.count_nonzero(bits != 1.0) / n
         bound = len(bf_spec.codebook) * (1.0 - math.exp(-bf_spec.beta(P) / P))
         assert p_hat <= bound + 3.0 * math.sqrt(p_hat * (1 - p_hat) / n + 1e-9)
 
@@ -178,55 +205,43 @@ class TestVlqPrecoding:
     def test_branches(self, pc_spec):
         P = 20.0
         H = sample_channels(RngStream(5), 2, 2000)
-        book = pc_spec.codebook.beamforming
-        seen = {True: 0, False: 0}
-        for h in H:
-            d = vlq_encode_pc(pc_spec, h, P)
-            n2 = float(np.vdot(h, h).real)
-            short = n2 * P >= pc_spec.threshold
-            seen[short] += 1
-            if short:
-                assert d.codeword == "0"
-                assert d.snr == pytest.approx(n2 * P / 2.0)
-                assert np.allclose(d.transmit, np.eye(2) / math.sqrt(2.0))
-            else:
-                x = book.vectors[d.index - 1]
-                assert np.allclose(d.transmit, np.outer(x, x.conj()))
-                assert d.snr == pytest.approx(np.abs(np.vdot(x, h)) ** 2 * P)
-        assert min(seen.values()) > 0
+        snr, bits = VariableLengthPrecoding(pc_spec).snr_bits(H, P)
+        n2 = np.sum(np.abs(H) ** 2, axis=1)
+        short = n2 * P >= pc_spec.threshold
+        assert 0 < np.count_nonzero(short) < len(H)
+        assert np.all(bits[short] == 1.0)
+        assert np.allclose(snr[short], n2[short] * P / 2.0, rtol=1e-12, atol=0.0)
+        corr = brute_corr(pc_spec.codebook.beamforming, H[~short])
+        assert np.all(bits[~short] == 1.0 + pc_spec.index_bits)
+        assert np.allclose(snr[~short], np.max(corr, axis=1) * P, rtol=1e-12, atol=0.0)
+
+    def test_threshold_boundary_goes_short(self, pc_spec):
+        # ||h||^2 P == t / delta exactly: ||h||^2 = 2, P = 5, threshold 10
+        assert pc_spec.threshold == 10.0
+        vlq = VariableLengthPrecoding(pc_spec)
+        H = np.ones((1, 2), dtype=complex)
+        snr, bits = vlq.snr_bits(H, 5.0)
+        assert bits[0] == 1.0 and snr[0] == 5.0
+        _, bits = vlq.snr_bits(H, np.nextafter(5.0, 0.0))
+        assert bits[0] == 1.0 + pc_spec.index_bits
 
     def test_rate_fraction_scales_snr(self, book):
         spec34 = VlqPrecodingSpec(precoding_codebook(book), r=Fraction(3, 4))
-        h = sample_channels(RngStream(6), 2, 1)[0]
-        d1 = vlq_encode_pc(VlqPrecodingSpec(precoding_codebook(book)), h, 5.0)
-        d2 = vlq_encode_pc(spec34, h, 5.0)
-        assert d2.snr == pytest.approx(d1.snr / 0.75)
+        H = sample_channels(RngStream(6), 2, 400)
+        P = 5.0
+        snr1, bits1 = VariableLengthPrecoding(VlqPrecodingSpec(precoding_codebook(book))).snr_bits(
+            H, P
+        )
+        snr34, bits34 = VariableLengthPrecoding(spec34).snr_bits(H, P)
+        assert np.array_equal(bits1, bits34)
+        assert np.allclose(snr34, snr1 / 0.75, rtol=1e-12, atol=0.0)
+        n2 = np.sum(np.abs(H) ** 2, axis=1)
+        short = bits34 == 1.0
+        assert 0 < np.count_nonzero(short) < len(H)
+        assert np.allclose(snr34[short], n2[short] * P / (2 * 0.75), rtol=1e-12, atol=0.0)
+        long_max = np.max(brute_corr(book, H[~short]), axis=1)
+        assert np.allclose(snr34[~short], long_max * P / 0.75, rtol=1e-12, atol=0.0)
 
     def test_invalid_rate_rejected(self, book):
         with pytest.raises(ValueError):
             VlqPrecodingSpec(precoding_codebook(book), r=Fraction(5, 4))
-
-
-class TestTrace:
-    def test_export_round_trip(self, tmp_path, bf_spec):
-        H = sample_channels(RngStream(8), 2, 50)
-        decisions = [vlq_encode_bf(bf_spec, h, 30.0) for h in H]
-        path = tmp_path / "trace.csv"
-        export_trace(decisions, path)
-        with open(path, newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        assert len(rows) == 50
-        for i, (row, d) in enumerate(zip(rows, decisions)):
-            assert int(row["sample_id"]) == i
-            assert row["codeword"] == d.codeword
-            assert int(row["bits"]) == d.feedback_bits
-            assert float(row["snr"]) == d.snr
-            assert row["branch"] == ("short" if d.codeword == "0" else "long")
-
-
-class TestDecisionInvariants:
-    def test_bits_must_match_codeword(self):
-        with pytest.raises(ValueError):
-            QuantizerDecision(
-                index=0, codeword="10", transmit=np.array([1.0, 0.0]), snr=1.0, feedback_bits=1
-            )
