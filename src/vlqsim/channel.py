@@ -13,24 +13,26 @@ __all__ = ["RngStream", "sample_channel", "sample_channels", "apply_unitary", "r
 class RngStream:
     """Deterministic substream handle.
 
-    The same (master_seed, index) always yields the same draw sequence;
-    distinct indices give statistically independent substreams.  Substreams
-    are derived through a counter-based generator (Philox) keyed by hashing
-    the seed and the index path, so results do not depend on how work is
-    split across workers.
+    The same (master_seed, index, path) always yields the same draw
+    sequence; distinct index paths give statistically independent
+    substreams.  Substreams come from a counter-based generator (Philox)
+    whose SeedSequence spawn key is the full path (index, *path, *extra),
+    so no two paths share a stream and results do not depend on how work
+    is split across workers.
     """
 
     master_seed: int
     index: int = 0
+    path: tuple = ()
 
     def generator(self, *extra: int) -> np.random.Generator:
-        ss = np.random.SeedSequence(entropy=self.master_seed, spawn_key=(self.index, *extra))
+        key = (self.index, *self.path, *extra)
+        ss = np.random.SeedSequence(entropy=self.master_seed, spawn_key=key)
         return np.random.Generator(np.random.Philox(ss))
 
     def child(self, *extra: int) -> "RngStream":
         """Stream with an extended index path, for per-chunk derivation."""
-        ss = np.random.SeedSequence(entropy=self.master_seed, spawn_key=(self.index, *extra))
-        return RngStream(master_seed=self.master_seed, index=int(ss.generate_state(1)[0]))
+        return RngStream(self.master_seed, self.index, (*self.path, *extra))
 
 
 def _complex_normal(gen: np.random.Generator, shape) -> np.ndarray:

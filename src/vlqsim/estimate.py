@@ -23,12 +23,18 @@ per distinct codebook and every spec using it receives the same per-draw
 on lifted vectors (see ``BeamformingCodebook.correlation_stats``); called
 without ``corr``, a spec computes its own.
 
+Schemes: full-CSIT beamforming and precoding and the open-loop precoder
+are one ``FeedbackFree`` class that differs only in its SNR divisor;
+bf-flq, bf-vlq and pc-vlq each have a class, and each variable-length
+branch rule is written once, in its ``snr_bits``.
+
 No adaptive quadrature runs in a sweep.  The precoding VLQ's radial SER
 needs the truncated Rayleigh-Q integral I(s, x0); ``prepare(P)`` evaluates
-it with the fixed Craig-form kernel ``gamma_weighted_q_tail`` on a 33-point
-table per chunk, and the sweep keeps no per-P state.  Per-chunk moments
-are centred and combined in chunk order, so the standard error of a
-constant per-draw value is rounding-sized.  ``ser_full_analytic`` keeps
+it with the fixed Craig-form kernel ``gamma_weighted_q_tail`` at 24
+Chebyshev nodes per chunk and draws are evaluated on the interpolant, so
+the sweep keeps no per-P state.  Per-chunk moments are centred and
+combined in chunk order, so the standard error of a constant per-draw
+value is rounding-sized.  ``ser_full_analytic`` keeps
 the adaptive quadrature as an independent oracle.
 """
 
@@ -41,6 +47,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebfit, chebpts1, chebval
 
 from .channel import RngStream, sample_channels
 from .codebook import BeamformingCodebook
@@ -74,6 +81,11 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 16
+
+# Chebyshev nodes on [-1, 1] for the precoding VLQ's per-chunk table of
+# log I in log s (see ``VariableLengthPrecoding.prepare``).
+_TABLE_NODES = 24
+_TABLE_X = chebpts1(_TABLE_NODES)
 
 
 @dataclass(frozen=True)
@@ -197,11 +209,13 @@ class VariableLengthPrecoding:
         F(s) - I(s, x0) + I(P/(t r), x0),    s = c_max P / r,
 
     where F = ``bpsk_mrc_ser``.  The short-branch term is direction-free.
-    ``prepare(P)`` evaluates I once per call on a 33-point geometric grid of
-    s over [(1-delta) P/r, P/r], which a delta-cover's c_max lands in, and
-    draws are interpolated log-log on it.  Draws the codebook does not cover
-    (c_max < 1 - delta) get the kernel directly instead of a clipped value.
-    The feedback rate conditioned on the direction is exact and constant.
+    ``prepare(P)`` evaluates I once per call at the _TABLE_NODES Chebyshev
+    nodes of log s over [(1-delta) P/r, P/r], which a delta-cover's c_max
+    lands in, and fits the Chebyshev interpolant of log I in log s; draws
+    are evaluated on it to ~1e-12 relative.  Draws the codebook does not
+    cover (c_max < 1 - delta) get the kernel directly, because a polynomial
+    must not extrapolate.  The feedback rate conditioned on the direction
+    is exact and constant.
     """
 
     def __init__(self, spec: VlqPrecodingSpec):
@@ -220,19 +234,23 @@ class VariableLengthPrecoding:
         return snr, bits
 
     def prepare(self, P: float):
-        """(log s grid, log I on it, short-branch I) for power P."""
+        """(log s interval, Chebyshev coefficients of log I on it,
+        short-branch I) for power P."""
         t, r = self.t, self.r
         x0 = self.spec.threshold / P
-        s_grid = np.geomspace((1.0 - self.spec.delta) * P / r, P / r, 33)
-        tail = gamma_weighted_q_tail(t, np.append(s_grid, P / (t * r)), x0)
-        return np.log(s_grid), np.log(np.maximum(tail[:-1], 1e-300)), tail[-1]
+        lo, hi = math.log((1.0 - self.spec.delta) * P / r), math.log(P / r)
+        s_nodes = np.exp(lo + 0.5 * (hi - lo) * (_TABLE_X + 1.0))
+        tail = gamma_weighted_q_tail(t, np.append(s_nodes, P / (t * r)), x0)
+        coef = chebfit(_TABLE_X, np.log(np.maximum(tail[:-1], 1e-300)), _TABLE_NODES - 1)
+        return (lo, hi), coef, tail[-1]
 
     def conditioned(self, Hbar: np.ndarray, P: float, corr=None):
-        log_s_grid, log_tail, tail_short = self.prepare(P)
+        (lo, hi), coef, tail_short = self.prepare(P)
         c_max = (corr or self.codebook.correlation_stats(Hbar))[0]
         s = c_max * P / self.r
         x0 = self.spec.threshold / P
-        tail_long = np.exp(np.interp(np.log(s), log_s_grid, log_tail))
+        x = np.clip((2.0 * np.log(s) - lo - hi) / (hi - lo), -1.0, 1.0)
+        tail_long = np.exp(chebval(x, coef))
         uncovered = c_max < 1.0 - self.spec.delta
         if np.any(uncovered):
             tail_long[uncovered] = gamma_weighted_q_tail(self.t, s[uncovered], x0)

@@ -40,6 +40,15 @@ class TestDeterminism:
         assert s.child(1, 2) == s.child(1, 2)
         assert s.child(1, 2) != s.child(2, 1)
 
+    def test_child_paths_do_not_collide(self):
+        # chunk 6991 of grid point 1 and chunk 49267 of grid point 2 shared
+        # their draws when the path was hashed to 32 bits
+        a = sample_channels(RngStream(0).child(1, 6991), 2, 8)
+        b = sample_channels(RngStream(0).child(2, 49267), 2, 8)
+        assert not np.array_equal(a, b)
+        nested = sample_channels(RngStream(0).child(1).child(6991), 2, 8)
+        assert np.array_equal(a, nested)
+
     def test_single_draw_matches_batch_of_one(self):
         s = RngStream(9, 1)
         assert np.array_equal(sample_channel(s, 2), sample_channels(s, 2, 1)[0])

@@ -168,7 +168,8 @@ class TestRunConfig:
         records = run_config(cfg)
         want = ser_full_analytic(1, 10.0)
         assert abs(records[0].ser - want) <= 3.0 * records[0].ser_stderr
-        rows = list(csv.DictReader(open(out, newline="")))
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
         assert len(rows) == 1
         assert float(rows[0]["P_linear"]) == pytest.approx(10.0)
         assert float(rows[0]["ser"]) == records[0].ser

@@ -249,18 +249,20 @@ class TestPrecodingKernel:
         assert len(recs) == 9
         assert calls == []
 
-    def test_table_matches_kernel_on_covered_draws(self, book):
-        spec = VariableLengthPrecoding(VlqPrecodingSpec(precoding_codebook(book)))
-        H = sample_channels(RngStream(61), 2, 4000)
-        Hbar = H / np.linalg.norm(H, axis=1, keepdims=True)
-        for P in (10.0, 1e3, 1e5):
-            ser, _, _ = spec.conditioned(Hbar, P)
-            s = book.correlation_stats(Hbar)[0] * P
-            x0 = spec.spec.threshold / P
-            want = bpsk_mrc_ser(2, s) - gamma_weighted_q_tail(2, s, x0)
-            want += gamma_weighted_q_tail(2, P / 2.0, x0)
-            # log-log interpolation on the 33-point grid: measured <= 3.5e-8
-            assert np.max(np.abs(ser / want - 1.0)) <= 1e-7
+    def test_table_matches_kernel_on_covered_draws(self):
+        for t, delta in ((2, 0.2), (2, 0.9), (4, 0.3)):
+            book = build_covering_codebook(t, delta, RngStream(42, 7), stop_streak=400)
+            spec = VariableLengthPrecoding(VlqPrecodingSpec(precoding_codebook(book)))
+            H = sample_channels(RngStream(61), t, 4000)
+            Hbar = H / np.linalg.norm(H, axis=1, keepdims=True)
+            for P in (10.0, 1e3, 1e5, 1e7):
+                ser, _, _ = spec.conditioned(Hbar, P)
+                s = book.correlation_stats(Hbar)[0] * P
+                x0 = spec.spec.threshold / P
+                want = np.maximum(bpsk_mrc_ser(t, s) - gamma_weighted_q_tail(t, s, x0), 0.0)
+                want += gamma_weighted_q_tail(t, P / t, x0)
+                # 24-node Chebyshev interpolant of log I: measured <= 1.1e-14
+                assert np.max(np.abs(ser / want - 1.0)) <= 1e-11
 
     def test_uncovered_draws_are_exact_not_clipped(self, book):
         # a delta-cover with codewords removed leaves directions whose best
