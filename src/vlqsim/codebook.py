@@ -123,22 +123,35 @@ class CoveringReport:
 
 @dataclass
 class PrecodingCodebook:
-    matrices: np.ndarray  # (n+1, t, t)
-    delta: float
-    index_of_identity: int
-    beamforming: BeamformingCodebook
+    """The identity precoder I/sqrt(t) plus the rank-1 precoders x x^H of a
+    beamforming codebook's codewords.
 
-    def __post_init__(self):
-        spectral = np.linalg.norm(self.matrices, ord=2, axis=(1, 2))
-        if np.max(spectral) > 1.0 + 1e-10:
-            raise ValueError("spectral norm of every precoder must be <= 1")
+    Every member has spectral norm <= 1 by construction: 1/sqrt(t) for the
+    identity and 1 for x x^H, since the codewords are unit vectors.
+    """
+
+    beamforming: BeamformingCodebook
+    index_of_identity = 0
+
+    @property
+    def delta(self) -> float:
+        return self.beamforming.delta
 
     @property
     def t(self) -> int:
-        return self.matrices.shape[1]
+        return self.beamforming.t
 
     def __len__(self) -> int:
-        return len(self.matrices)
+        return len(self.beamforming) + 1
+
+    @property
+    def matrices(self) -> np.ndarray:
+        """The (|B|+1, t, t) precoders, built on each access."""
+        x = self.beamforming.vectors
+        mats = np.empty((len(self), self.t, self.t), dtype=complex)
+        mats[0] = np.eye(self.t) / math.sqrt(self.t)
+        mats[1:] = x[:, :, None] * x.conj()[:, None, :]
+        return mats
 
 
 def _unit_probes(gen: np.random.Generator, t: int, n: int) -> np.ndarray:
@@ -284,14 +297,7 @@ def verify_covering(
 
 def precoding_codebook(book: BeamformingCodebook) -> PrecodingCodebook:
     """Identity precoder plus the rank-1 equivalents of the codewords."""
-    t = book.t
-    mats = np.empty((len(book) + 1, t, t), dtype=complex)
-    mats[0] = np.eye(t) / math.sqrt(t)
-    for i, x in enumerate(book.vectors):
-        mats[i + 1] = np.outer(x, x.conj())
-    return PrecodingCodebook(
-        matrices=mats, delta=book.delta, index_of_identity=0, beamforming=book
-    )
+    return PrecodingCodebook(beamforming=book)
 
 
 def fit_c0(family) -> float:

@@ -10,18 +10,21 @@ Q(sqrt(2 snr(h))) over channel draws.  Two conditioning modes:
   errors bounded as P grows.  Without it the per-draw estimator's relative
   stderr grows like P^t/sqrt(N) and deep-SNR points are unusable.
 
-Common random numbers: every quantizer evaluated in one sweep batch sees
-the same draws, and the chunk partition is fixed, so outputs do not depend
-on the worker count.
+Common random numbers: every quantizer at every grid point of one sweep
+sees the same draws, and the chunk partition is fixed, so outputs do not
+depend on the worker count and a grid point's records equal a one-point
+sweep at that P.  Records at different P in one sweep are therefore
+correlated; each record's mean and stderr are unchanged in distribution.
 
 Because the draws are shared, so is the codebook correlation.  Each spec
 names the beamforming codebook it quantizes with (``spec.codebook``, None
 for full CSIT and open loop); per chunk, ``correlation_stats`` runs once
-per distinct codebook and every spec using it receives the same per-draw
-(max, min, column-0) of |<x_i, h>|^2 through ``snr_bits(H, P, corr)`` or
-``conditioned(Hbar, P, corr)``.  The kernel itself is a blocked real GEMM
-on lifted vectors (see ``BeamformingCodebook.correlation_stats``); called
-without ``corr``, a spec computes its own.
+per distinct codebook for the whole P grid, and every spec using it
+receives the same per-draw (max, min, column-0) of |<x_i, h>|^2 through
+``snr_bits(H, P, corr)`` or ``conditioned(Hbar, P, corr)``.  The kernel
+itself is a blocked real GEMM on lifted vectors (see
+``BeamformingCodebook.correlation_stats``); called without ``corr``, a
+spec computes its own.
 
 Schemes: full-CSIT beamforming and precoding and the open-loop precoder
 are one ``FeedbackFree`` class that differs only in its SNR divisor;
@@ -31,11 +34,11 @@ branch rule is written once, in its ``snr_bits``.
 No adaptive quadrature runs in a sweep.  The precoding VLQ's radial SER
 needs the truncated Rayleigh-Q integral I(s, x0); ``prepare(P)`` evaluates
 it with the fixed Craig-form kernel ``gamma_weighted_q_tail`` at 24
-Chebyshev nodes per chunk and draws are evaluated on the interpolant, so
-the sweep keeps no per-P state.  Per-chunk moments are centred and
-combined in chunk order, so the standard error of a constant per-draw
-value is rounding-sized.  ``ser_full_analytic`` keeps
-the adaptive quadrature as an independent oracle.
+Chebyshev nodes per chunk and P, and draws are evaluated on the
+interpolant, so the sweep keeps no per-P state.  Per-chunk moments are
+centred and combined in chunk order, so the standard error of a constant
+per-draw value is rounding-sized.  ``ser_full_analytic`` keeps the
+adaptive quadrature as an independent oracle.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebfit, chebpts1, chebval
+from numpy.polynomial.chebyshev import chebfit, chebpts1
 
 from .channel import RngStream, sample_channels
 from .codebook import BeamformingCodebook
@@ -250,13 +253,33 @@ class VariableLengthPrecoding:
         s = c_max * P / self.r
         x0 = self.spec.threshold / P
         x = np.clip((2.0 * np.log(s) - lo - hi) / (hi - lo), -1.0, 1.0)
-        tail_long = np.exp(chebval(x, coef))
+        tail_long = np.exp(_chebval(x, coef))
         uncovered = c_max < 1.0 - self.spec.delta
         if np.any(uncovered):
             tail_long[uncovered] = gamma_weighted_q_tail(self.t, s[uncovered], x0)
         ser = np.maximum(bpsk_mrc_ser(self.t, s) - tail_long, 0.0) + tail_short
         rate = np.full(len(Hbar), 1.0 + self.spec.index_bits * (1.0 - gamma_tail(self.t, x0)))
         return ser, rate, 0.0
+
+
+def _chebval(x: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """``chebval(x, coef)`` for len(coef) >= 2, bit for bit.
+
+    The same Clenshaw recurrence in the same order, but into three
+    preallocated buffers instead of three new arrays per term.
+    """
+    x2 = 2.0 * x
+    c0 = np.full_like(x, coef[-2])
+    c1 = np.full_like(x, coef[-1])
+    nxt = np.empty_like(x)
+    for c in coef[-3::-1]:
+        # (c0, c1) <- (c - c1, c0 + c1 x2)
+        np.subtract(c, c1, out=nxt)
+        np.multiply(c1, x2, out=c1)
+        np.add(c0, c1, out=c1)
+        c0, nxt = nxt, c0
+    np.multiply(c1, x, out=c1)
+    return np.add(c0, c1, out=c1)
 
 
 def ser_full_analytic(
@@ -276,36 +299,32 @@ def _chunk_bounds(samples: int, chunk: int = _CHUNK):
     return [(i, min(i + chunk, samples)) for i in range(0, samples, chunk)]
 
 
-def _conditional_ser(specs, H, P, conditioning):
-    """Per-draw (ser, rate, half-width) of every spec on one chunk of draws.
-
-    The codebook correlation is computed once per distinct codebook and
-    shared by every spec that quantizes with it.
-    """
+def _draws(specs, stream, c_idx, n, conditioning):
+    """P-free half of chunk c_idx: its n draws from substream (0, c_idx),
+    as the specs evaluate them (unit rows in radial mode), and the
+    correlation stats of each distinct codebook."""
+    H = sample_channels(stream.child(0, c_idx), specs[0].t, n)
     if conditioning == "radial":
         H = H / np.linalg.norm(H, axis=1, keepdims=True)
     stats = {}
-    out = []
     for spec in specs:
         book = spec.codebook
         if book is not None and id(book) not in stats:
             stats[id(book)] = book.correlation_stats(H)
-        corr = None if book is None else stats[id(book)]
+    return H, stats
+
+
+def _conditional_ser(specs, H, stats, P, conditioning):
+    """Per-draw (ser, rate, half-width) of every spec at power P."""
+    out = []
+    for spec in specs:
+        corr = None if spec.codebook is None else stats[id(spec.codebook)]
         if conditioning == "radial":
             out.append(spec.conditioned(H, P, corr))
         else:
             snr, bits = spec.snr_bits(H, P, corr)
             out.append((q_function(np.sqrt(2.0 * snr)), bits, 0.0))
     return out
-
-
-def _chunk_task(specs, P, stream, p_idx, c_idx, n, conditioning):
-    """Per-chunk moments for every spec; identical for any worker layout."""
-    H = sample_channels(stream.child(p_idx, c_idx), specs[0].t, n)
-    return [
-        (_moments(ser_v), _moments(rate_v), hw)
-        for ser_v, rate_v, hw in _conditional_ser(specs, H, P, conditioning)
-    ]
 
 
 def _moments(v: np.ndarray):
@@ -338,11 +357,13 @@ def ser_rate_sweep(
 ) -> list:
     """SER and feedback-rate records for every (spec, P) pair.
 
-    All specs share the channel draws at each grid point (common random
-    numbers).  Chunks are a fixed partition of the sample index range with
-    per-chunk substreams, and per-chunk sums are combined with compensated
-    summation in index order, so the result is bit-identical for any
-    worker count.
+    Every spec at every grid point sees the same channel draws (common
+    random numbers).  Chunks are a fixed partition of the sample index
+    range, chunk c drawn from substream (0, c); each chunk is sampled and
+    correlated once for the whole grid.  Per-chunk moments are combined
+    with compensated summation in index order, so the result is
+    bit-identical for any worker count, and a grid point's records equal
+    those of a one-point sweep at that P.
     """
     specs = list(specs)
     P_grid = [float(P) for P in P_grid]
@@ -354,28 +375,31 @@ def ser_rate_sweep(
         raise ValueError("conditioning must be 'none' or 'radial'")
     if len({s.t for s in specs}) != 1:
         raise ValueError("all specs must share the antenna count")
-    bounds = _chunk_bounds(samples)
+    sizes = [hi - lo for lo, hi in _chunk_bounds(samples)]
+
+    def task(c_idx):
+        # per-(P, spec) moments of one chunk; each grid point's per-draw
+        # values are reduced before the next point is evaluated
+        H, stats = _draws(specs, stream, c_idx, sizes[c_idx], conditioning)
+        return [
+            [
+                (_moments(ser_v), _moments(rate_v), hw)
+                for ser_v, rate_v, hw in _conditional_ser(specs, H, stats, P, conditioning)
+            ]
+            for P in P_grid
+        ]
+
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(task, range(len(sizes))))
+    else:
+        results = [task(c_idx) for c_idx in range(len(sizes))]
     records = []
     for p_idx, P in enumerate(P_grid):
-        tasks = [
-            (p_idx, c_idx, hi - lo) for c_idx, (lo, hi) in enumerate(bounds)
-        ]
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(
-                    pool.map(
-                        lambda a: _chunk_task(specs, P, stream, a[0], a[1], a[2], conditioning),
-                        tasks,
-                    )
-                )
-        else:
-            results = [
-                _chunk_task(specs, P, stream, pi, ci, n, conditioning) for pi, ci, n in tasks
-            ]
         for j, spec in enumerate(specs):
-            ser, ser_se = _mean_stderr([r[j][0] for r in results])
-            rate, rate_se = _mean_stderr([r[j][1] for r in results])
-            hw = max(r[j][2] for r in results)
+            ser, ser_se = _mean_stderr([r[p_idx][j][0] for r in results])
+            rate, rate_se = _mean_stderr([r[p_idx][j][1] for r in results])
+            hw = max(r[p_idx][j][2] for r in results)
             records.append(
                 SweepRecord(
                     quantizer_id=spec.quantizer_id,
@@ -431,13 +455,13 @@ def paired_compare(
     """
     if spec_a.t != spec_b.t:
         raise ValueError("specs must share the antenna count")
-    bounds = _chunk_bounds(samples)
+    specs = (spec_a, spec_b)
     parts = []
     dom = 0
     worst = 0.0
-    for c_idx, (lo, hi) in enumerate(bounds):
-        H = sample_channels(stream.child(0, c_idx), spec_a.t, hi - lo)
-        (va, _, _), (vb, _, _) = _conditional_ser((spec_a, spec_b), H, P, conditioning)
+    for c_idx, (lo, hi) in enumerate(_chunk_bounds(samples)):
+        H, stats = _draws(specs, stream, c_idx, hi - lo, conditioning)
+        (va, _, _), (vb, _, _) = _conditional_ser(specs, H, stats, P, conditioning)
         gap = va - vb
         parts.append(_moments(gap))
         dom += int(np.count_nonzero(gap >= 0.0))

@@ -1,9 +1,11 @@
 """Semi-analytic estimator: unbiasedness, bounds, determinism, comparisons."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.polynomial.chebyshev import chebval
 
 from vlqsim import estimate
 from vlqsim.channel import RngStream, sample_channels
@@ -211,12 +213,21 @@ class TestSharedCorrelation:
         ]
 
     @pytest.mark.parametrize("workers", [1, 3])
-    def test_once_per_chunk_and_power(self, book, calls, workers):
+    def test_once_per_chunk(self, book, calls, monkeypatch, workers):
+        # the draws and their correlation do not depend on P, so a chunk is
+        # sampled and correlated once for the whole grid
+        sampled = []
+        original = estimate.sample_channels
+
+        def counted(stream, t, n):
+            sampled.append(n)
+            return original(stream, t, n)
+
+        monkeypatch.setattr(estimate, "sample_channels", counted)
         samples = 2 * _CHUNK + 5  # three chunks, the last one short
         P_grid = [10.0, 100.0]
         ser_rate_sweep(self.coded_specs(book), P_grid, samples, RngStream(48), workers=workers)
-        assert len(calls) == 3 * len(P_grid)
-        assert sorted(calls) == sorted([_CHUNK, _CHUNK, 5] * len(P_grid))
+        assert sorted(calls) == sorted(sampled) == [5, _CHUNK, _CHUNK]
 
     def test_paired_compare_shares_too(self, book, calls):
         flq, vlq, _ = self.coded_specs(book)
@@ -232,6 +243,40 @@ class TestSharedCorrelation:
                 for spec in specs
             ]
             assert together == alone
+
+
+class TestGridSharing:
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("conditioning", ["radial", "none"])
+    def test_point_does_not_depend_on_the_grid(self, book, conditioning, workers):
+        specs = [FullCsitBeamforming(2)] + TestSharedCorrelation.coded_specs(book)
+        grid = [3.0, 30.0, 300.0]
+        samples = _CHUNK + 3
+        swept = ser_rate_sweep(
+            specs, grid, samples, RngStream(51), workers=workers, conditioning=conditioning
+        )
+        for i, P in enumerate(grid):
+            alone = ser_rate_sweep(
+                specs, [P], samples, RngStream(51), workers=workers, conditioning=conditioning
+            )
+            assert swept[i * len(specs) : (i + 1) * len(specs)] == alone
+
+    def test_peak_memory_does_not_grow_with_the_grid(self, book):
+        # one grid point's per-draw arrays are live at a time
+        specs = TestSharedCorrelation.coded_specs(book)
+        samples = _CHUNK + 1000
+
+        def peak(grid):
+            tracemalloc.start()
+            try:
+                ser_rate_sweep(specs, grid, samples, RngStream(52))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one = peak([10.0])
+        many = peak(list(np.geomspace(10.0, 1e6, 9)))
+        assert many <= 1.1 * one
 
 
 class TestPrecodingKernel:
@@ -263,6 +308,13 @@ class TestPrecodingKernel:
                 want += gamma_weighted_q_tail(t, P / t, x0)
                 # 24-node Chebyshev interpolant of log I: measured <= 1.1e-14
                 assert np.max(np.abs(ser / want - 1.0)) <= 1e-11
+
+    def test_clenshaw_is_chebval_bit_for_bit(self):
+        gen = np.random.default_rng(65)
+        x = np.append(gen.uniform(-1.0, 1.0, 5000), [-1.0, 0.0, 1.0])
+        for _ in range(50):
+            coef = gen.normal(size=24) * 10.0 ** gen.uniform(-12.0, 2.0, size=24)
+            assert np.array_equal(estimate._chebval(x, coef), chebval(x, coef))
 
     def test_uncovered_draws_are_exact_not_clipped(self, book):
         # a delta-cover with codewords removed leaves directions whose best
