@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .numerics import QuadratureSpec, fit_loglog, minimize_1d, q_function
+from .numerics import fit_loglog, minimize_1d, q_function
 from .estimate import ser_full_analytic
 
 __all__ = [
@@ -48,14 +48,14 @@ class BoundConstants:
             raise ValueError("c1 cannot exceed Q(0)")
 
 
-def derive_c1(bracket_hi: float = 5.0):
+def derive_c1():
     """Largest constant with Q(x) >= c1 exp(-x^2) for all real x.
 
     The ratio Q(x) e^{x^2} has a unique interior minimum on x >= 0 (it
-    tends to 1/2 at 0 and to infinity in the tail) and exceeds 1/2 for
-    x < 0.  Returns (c1, argmin).
+    tends to 1/2 at 0 and to infinity in the tail, and the minimum lies
+    inside [0, 5]) and exceeds 1/2 for x < 0.  Returns (c1, argmin).
     """
-    x_star, val = minimize_1d(lambda x: q_function(x) * math.exp(x * x), 0.0, bracket_hi)
+    x_star, val = minimize_1d(lambda x: q_function(x) * math.exp(x * x), 0.0, 5.0)
     return val, x_star
 
 
@@ -82,13 +82,14 @@ def phi_schedule(delta: float, t: int, c0_hat: float) -> float:
     return (t + 1) * m * math.log2(4.0 * m)
 
 
-def delta_schedule(fP: float, t: int, c0_hat: float, rel_tol: float = 1e-9) -> float:
+def delta_schedule(fP: float, t: int, c0_hat: float) -> float:
     """Inverse of phi by bisection on its strictly decreasing branch.
 
-    phi is decreasing wherever its log factor is positive, i.e. for
-    delta < (c0 e / 0.25 / ...); we restrict the bracket so that
-    4 C0 delta^-2t stays above e (where x log2(4x) turns monotone), which
-    covers every delta of practical interest.
+    With m = C0 delta^-2t, phi = (t+1) m log2(4m) is increasing in m, and so
+    decreasing in delta, wherever 4m >= e.  The bracket is therefore
+    [1e-6, hi] with hi = min(0.99, (4 C0/e)^(1/2t)), which covers every
+    delta of practical interest.  Bisection stops once phi is within a
+    relative 1e-9 of fP.
     """
     if c0_hat <= 0.0:
         raise ValueError("c0_hat must be positive")
@@ -105,7 +106,7 @@ def delta_schedule(fP: float, t: int, c0_hat: float, rel_tol: float = 1e-9) -> f
             lo = mid
         else:
             hi = mid
-        if abs(phi_schedule(mid, t, c0_hat) - fP) <= rel_tol * fP:
+        if abs(phi_schedule(mid, t, c0_hat) - fP) <= 1e-9 * fP:
             return mid
     return 0.5 * (lo + hi)
 
@@ -121,26 +122,21 @@ def thm3_converse_lb(P: float, R: float, c1: float) -> float:
         return float(c1 * math.exp(-min(6.0 * P * R, 745.0)) / (3.0 * P))
 
 
-def thm6_constants(
-    t: int,
-    r: Fraction = Fraction(1),
-    P_grid=None,
-    quad: QuadratureSpec | None = None,
-):
+def thm6_constants(t: int, r: Fraction = Fraction(1)):
     """Array gains of the closed-loop and open-loop baselines and the
     converse gap constant c3 = (1/g_open - 1/g_full)/2.
 
     Both baselines have full diversity t; the open-loop identity precoder
     scales the SNR by 1/t, which costs a factor t^t in array gain.
-    Returns (g_open, g_full, c3) from log-log fits on a high-P grid.
+    Returns (g_open, g_full, c3) from log-log fits on the high-P grid
+    P = 1e4 .. 1e6.
     """
     if t not in (2, 3, 4):
         raise ValueError("t must be in {2, 3, 4}")
-    if P_grid is None:
-        P_grid = np.geomspace(1e4, 1e6, 9)
+    P_grid = np.geomspace(1e4, 1e6, 9)
     gains = {}
     for scale, key in ((1.0, "full"), (1.0 / t, "open")):
-        pts = [(P, ser_full_analytic(t, scale * P, r, quad)) for P in P_grid]
+        pts = [(P, ser_full_analytic(t, scale * P, r)) for P in P_grid]
         fit = fit_loglog(pts)
         d = -fit.slope
         if abs(d - t) > 0.05 * t:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["RngStream", "sample_channel", "sample_channels", "apply_unitary", "random_unitary"]
+__all__ = ["RngStream", "sample_channels"]
 
 
 @dataclass(frozen=True)
@@ -53,34 +53,3 @@ def sample_channels(stream: RngStream, t: int, n: int) -> np.ndarray:
     if n < 1:
         raise ValueError("n must be >= 1")
     return _complex_normal(stream.generator(), (n, t))
-
-
-def sample_channel(stream: RngStream, t: int) -> np.ndarray:
-    """A single channel vector h ~ CN(0, I_t), shape (t,)."""
-    return sample_channels(stream, t, 1)[0]
-
-
-def apply_unitary(U: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Rotate h by a unitary U; rejects non-unitary input."""
-    U = np.asarray(U)
-    if U.ndim != 2 or U.shape[0] != U.shape[1]:
-        raise ValueError("U must be square")
-    gram = U.conj().T @ U
-    if np.max(np.abs(gram - np.eye(U.shape[0]))) > 1e-10:
-        raise ValueError("U is not unitary to 1e-10")
-    return U @ np.asarray(h)
-
-
-def random_unitary(stream: RngStream, t: int, n: int | None = None) -> np.ndarray:
-    """Haar-distributed t x t unitaries via QR of a complex Gaussian matrix.
-
-    Returns shape (t, t), or (n, t, t) when n is given.
-    """
-    if t < 1:
-        raise ValueError("t must be >= 1")
-    shape = (t, t) if n is None else (n, t, t)
-    G = _complex_normal(stream.generator(), shape)
-    Q, R = np.linalg.qr(G)
-    d = np.diagonal(R, axis1=-2, axis2=-1)
-    phase = d / np.abs(d)
-    return Q * phase.conj()[..., None, :]

@@ -1,8 +1,9 @@
 """Batch experiment driver.
 
 Subcommands: codebook build|verify, sweep, fit, compare, bounds, selftest.
-Exit codes: 0 success, 2 config error, 3 invariant failure, 4 numeric
-non-convergence.
+Exit codes: 0 success, 2 config error (including unreadable or unwritable
+paths and malformed CSVs), 3 invariant failure (including invalid codebook
+files), 4 numeric non-convergence.
 """
 
 from __future__ import annotations
@@ -203,6 +204,14 @@ def _load_config(path: str) -> SimulationConfig:
     return SimulationConfig.from_dict(doc)
 
 
+def _load_book(path) -> BeamformingCodebook:
+    """load_codebook with an invalid file reported as an invariant failure."""
+    try:
+        return load_codebook(path)
+    except ValueError as exc:
+        raise CoveringError(f"codebook file {path} failed validation: {exc}") from exc
+
+
 def _resolve_codebook(config: SimulationConfig, delta: float | None = None) -> BeamformingCodebook:
     if config.codebook_path is not None:
         p = Path(config.codebook_path)
@@ -211,10 +220,7 @@ def _resolve_codebook(config: SimulationConfig, delta: float | None = None) -> B
                 f"codebook file not found: {config.codebook_path} "
                 "(build one with: vlqsim codebook build)"
             )
-        try:
-            book = load_codebook(p)
-        except ValueError as exc:
-            raise CoveringError(f"codebook file {p} failed validation: {exc}") from exc
+        book = _load_book(p)
         if book.t != config.t:
             raise ConfigError(f"codebook has t={book.t}, config has t={config.t}")
         return book
@@ -386,7 +392,7 @@ def _cmd_codebook(args) -> int:
         save_codebook(book, args.output)
         print(f"built |B| = {len(book)} codewords (t={args.t}, delta={args.delta}) -> {args.output}")
         return 0
-    book = load_codebook(args.input)
+    book = _load_book(args.input)
     report = verify_covering(
         book, args.delta if args.delta is not None else book.delta,
         probes=args.probes, stream=RngStream(args.seed, 102),
@@ -408,10 +414,12 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    rows = []
     with open(args.input, newline="") as fh:
-        for row in csv.DictReader(fh):
-            rows.append(row)
+        reader = csv.DictReader(fh)
+        missing = [c for c in est.CSV_COLUMNS if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ConfigError(f"{args.input} lacks the sweep CSV columns {missing}")
+        rows = list(reader)
     if not rows:
         raise ConfigError(f"no records in {args.input}")
     by_q: dict[str, list] = {}
@@ -546,7 +554,7 @@ def main(argv=None) -> int:
     except QuadratureError as exc:
         print(f"numeric non-convergence: {exc}", file=sys.stderr)
         return 4
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

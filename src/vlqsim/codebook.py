@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import RngStream, sample_channels
+from .channel import RngStream, _complex_normal
 
 __all__ = [
     "BeamformingCodebook",
@@ -31,6 +31,9 @@ __all__ = [
 ]
 
 _DUPLICATE_CORR = 1.0 - 1e-9
+_PROBE_BATCH = 512  # build probes drawn per generator call
+_BUILD_MARGIN = 0.25  # share of delta the build threshold keeps inside the cover
+_REFINE_STEPS = 30  # descent steps from the worst verification probe
 _CORR_BLOCK = 4096  # channel rows per real GEMM in correlation_stats
 
 
@@ -50,6 +53,8 @@ class BeamformingCodebook:
             raise ValueError("delta must be in (0, 1)")
         if len(self.vectors) < 1:
             raise ValueError("codebook must be nonempty")
+        if not np.all(np.isfinite(self.vectors)):
+            raise ValueError("codewords must be finite")
         norms = np.linalg.norm(self.vectors, axis=1)
         if np.max(np.abs(norms - 1.0)) > 1e-12:
             raise ValueError("codewords must be unit norm to 1e-12")
@@ -155,9 +160,7 @@ class PrecodingCodebook:
 
 
 def _unit_probes(gen: np.random.Generator, t: int, n: int) -> np.ndarray:
-    u1 = gen.random((n, t))
-    u2 = gen.random((n, t))
-    g = np.sqrt(-np.log1p(-u1)) * np.exp(2j * np.pi * u2)
+    g = _complex_normal(gen, (n, t))
     return g / np.linalg.norm(g, axis=1, keepdims=True)
 
 
@@ -166,15 +169,13 @@ def build_covering_codebook(
     delta: float,
     stream: RngStream,
     stop_streak: int = 200,
-    probe_batch: int = 512,
-    margin: float = 0.25,
 ) -> BeamformingCodebook:
     """Greedy sequential covering certified at squared-correlation 1 - delta.
 
     Probes are drawn uniformly on the unit sphere; a probe whose best
     codeword correlation^2 falls below the build threshold becomes a
     codeword.  The build threshold keeps a small margin inside delta
-    (1 - (1-margin)*delta) so that the residual slivers the statistical
+    (1 - 0.75 delta) so that the residual slivers the statistical
     stop criterion cannot rule out still sit above 1 - delta; without the
     margin, the adversarial post-build certificate essentially always finds
     a point just below the threshold.  The build stops after stop_streak
@@ -183,17 +184,15 @@ def build_covering_codebook(
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must be in (0, 1)")
-    if not 0.0 <= margin < 1.0:
-        raise ValueError("margin must be in [0, 1)")
     if t < 1 or stop_streak < 1:
         raise ValueError("t and stop_streak must be >= 1")
     gen = stream.generator(0)
-    threshold = 1.0 - (1.0 - margin) * delta
+    threshold = 1.0 - (1.0 - _BUILD_MARGIN) * delta
     vectors: list[np.ndarray] = []
     streak = 0
     probes = 0
     while streak < stop_streak:
-        batch = _unit_probes(gen, t, probe_batch)
+        batch = _unit_probes(gen, t, _PROBE_BATCH)
         mat = np.asarray(vectors) if vectors else None
         for p in batch:
             probes += 1
@@ -217,9 +216,7 @@ def build_covering_codebook(
             "probes_during_build": probes,
         },
     )
-    report = verify_covering(
-        book, delta, probes=10 * stop_streak, refine_steps=30, stream=stream.child(1)
-    )
+    report = verify_covering(book, delta, probes=10 * stop_streak, stream=stream.child(1))
     if not report.passed:
         raise CoveringError(
             f"post-build verification failed (worst corr^2 "
@@ -256,8 +253,7 @@ def verify_covering(
     book: BeamformingCodebook,
     delta: float,
     probes: int,
-    refine_steps: int = 30,
-    stream: RngStream | None = None,
+    stream: RngStream,
 ) -> CoveringReport:
     """Statistical covering certificate with adversarial refinement.
 
@@ -266,8 +262,6 @@ def verify_covering(
     """
     if probes < 1:
         raise ValueError("probes must be >= 1")
-    if stream is None:
-        stream = RngStream(0)
     gen = stream.generator(0)
     worst_val = math.inf
     worst_probe = None
@@ -281,11 +275,10 @@ def verify_covering(
         if vals[i] < worst_val:
             worst_val = float(vals[i])
             worst_probe = batch[i]
-    if refine_steps > 0:
-        refined = _refine_worst(book, worst_probe, refine_steps)
-        refined_val = float(book.max_correlation_sq(refined)[0])
-        if refined_val < worst_val:
-            worst_val, worst_probe = refined_val, refined
+    refined = _refine_worst(book, worst_probe, _REFINE_STEPS)
+    refined_val = float(book.max_correlation_sq(refined)[0])
+    if refined_val < worst_val:
+        worst_val, worst_probe = refined_val, refined
     return CoveringReport(
         probes_tested=probes,
         worst_correlation_sq=worst_val,
@@ -324,14 +317,24 @@ def save_codebook(book: BeamformingCodebook, path) -> None:
 
 
 def load_codebook(path) -> BeamformingCodebook:
+    """Read a codebook written by save_codebook.
+
+    A file that is not such a codebook raises ValueError; an unreadable
+    path raises OSError.
+    """
     doc = json.loads(Path(path).read_text())
-    if doc.get("format-version") != 1:
+    if not isinstance(doc, dict) or doc.get("format-version") != 1:
         raise ValueError("unsupported codebook format version")
-    vectors = np.array(
-        [[complex(re, im) for re, im in row] for row in doc["vectors"]], dtype=complex
-    )
-    if vectors.shape[1] != doc["t"]:
+    missing = sorted({"t", "delta", "vectors"} - set(doc))
+    if missing:
+        raise ValueError(f"codebook file lacks {missing}")
+    try:
+        vectors = np.array(
+            [[complex(re, im) for re, im in row] for row in doc["vectors"]], dtype=complex
+        )
+        delta = float(doc["delta"])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"malformed codebook entries: {exc}") from exc
+    if vectors.ndim != 2 or vectors.shape[1] != doc["t"]:
         raise ValueError("vector length inconsistent with t")
-    return BeamformingCodebook(
-        vectors=vectors, delta=float(doc["delta"]), metadata=doc.get("metadata", {})
-    )
+    return BeamformingCodebook(vectors=vectors, delta=delta, metadata=doc.get("metadata", {}))

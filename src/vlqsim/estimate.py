@@ -56,7 +56,6 @@ from .channel import RngStream, sample_channels
 from .codebook import BeamformingCodebook
 from .numerics import (
     LogLogFit,
-    QuadratureSpec,
     bpsk_mrc_ser,
     fit_loglog,
     gamma_tail,
@@ -81,9 +80,15 @@ __all__ = [
     "estimate_gains",
     "paired_compare",
     "write_records_csv",
+    "CSV_COLUMNS",
 ]
 
 _CHUNK = 1 << 16
+
+# Header of the sweep CSV that write_records_csv writes and ``vlqsim fit`` reads.
+CSV_COLUMNS = (
+    "quantizer", "P_dB", "P_linear", "ser", "ser_stderr", "rate", "rate_stderr", "samples", "seed"
+)
 
 # Chebyshev nodes on [-1, 1] for the precoding VLQ's per-chunk table of
 # log I in log s (see ``VariableLengthPrecoding.prepare``).
@@ -282,21 +287,18 @@ def _chebval(x: np.ndarray, coef: np.ndarray) -> np.ndarray:
     return np.add(c0, c1, out=c1)
 
 
-def ser_full_analytic(
-    t: int, P: float, r: Fraction | float = 1, quad: QuadratureSpec | None = None
-) -> float:
+def ser_full_analytic(t: int, P: float, r: Fraction | float = 1) -> float:
     """E[Q(sqrt(2 ||h||^2 P / r))] by Gamma(t,1)-weighted quadrature."""
     if t < 1 or P <= 0.0:
         raise ValueError("need t >= 1 and P > 0")
     r = float(r)
     if not 0.0 < r <= 1.0:
         raise ValueError("r must be in (0, 1]")
-    quad = quad or QuadratureSpec(relative_tolerance=1e-10)
-    return integrate_gamma_weighted(lambda x: q_function(np.sqrt(2.0 * x * P / r)), t, quad)
+    return integrate_gamma_weighted(lambda x: q_function(np.sqrt(2.0 * x * P / r)), t)
 
 
-def _chunk_bounds(samples: int, chunk: int = _CHUNK):
-    return [(i, min(i + chunk, samples)) for i in range(0, samples, chunk)]
+def _chunk_bounds(samples: int):
+    return [(i, min(i + _CHUNK, samples)) for i in range(0, samples, _CHUNK)]
 
 
 def _draws(specs, stream, c_idx, n, conditioning):
@@ -477,9 +479,7 @@ def _format(x: float) -> str:
 def write_records_csv(records, path) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(
-            ["quantizer", "P_dB", "P_linear", "ser", "ser_stderr", "rate", "rate_stderr", "samples", "seed"]
-        )
+        w.writerow(CSV_COLUMNS)
         for r in records:
             w.writerow(
                 [

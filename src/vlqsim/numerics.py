@@ -14,7 +14,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 __all__ = [
-    "QuadratureSpec",
     "LogLogFit",
     "QuadratureError",
     "q_function",
@@ -48,6 +47,9 @@ _ERF_COEF = np.array(
 _CRAIG_XI, _CRAIG_W = np.polynomial.legendre.leggauss(64)
 _CRAIG_SIN2 = np.sin(0.25 * math.pi * (_CRAIG_XI + 1.0)) ** 2
 _CRAIG_WEIGHTS = 0.25 * _CRAIG_W
+
+# Simpson doublings per panel before integrate_gamma_weighted gives up.
+_MAX_DOUBLINGS = 18
 
 
 class QuadratureError(RuntimeError):
@@ -167,29 +169,6 @@ def gamma_weighted_q_tail(t: int, s, x0: float):
     return float(res[0]) if scalar else res
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    relative_tolerance: float = 1e-10
-    max_subdivisions: int = 48
-
-    def __post_init__(self):
-        if not self.relative_tolerance > 0.0:
-            raise ValueError("tolerance must be > 0")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
-
-
-def _vectorized(g):
-    """Return an array-capable version of g, probing with a tiny array."""
-    try:
-        probe = g(np.array([0.25, 0.5]))
-        if np.asarray(probe).shape == (2,):
-            return g
-    except Exception:
-        pass
-    return np.vectorize(g, otypes=[float])
-
-
 def _simpson_sum(xs, fx):
     h = (xs[-1] - xs[0]) / (len(xs) - 1)
     return h / 3.0 * (fx[0] + fx[-1] + 4.0 * fx[1:-1:2].sum() + 2.0 * fx[2:-1:2].sum())
@@ -243,28 +222,29 @@ def _integrate_panels(f, pairs, eps, max_doublings):
 
 
 def integrate_gamma_weighted(
-    g: Callable[[float], float],
+    g: Callable[[np.ndarray], np.ndarray],
     t: int,
-    spec: QuadratureSpec = QuadratureSpec(),
     lower: float = 0.0,
+    *,
+    rtol: float = 1e-10,
 ) -> float:
     """Integral of g(x) x^{t-1} e^{-x} / Gamma(t) over [lower, infinity).
 
-    g must be bounded; t is a positive integer.  The upper limit is truncated
-    where the remaining gamma mass drops below a tenth of the tolerance, and
-    the finite part is integrated by doubling composite Simpson on a
-    geometric panel decomposition (robust to integrands concentrated near
-    zero).  g may be scalar-only; array-capable callables are evaluated in
-    batch.
+    g must be bounded and take a 1-D float array of abscissae, returning the
+    values at each; t is a positive integer.  The upper limit is truncated
+    where the remaining gamma mass drops below a tenth of rtol, and the
+    finite part is integrated by doubling composite Simpson on a geometric
+    panel decomposition (robust to integrands concentrated near zero), every
+    panel's new abscissae evaluated in one call of g.
     """
     if t < 1 or t != int(t):
         raise ValueError("t must be a positive integer")
     if lower < 0.0:
         raise ValueError("lower must be >= 0")
+    if not rtol > 0.0:
+        raise ValueError("rtol must be > 0")
     t = int(t)
-    rtol = spec.relative_tolerance
     log_gamma_t = math.lgamma(t)
-    gv = _vectorized(g)
 
     def f(x: np.ndarray) -> np.ndarray:
         with np.errstate(under="ignore", divide="ignore"):
@@ -274,7 +254,7 @@ def integrate_gamma_weighted(
                 w = np.zeros_like(x)
                 pos = x > 0.0
                 w[pos] = np.exp((t - 1) * np.log(x[pos]) - x[pos] - log_gamma_t)
-        return np.asarray(gv(x), dtype=float) * w
+        return np.asarray(g(x), dtype=float) * w
 
     # Truncation point: remaining gamma tail below rtol/10.
     x_max = float(t) + 10.0
@@ -295,11 +275,10 @@ def integrate_gamma_weighted(
     vals = f(grid)
     scale = max(abs(float(np.sum(0.5 * (vals[1:] + vals[:-1]) * np.diff(grid)))), 1e-300)
 
-    max_doublings = min(spec.max_subdivisions, 18)
     pairs = list(zip(points[:-1], points[1:]))
     for _ in range(2):
         eps_panel = rtol * scale / len(points)
-        total, err = _integrate_panels(f, pairs, eps_panel, max_doublings)
+        total, err = _integrate_panels(f, pairs, eps_panel, _MAX_DOUBLINGS)
         result = math.fsum(total)
         if abs(result) >= 0.5 * scale:
             break

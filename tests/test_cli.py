@@ -306,6 +306,72 @@ class TestMainExitCodes:
         assert "C1" in capsys.readouterr().out
 
 
+def _book_doc():
+    """A valid two-codeword t=2 codebook file's document."""
+    return {"format-version": 1, "t": 2, "delta": 0.3,
+            "vectors": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}
+
+
+def _nan_book(tmp_path):
+    path = tmp_path / "nan.json"
+    doc = _book_doc()
+    doc["vectors"][1][1][0] = math.nan
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def _book_without_vectors(tmp_path):
+    path = tmp_path / "novec.json"
+    doc = _book_doc()
+    del doc["vectors"]
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def _sweep_on_book(tmp_path, book):
+    doc = base_config(
+        strategy="bf-flq", t=2, samples=1000,
+        **{"codebook-path": str(book), "output-path": str(tmp_path / "o.csv")},
+    )
+    return ["sweep", "--config", write_config(tmp_path, doc)]
+
+
+def _csv_without_schema(tmp_path):
+    path = tmp_path / "other.csv"
+    path.write_text("a,b\n1,2\n")
+    return path
+
+
+# (name, argv builder, exit code): bad paths and files that once raised
+_BAD_FILES = [
+    ("sweep-unwritable-output", lambda p: [
+        "sweep", "--config", write_config(p, base_config(samples=1000)),
+        "--output", str(p / "missing" / "x.csv")], 2),
+    ("build-unwritable-output", lambda p: [
+        "codebook", "build", "--t", "2", "--delta", "0.4",
+        "--output", str(p / "missing" / "b.json")], 2),
+    ("verify-missing-input", lambda p: [
+        "codebook", "verify", "--input", str(p / "missing.json")], 2),
+    ("verify-no-vectors", lambda p: [
+        "codebook", "verify", "--input", str(_book_without_vectors(p))], 3),
+    ("verify-nan-codeword", lambda p: [
+        "codebook", "verify", "--input", str(_nan_book(p))], 3),
+    ("sweep-no-vectors", lambda p: _sweep_on_book(p, _book_without_vectors(p)), 3),
+    ("sweep-nan-codeword", lambda p: _sweep_on_book(p, _nan_book(p)), 3),
+    ("fit-missing-csv", lambda p: ["fit", "--input", str(p / "missing.csv")], 2),
+    ("fit-csv-without-schema", lambda p: ["fit", "--input", str(_csv_without_schema(p))], 2),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code", [case[1:] for case in _BAD_FILES], ids=[case[0] for case in _BAD_FILES]
+)
+def test_bad_files_get_exit_codes_not_tracebacks(tmp_path, capsys, argv, code):
+    assert main(argv(tmp_path)) == code
+    err = capsys.readouterr().err
+    assert err and "Traceback" not in err
+
+
 class TestSelftest:
     def test_all_pass_default_seed(self, capsys):
         assert main(["selftest"]) == 0

@@ -42,6 +42,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             BeamformingCodebook(vectors=v, delta=0.3)
 
+    def test_rejects_non_finite_vectors(self):
+        # a NaN norm compares false against the unit-norm tolerance
+        v = np.array([[1.0, 0.0], [0.0, np.nan]], dtype=complex)
+        with pytest.raises(ValueError, match="finite"):
+            BeamformingCodebook(vectors=v, delta=0.3)
+
     def test_rejects_bad_delta(self):
         with pytest.raises(ValueError):
             BeamformingCodebook(vectors=np.eye(2, dtype=complex), delta=1.0)
@@ -179,6 +185,12 @@ class TestPersistence:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"format-version": 2, "t": 1, "delta": 0.5, "vectors": []}))
         with pytest.raises(ValueError):
+            load_codebook(path)
+
+    def test_missing_vectors_rejected_on_load(self, tmp_path):
+        path = tmp_path / "novec.json"
+        path.write_text(json.dumps({"format-version": 1, "t": 2, "delta": 0.3}))
+        with pytest.raises(ValueError, match="vectors"):
             load_codebook(path)
 
     def test_corrupted_vectors_rejected_on_load(self, tmp_path, book02):
