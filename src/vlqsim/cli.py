@@ -9,9 +9,9 @@ files), 4 numeric non-convergence.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -40,18 +40,24 @@ __all__ = ["SimulationConfig", "ConfigError", "run_config", "selftest", "main"]
 
 _STRATEGIES = ("bf-full", "bf-flq", "bf-vlq", "pc-full", "pc-vlq", "open-loop")
 _CODED = ("bf-flq", "bf-vlq", "pc-vlq")
-_KNOWN_KEYS = {
-    "t",
-    "strategy",
-    "delta",
-    "schedule",
-    "P-grid-dB",
-    "samples",
-    "seed",
-    "codebook-path",
-    "output-path",
-    "conditioning",
+# config key -> SimulationConfig field, in the order to_dict writes them
+_FIELDS = {
+    "t": "t",
+    "strategy": "strategy",
+    "P-grid-dB": "P_grid_dB",
+    "samples": "samples",
+    "seed": "seed",
+    "output-path": "output_path",
+    "conditioning": "conditioning",
+    "delta": "delta",
+    "schedule": "schedule",
+    "codebook-path": "codebook_path",
 }
+_SCHEDULE_F = {"logP": math.log, "sqrtP": math.sqrt}
+# greedy-build stop streak of sweep codebooks and of `codebook build`
+_STOP_STREAK = 400
+# delta of a coded compare baseline for a config without a codebook source
+_BASELINE_DELTA = 0.3
 
 
 class ConfigError(ValueError):
@@ -78,6 +84,14 @@ def _finite(value, name: str) -> float:
     return x
 
 
+def _check_grid(strategy: str, grid_dB) -> None:
+    """bf-vlq's threshold (t+1) ln P needs P > 1 at every grid point."""
+    if strategy == "bf-vlq" and 10.0 ** (grid_dB[0] / 10.0) <= 1.0:
+        raise ConfigError(
+            "P-grid-dB entries must be > 0 dB for bf-vlq: its threshold (t+1) ln P needs P > 1"
+        )
+
+
 @dataclass(frozen=True)
 class SimulationConfig:
     t: int
@@ -95,7 +109,7 @@ class SimulationConfig:
     def from_dict(cls, doc: dict) -> "SimulationConfig":
         if not isinstance(doc, dict):
             raise ConfigError("config must be a JSON object")
-        unknown = set(doc) - _KNOWN_KEYS
+        unknown = set(doc) - set(_FIELDS)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         for key in ("t", "strategy", "P-grid-dB", "samples", "seed", "output-path"):
@@ -115,10 +129,7 @@ class SimulationConfig:
             raise ConfigError("P-grid-dB entries must lie in (-3000, 3000) dB")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ConfigError("P-grid-dB must be strictly ascending")
-        if strategy == "bf-vlq" and 10.0 ** (grid[0] / 10.0) <= 1.0:
-            raise ConfigError(
-                "P-grid-dB entries must be > 0 dB for bf-vlq: its threshold (t+1) ln P needs P > 1"
-            )
+        _check_grid(strategy, grid)
         samples = _integer(doc["samples"], "samples")
         if samples < 1:
             raise ConfigError("samples must be a positive integer")
@@ -127,18 +138,15 @@ class SimulationConfig:
             raise ConfigError("seed must be a 64-bit unsigned integer")
         if not isinstance(doc["output-path"], str) or not doc["output-path"]:
             raise ConfigError("output-path must be a nonempty string")
-        delta = doc.get("delta")
-        schedule = doc.get("schedule")
-        cb_path = doc.get("codebook-path")
-        if strategy in _CODED:
-            given = [k for k, v in (("delta", delta), ("schedule", schedule), ("codebook-path", cb_path)) if v is not None]
-            if not given:
-                raise ConfigError(f"strategy {strategy} needs delta, schedule or codebook-path")
-            if len(given) > 1:
-                raise ConfigError(f"give exactly one of delta/schedule/codebook-path, got {given}")
-        else:
-            if delta is not None or schedule is not None or cb_path is not None:
-                raise ConfigError(f"strategy {strategy} takes no codebook fields")
+        sources = ("delta", "schedule", "codebook-path")
+        delta, schedule, cb_path = (doc.get(key) for key in sources)
+        given = [key for key in sources if doc.get(key) is not None]
+        if strategy not in _CODED and given:
+            raise ConfigError(f"strategy {strategy} takes no codebook fields")
+        if strategy in _CODED and not given:
+            raise ConfigError(f"strategy {strategy} needs delta, schedule or codebook-path")
+        if len(given) > 1:
+            raise ConfigError(f"give exactly one of delta/schedule/codebook-path, got {given}")
         if delta is not None:
             delta = _finite(delta, "delta")
             if not 0.0 < delta < 1.0:
@@ -150,7 +158,7 @@ class SimulationConfig:
                 raise ConfigError("schedule form is only supported for bf-vlq")
             if not isinstance(schedule, dict) or set(schedule) != {"f", "c0"}:
                 raise ConfigError('schedule must have exactly keys {"f", "c0"}')
-            if schedule["f"] not in ("logP", "sqrtP"):
+            if not isinstance(schedule["f"], str) or schedule["f"] not in _SCHEDULE_F:
                 raise ConfigError('schedule f must be "logP" or "sqrtP"')
             if _finite(schedule["c0"], "schedule c0") <= 0:
                 raise ConfigError("schedule c0 must be positive")
@@ -171,22 +179,11 @@ class SimulationConfig:
         )
 
     def to_dict(self) -> dict:
-        doc = {
-            "t": self.t,
-            "strategy": self.strategy,
-            "P-grid-dB": list(self.P_grid_dB),
-            "samples": self.samples,
-            "seed": self.seed,
-            "output-path": self.output_path,
-            "conditioning": self.conditioning,
-        }
-        if self.delta is not None:
-            doc["delta"] = self.delta
+        doc = {key: getattr(self, field) for key, field in _FIELDS.items()}
+        doc["P-grid-dB"] = list(self.P_grid_dB)
         if self.schedule is not None:
             doc["schedule"] = dict(self.schedule)
-        if self.codebook_path is not None:
-            doc["codebook-path"] = self.codebook_path
-        return doc
+        return {key: value for key, value in doc.items() if value is not None}
 
     @property
     def P_grid(self) -> tuple:
@@ -212,7 +209,8 @@ def _load_book(path) -> BeamformingCodebook:
         raise CoveringError(f"codebook file {path} failed validation: {exc}") from exc
 
 
-def _resolve_codebook(config: SimulationConfig, delta: float | None = None) -> BeamformingCodebook:
+def _codebook(config: SimulationConfig, delta: float) -> BeamformingCodebook:
+    """The config's codebook-path file, else a book built at delta."""
     if config.codebook_path is not None:
         p = Path(config.codebook_path)
         if not p.exists():
@@ -224,49 +222,58 @@ def _resolve_codebook(config: SimulationConfig, delta: float | None = None) -> B
         if book.t != config.t:
             raise ConfigError(f"codebook has t={book.t}, config has t={config.t}")
         return book
-    d = config.delta if delta is None else delta
-    return build_covering_codebook(config.t, d, RngStream(config.seed, 101), stop_streak=400)
+    return build_covering_codebook(
+        config.t, delta, RngStream(config.seed, 101), stop_streak=_STOP_STREAK
+    )
 
 
-def _make_spec(config: SimulationConfig, delta: float | None = None):
-    t = config.t
-    if config.strategy == "bf-full":
+def _spec(strategy: str, t: int, book: BeamformingCodebook | None):
+    """The scheme a strategy names; the coded ones quantize with `book`."""
+    if strategy == "bf-full":
         return est.FullCsitBeamforming(t)
-    if config.strategy == "pc-full":
+    if strategy == "pc-full":
         return est.FullCsitPrecoding(t)
-    if config.strategy == "open-loop":
+    if strategy == "open-loop":
         return est.OpenLoopPrecoding(t)
-    book = _resolve_codebook(config, delta)
-    if config.strategy == "bf-flq":
+    if strategy == "bf-flq":
         return est.FixedLengthBeamforming(book)
-    if config.strategy == "bf-vlq":
+    if strategy == "bf-vlq":
         return est.VariableLengthBeamforming(VlqBeamformingSpec(book))
     return est.VariableLengthPrecoding(VlqPrecodingSpec(precoding_codebook(book)))
 
 
+def _grid_schemes(config: SimulationConfig, strategies) -> list:
+    """(P values, one scheme per strategy) for each run of grid points that
+    share a codebook: the whole grid for a fixed delta or a codebook-path,
+    each point alone, at its scheduled delta, for a schedule."""
+    t = config.t
+    if config.schedule is None:
+        coded = any(s in _CODED for s in strategies)
+        delta = _BASELINE_DELTA if config.delta is None else config.delta
+        books = [(config.P_grid, _codebook(config, delta) if coded else None)]
+    else:
+        f, c0 = _SCHEDULE_F[config.schedule["f"]], config.schedule["c0"]
+        books = [([P], _codebook(config, bounds_mod.delta_schedule(f(P), t, c0))) for P in config.P_grid]
+    return [(grid, tuple(_spec(s, t, book) for s in strategies)) for grid, book in books]
+
+
 def run_config(config: SimulationConfig, workers: int = 1, output: str | None = None) -> list:
     """Execute a sweep config; writes the CSV and a JSON summary next to it."""
-    stream = RngStream(config.seed)
-    if config.schedule is not None:
-        f_map = {"logP": math.log, "sqrtP": math.sqrt}
-        f = f_map[config.schedule["f"]]
-        records = []
-        for P in config.P_grid:
-            d = bounds_mod.delta_schedule(f(P), config.t, config.schedule["c0"])
-            spec = _make_spec(config, delta=d)
-            records.extend(
-                est.ser_rate_sweep(
-                    [spec], [P], config.samples, stream,
-                    workers=workers, conditioning=config.conditioning,
-                )
-            )
-    else:
-        spec = _make_spec(config)
-        records = est.ser_rate_sweep(
-            [spec], list(config.P_grid), config.samples, stream,
-            workers=workers, conditioning=config.conditioning,
-        )
     out = Path(output if output is not None else config.output_path)
+    # fail before any draw, not after, on an output that cannot be written
+    if out.is_dir() or not (out.parent.is_dir() and os.access(out.parent, os.W_OK)):
+        raise ConfigError(
+            f"cannot write {out}: it is a directory, or its directory is missing or read-only"
+        )
+    stream = RngStream(config.seed)
+    records = []
+    for grid, (spec,) in _grid_schemes(config, [config.strategy]):
+        records.extend(
+            est.ser_rate_sweep(
+                [spec], grid, config.samples, stream,
+                workers=workers, conditioning=config.conditioning,
+            )
+        )
     est.write_records_csv(records, out)
     summary = {"config": config.to_dict(), "records": len(records)}
     c1, _ = bounds_mod.derive_c1()
@@ -304,8 +311,7 @@ def selftest(seed: int = 0, verbose: bool = True) -> list:
 
     def kraft():
         book = build_covering_codebook(2, 0.3, RngStream(seed, 11), stop_streak=200)
-        for code in (VlqBeamformingSpec(book).prefix_code(),
-                     VlqPrecodingSpec(precoding_codebook(book)).prefix_code()):
+        for code in (_spec(s, 2, book).spec.prefix_code() for s in ("bf-vlq", "pc-vlq")):
             ok, total = kraft_check(code)
             assert ok, "prefix condition violated"
             assert total <= 1.0 + 1e-12, f"Kraft sum {total} > 1"
@@ -336,11 +342,7 @@ def selftest(seed: int = 0, verbose: bool = True) -> list:
 
     def dominance():
         book = build_covering_codebook(2, 0.3, RngStream(seed, 14), stop_streak=200)
-        specs = [
-            est.FixedLengthBeamforming(book),
-            est.VariableLengthBeamforming(VlqBeamformingSpec(book)),
-            est.VariableLengthPrecoding(VlqPrecodingSpec(precoding_codebook(book))),
-        ]
+        specs = [_spec(s, 2, book) for s in _CODED]
         full = est.FullCsitBeamforming(2)
         for spec in specs:
             _, _, frac, worst = est.paired_compare(
@@ -352,11 +354,7 @@ def selftest(seed: int = 0, verbose: bool = True) -> list:
 
     def bound_consistency():
         book = build_covering_codebook(2, 0.3, RngStream(seed, 16), stop_streak=200)
-        specs = [
-            est.FixedLengthBeamforming(book),
-            est.VariableLengthBeamforming(VlqBeamformingSpec(book)),
-            est.VariableLengthPrecoding(VlqPrecodingSpec(precoding_codebook(book))),
-        ]
+        specs = [_spec(s, 2, book) for s in _CODED]
         records = est.ser_rate_sweep(specs, [10.0, 100.0], 20000, RngStream(seed, 17))
         c1, _ = bounds_mod.derive_c1()
         violations = bounds_mod.converse_check(records, 2, c1)
@@ -414,28 +412,12 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    with open(args.input, newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = [c for c in est.CSV_COLUMNS if c not in (reader.fieldnames or ())]
-        if missing:
-            raise ConfigError(f"{args.input} lacks the sweep CSV columns {missing}")
-        rows = list(reader)
-    if not rows:
+    records = est.read_records_csv(args.input)
+    if not records:
         raise ConfigError(f"no records in {args.input}")
     by_q: dict[str, list] = {}
-    for row in rows:
-        by_q.setdefault(row["quantizer"], []).append(
-            est.SweepRecord(
-                quantizer_id=row["quantizer"],
-                P=float(row["P_linear"]),
-                ser=float(row["ser"]),
-                ser_stderr=float(row["ser_stderr"]),
-                rate=float(row["rate"]),
-                rate_stderr=float(row["rate_stderr"]),
-                samples=int(row["samples"]),
-                seed=int(row["seed"]),
-            )
-        )
+    for record in records:
+        by_q.setdefault(record.quantizer_id, []).append(record)
     for qid, recs in by_q.items():
         gains = est.estimate_gains(recs, top_decades=args.top_decades)
         print(
@@ -447,23 +429,18 @@ def _cmd_fit(args) -> int:
 
 def _cmd_compare(args) -> int:
     config = _load_config(args.config)
-    spec = _make_spec(config)
-    base_doc = config.to_dict()
-    base_doc["strategy"] = args.baseline
-    for key in ("delta", "schedule", "codebook-path"):
-        base_doc.pop(key, None)
-    if args.baseline in _CODED:
-        base_doc["delta"] = config.delta if config.delta is not None else 0.3
-    baseline = _make_spec(SimulationConfig.from_dict(base_doc))
+    _check_grid(args.baseline, config.P_grid_dB)
+    runs = _grid_schemes(config, [config.strategy, args.baseline])
     print(f"pairwise {config.strategy} vs {args.baseline} ({config.samples} draws/point)")
-    for P in config.P_grid:
-        gap, se, frac, worst = est.paired_compare(
-            spec, baseline, P, config.samples, RngStream(config.seed, 5)
-        )
-        print(
-            f"  P = {P:10.4g}: mean gap {gap:+.4e} +- {se:.1e}  "
-            f"A>=B on {100 * frac:.2f}% of draws  max violation {worst:+.2e}"
-        )
+    for grid, (spec, baseline) in runs:
+        for P in grid:
+            gap, se, frac, worst = est.paired_compare(
+                spec, baseline, P, config.samples, RngStream(config.seed, 5)
+            )
+            print(
+                f"  P = {P:10.4g}: mean gap {gap:+.4e} +- {se:.1e}  "
+                f"A>=B on {100 * frac:.2f}% of draws  max violation {worst:+.2e}"
+            )
     return 0
 
 
@@ -500,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--t", type=int, required=True)
     p_build.add_argument("--delta", type=float, required=True)
     p_build.add_argument("--seed", type=int, default=0)
-    p_build.add_argument("--stop-streak", type=int, default=400)
+    p_build.add_argument("--stop-streak", type=int, default=_STOP_STREAK)
     p_build.add_argument("--output", required=True)
     p_verify = cb_sub.add_parser("verify")
     p_verify.add_argument("--input", required=True)

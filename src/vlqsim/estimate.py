@@ -80,12 +80,13 @@ __all__ = [
     "estimate_gains",
     "paired_compare",
     "write_records_csv",
+    "read_records_csv",
     "CSV_COLUMNS",
 ]
 
 _CHUNK = 1 << 16
 
-# Header of the sweep CSV that write_records_csv writes and ``vlqsim fit`` reads.
+# Header of the sweep CSV that write_records_csv writes and read_records_csv reads.
 CSV_COLUMNS = (
     "quantizer", "P_dB", "P_linear", "ser", "ser_stderr", "rate", "rate_stderr", "samples", "seed"
 )
@@ -495,3 +496,24 @@ def write_records_csv(records, path) -> None:
                 ]
             )
 
+
+def read_records_csv(path) -> list:
+    """The records of a sweep CSV; ValueError when it lacks the sweep columns."""
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        missing = [c for c in CSV_COLUMNS if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"{path} lacks the sweep CSV columns {missing}")
+        return [
+            SweepRecord(
+                quantizer_id=row["quantizer"],
+                P=float(row["P_linear"]),
+                ser=float(row["ser"]),
+                ser_stderr=float(row["ser_stderr"]),
+                rate=float(row["rate"]),
+                rate_stderr=float(row["rate_stderr"]),
+                samples=int(row["samples"]),
+                seed=int(row["seed"]),
+            )
+            for row in reader
+        ]

@@ -5,7 +5,6 @@ runtime budget.  Criteria 5-7 stash their sweep records in a module-level
 store that the converse-consistency criterion re-checks.
 """
 
-import json
 import math
 import time
 

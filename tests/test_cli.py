@@ -3,12 +3,14 @@
 import csv
 import json
 import math
+import tempfile
+from pathlib import Path
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from vlqsim import estimate
 from vlqsim.cli import ConfigError, SimulationConfig, main, run_config, selftest
 from vlqsim.estimate import ser_full_analytic
 
@@ -25,6 +27,10 @@ def base_config(**overrides):
     }
     doc.update(overrides)
     return doc
+
+
+# logP schedule; at t=2 it is invertible from ln P >= 2.94 (12.8 dB) up
+_LOGP = {"f": "logP", "c0": 0.0224}
 
 
 def write_config(tmp_path, doc, name="cfg.json"):
@@ -161,6 +167,88 @@ class TestConfigFuzz:
         assert SimulationConfig.from_dict(cfg.to_dict()) == cfg
 
 
+# Valid and invalid values for each key of a sweep config, chosen so that a
+# run stays cheap: t <= 2, samples <= 512, at most three grid points and
+# every fixed or scheduled delta >= 0.2 at t=2 (a t=1 codebook is one
+# codeword at any delta).  "@" stands for the example's directory.
+_MAIN_VALUES = {
+    "t": ([1, 2], [0, 9, True, 2.0, "2", None]),
+    "strategy": (["bf-full", "bf-flq", "bf-vlq", "pc-full", "pc-vlq", "open-loop"], ["bf", 1]),
+    "delta": ([0.2, 0.5], [0.0, 1.0, -0.3, math.nan, "0.3", [0.3], None]),
+    "schedule": (
+        [{"f": "logP", "c0": 0.0224}, {"f": "sqrtP", "c0": 0.0224}],
+        [{"f": "logP"}, {"f": "cubeP", "c0": 0.0224}, {"f": ["logP"], "c0": 0.0224},
+         {"f": "logP", "c0": -1}, "logP", None],
+    ),
+    "codebook-path": (
+        ["@/book.json", "@/t1.json"],
+        ["@/nan.json", "@/novec.json", "@/missing.json", "@", 3, None],
+    ),
+    "P-grid-dB": (
+        [[13.0, 20.0, 30.0], [5.0, 40.0], [25.0]],
+        [[-3.0, 10.0], [0.0], [20.0, 10.0], [], [math.inf], ["10"], "10"],
+    ),
+    "samples": ([1, 512], [0, -5, True, 1.5, "512"]),
+    "seed": ([0, 2**64 - 1], [2**64, -1, 0.5]),
+    "output-path": (["@/o.csv"], ["@/missing/o.csv", "@", "", 7]),
+    "conditioning": (["radial", "none"], ["both", None]),
+    "extra": ([], [1]),
+}
+_MAIN_BASE = {
+    "t": 2,
+    "strategy": "bf-vlq",
+    "P-grid-dB": [13.0, 20.0, 30.0],
+    "samples": 256,
+    "seed": 3,
+    "output-path": "@/o.csv",
+    "conditioning": "radial",
+}
+
+
+@st.composite
+def _main_configs(draw):
+    """A cheap valid config with one codebook source, then up to two keys
+    removed, added or set to a valid or an invalid value."""
+    doc = dict(_MAIN_BASE)
+    source = draw(st.sampled_from(["delta", "schedule", "codebook-path"]))
+    doc[source] = draw(st.sampled_from(_MAIN_VALUES[source][0]))
+    for key in draw(st.lists(st.sampled_from(sorted(_MAIN_VALUES)), max_size=2, unique=True)):
+        valid, invalid = _MAIN_VALUES[key]
+        if draw(st.integers(0, 4)) == 0:
+            doc.pop(key, None)
+        else:
+            doc[key] = draw(st.sampled_from(valid if valid and draw(st.booleans()) else invalid))
+    return doc
+
+
+def _in_dir(value, d):
+    if isinstance(value, str):
+        return value.replace("@", d)
+    if isinstance(value, dict):
+        return {k: _in_dir(v, d) for k, v in value.items()}
+    return value
+
+
+class TestMainFuzz:
+    @settings(max_examples=40, deadline=None)
+    @given(doc=_main_configs())
+    @example(doc=dict(_MAIN_BASE, schedule=_LOGP))
+    def test_exit_codes_not_exceptions(self, doc):
+        with tempfile.TemporaryDirectory() as d:
+            books = {"book": _book_doc(), "t1": dict(_book_doc(), t=1, vectors=[[[1.0, 0.0]]])}
+            for name, book in books.items():
+                Path(d, f"{name}.json").write_text(json.dumps(book))
+            _nan_book(Path(d))
+            _book_without_vectors(Path(d))
+            cfg = write_config(Path(d), _in_dir(doc, d))
+            for argv in (
+                ["sweep", "--config", cfg, "--workers", "1"],
+                ["compare", "--config", cfg, "--baseline", "bf-full"],
+                ["compare", "--config", cfg, "--baseline", "bf-flq"],
+            ):
+                assert main(argv) in (0, 2, 3, 4), argv
+
+
 class TestRunConfig:
     def test_full_csit_matches_oracle(self, tmp_path):
         out = tmp_path / "out.csv"
@@ -208,6 +296,35 @@ class TestRunConfig:
         )
         with pytest.raises(ConfigError, match="codebook build"):
             run_config(SimulationConfig.from_dict(doc))
+
+
+def _scheduled(tmp_path):
+    return base_config(
+        strategy="bf-vlq", t=2, samples=2000, schedule=dict(_LOGP),
+        **{"P-grid-dB": [30.0, 40.0, 50.0]},
+    )
+
+
+def _on_stored_book(tmp_path):
+    book = tmp_path / "book.json"
+    assert main(
+        ["codebook", "build", "--t", "2", "--delta", "0.2", "--seed", "1", "--output", str(book)]
+    ) == 0
+    return base_config(
+        strategy="bf-vlq", t=2, samples=20000,
+        **{"codebook-path": str(book), "P-grid-dB": [5.0, 15.0, 25.0]},
+    )
+
+
+# (config document builder, baseline) pairs for `vlqsim compare` in which
+# A's conditional SER is >= B's on every draw; a coded baseline must use the
+# config's own codebook (the scheduled one at each point, or the file's)
+_COMPARES = [
+    (lambda p: base_config(strategy="bf-flq", t=2, delta=0.3, samples=20000), "bf-full"),
+    (_scheduled, "bf-full"),
+    (_scheduled, "bf-flq"),
+    (_on_stored_book, "bf-flq"),
+]
 
 
 class TestMainExitCodes:
@@ -291,15 +408,16 @@ class TestMainExitCodes:
         assert d == pytest.approx(2.0, abs=0.05)
 
     def test_compare_subcommand(self, tmp_path, capsys):
-        out = tmp_path / "o.csv"
-        doc = base_config(
-            strategy="bf-flq", t=2, delta=0.3, samples=20000,
-            **{"output-path": str(out)},
-        )
-        cfg = write_config(tmp_path, doc)
-        assert main(["compare", "--config", cfg, "--baseline", "bf-full"]) == 0
-        text = capsys.readouterr().out
-        assert "A>=B on 100.00%" in text
+        for make_doc, baseline in _COMPARES:
+            doc = make_doc(tmp_path)
+            doc["output-path"] = str(tmp_path / "o.csv")
+            cfg = write_config(tmp_path, doc)
+            capsys.readouterr()
+            assert main(["compare", "--config", cfg, "--baseline", baseline]) == 0, doc
+            lines = capsys.readouterr().out.splitlines()[1:]
+            assert len(lines) == len(doc["P-grid-dB"]), doc
+            for line in lines:
+                assert "A>=B on 100.00%" in line and "max violation +0.00e+00" in line, doc
 
     def test_bounds_subcommand(self, capsys):
         assert main(["bounds", "--t", "2"]) == 0
@@ -342,11 +460,14 @@ def _csv_without_schema(tmp_path):
     return path
 
 
-# (name, argv builder, exit code): bad paths and files that once raised
+# (name, argv builder, exit code): bad paths, files and configs that once
+# raised or sampled before failing
 _BAD_FILES = [
     ("sweep-unwritable-output", lambda p: [
         "sweep", "--config", write_config(p, base_config(samples=1000)),
         "--output", str(p / "missing" / "x.csv")], 2),
+    ("sweep-output-is-a-directory", lambda p: [
+        "sweep", "--config", write_config(p, base_config(samples=1000)), "--output", str(p)], 2),
     ("build-unwritable-output", lambda p: [
         "codebook", "build", "--t", "2", "--delta", "0.4",
         "--output", str(p / "missing" / "b.json")], 2),
@@ -360,16 +481,31 @@ _BAD_FILES = [
     ("sweep-nan-codeword", lambda p: _sweep_on_book(p, _nan_book(p)), 3),
     ("fit-missing-csv", lambda p: ["fit", "--input", str(p / "missing.csv")], 2),
     ("fit-csv-without-schema", lambda p: ["fit", "--input", str(_csv_without_schema(p))], 2),
+    ("sweep-schedule-below-range", lambda p: [
+        "sweep", "--config", write_config(p, base_config(
+            strategy="bf-vlq", t=2, samples=1000, schedule=_LOGP,
+            **{"P-grid-dB": [10.0, 20.0, 30.0], "output-path": str(p / "o.csv")}))], 2),
 ]
 
 
 @pytest.mark.parametrize(
     "argv, code", [case[1:] for case in _BAD_FILES], ids=[case[0] for case in _BAD_FILES]
 )
-def test_bad_files_get_exit_codes_not_tracebacks(tmp_path, capsys, argv, code):
-    assert main(argv(tmp_path)) == code
+def test_bad_files_get_exit_codes_not_tracebacks(tmp_path, capsys, monkeypatch, argv, code):
+    argv = argv(tmp_path)
+    (tmp_path / "o.csv").write_text("an earlier sweep\n")
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    sweeps = []
+    sweep = estimate.ser_rate_sweep
+    monkeypatch.setattr(
+        estimate, "ser_rate_sweep", lambda *a, **k: sweeps.append(a) or sweep(*a, **k)
+    )
+    assert main(argv) == code
     err = capsys.readouterr().err
     assert err and "Traceback" not in err
+    # bad input costs no draw, and writes, truncates or leaves no file
+    assert sweeps == []
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
 
 
 class TestSelftest:

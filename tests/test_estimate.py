@@ -15,7 +15,6 @@ from vlqsim.estimate import (
     FixedLengthBeamforming,
     FullCsitBeamforming,
     FullCsitPrecoding,
-    GainEstimate,
     OpenLoopPrecoding,
     SweepRecord,
     VariableLengthBeamforming,

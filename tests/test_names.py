@@ -1,6 +1,8 @@
 """Names that other code looks up: the traced benchmark's targets, the
-keyword arguments the benchmark passes, and every module's ``__all__``."""
+keyword arguments the benchmark passes, every module's ``__all__``, and
+the names each module imports."""
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -11,7 +13,8 @@ import pytest
 from vlqsim import codebook, estimate
 from vlqsim.channel import RngStream
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parent.parent
+SPANS = ROOT / "perfbench" / "spans.py"
 MODULES = ("bounds", "channel", "cli", "codebook", "estimate", "numerics", "quantizer", "stbc")
 
 
@@ -46,3 +49,32 @@ def test_all_names_resolve(name):
     module = importlib.import_module(f"vlqsim.{name}")
     missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
     assert missing == []
+
+
+def _unused_imports(path: Path) -> list:
+    """Names `path` imports and never reads; __all__ entries and
+    ``from __future__`` imports are exempt."""
+    tree = ast.parse(path.read_text())
+    imported, used, exported = set(), set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.partition(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            exported.update(ast.literal_eval(node.value))
+    return sorted(imported - used - exported)
+
+
+def test_no_unused_imports():
+    found = {
+        str(path.relative_to(ROOT)): names
+        for folder in ("src", "tests")
+        for path in sorted((ROOT / folder).rglob("*.py"))
+        if (names := _unused_imports(path))
+    }
+    assert found == {}

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vlqsim.numerics import (
-    LogLogFit,
     bpsk_mrc_ser,
     fit_loglog,
     gamma_tail,
