@@ -435,7 +435,8 @@ def _cmd_compare(args) -> int:
     for grid, (spec, baseline) in runs:
         for P in grid:
             gap, se, frac, worst = est.paired_compare(
-                spec, baseline, P, config.samples, RngStream(config.seed, 5)
+                spec, baseline, P, config.samples, RngStream(config.seed, 5),
+                conditioning=config.conditioning,
             )
             print(
                 f"  P = {P:10.4g}: mean gap {gap:+.4e} +- {se:.1e}  "

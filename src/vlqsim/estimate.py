@@ -8,7 +8,10 @@ Q(sqrt(2 snr(h))) over channel draws.  Two conditioning modes:
   direction (h = a hbar with a^2 ~ Gamma(t,1) independent of hbar), which
   removes the dominant variance component and keeps relative standard
   errors bounded as P grows.  Without it the per-draw estimator's relative
-  stderr grows like P^t/sqrt(N) and deep-SNR points are unusable.
+  stderr grows like P^t/sqrt(N) and deep-SNR points are unusable.  Only
+  the direction is drawn, up to a common phase, by
+  ``channel.sample_directions`` from 2t - 2 uniforms per draw; plain mode
+  draws whole channels with ``sample_channels``.
 
 Common random numbers: every quantizer at every grid point of one sweep
 sees the same draws, and the chunk partition is fixed, so outputs do not
@@ -24,7 +27,11 @@ receives the same per-draw (max, min, column-0) of |<x_i, h>|^2 through
 ``snr_bits(H, P, corr)`` or ``conditioned(Hbar, P, corr)``.  The kernel
 itself is a blocked real GEMM on lifted vectors (see
 ``BeamformingCodebook.correlation_stats``); called without ``corr``, a
-spec computes its own.
+spec computes its own.  In radial mode the stats also hold the MRC SER
+``bpsk_mrc_ser(t, c_max P / r)`` for the current P, one array per r, so
+bf-flq, bf-vlq and pc-vlq at r = 1 evaluate it once per chunk and P
+instead of once each, with the same bits.  Each spec's per-draw values
+are reduced to chunk moments before the next spec is evaluated.
 
 Schemes: full-CSIT beamforming and precoding and the open-loop precoder
 are one ``FeedbackFree`` class that differs only in its SNR divisor;
@@ -52,7 +59,7 @@ from fractions import Fraction
 import numpy as np
 from numpy.polynomial.chebyshev import chebfit, chebpts1
 
-from .channel import RngStream, sample_channels
+from .channel import RngStream, sample_channels, sample_directions
 from .codebook import BeamformingCodebook
 from .numerics import (
     LogLogFit,
@@ -167,12 +174,12 @@ class FixedLengthBeamforming:
         self.quantizer_id = "bf-flq"
 
     def snr_bits(self, H: np.ndarray, P: float, corr=None):
-        c_max = (corr or self.codebook.correlation_stats(H))[0]
+        c_max, _, _ = corr or self.codebook.correlation_stats(H)
         return c_max * P, np.full(len(H), float(self.bits))
 
     def conditioned(self, Hbar: np.ndarray, P: float, corr=None):
-        c_max = (corr or self.codebook.correlation_stats(Hbar))[0]
-        return bpsk_mrc_ser(self.t, c_max * P), np.full(len(Hbar), float(self.bits)), 0.0
+        corr = corr or _BookStats(self.codebook, Hbar)
+        return corr.mrc_ser(P), np.full(len(Hbar), float(self.bits)), 0.0
 
 
 class VariableLengthBeamforming:
@@ -199,11 +206,11 @@ class VariableLengthBeamforming:
         return snr, bits
 
     def conditioned(self, Hbar: np.ndarray, P: float, corr=None):
-        c_max, c_min, _ = corr or self.codebook.correlation_stats(Hbar)
+        corr = corr or _BookStats(self.codebook, Hbar)
         beta = self.spec.beta(P)
-        p_short = gamma_tail(self.t, beta / (np.maximum(c_min, 1e-300) * P))
+        p_short = gamma_tail(self.t, beta / (np.maximum(corr.c_min, 1e-300) * P))
         gap = q_function(math.sqrt(2.0 * beta))
-        ser = bpsk_mrc_ser(self.t, c_max * P) + 0.5 * gap * p_short
+        ser = corr.mrc_ser(P) + 0.5 * gap * p_short
         rate = 1.0 + self.spec.index_bits * (1.0 - p_short)
         return ser, rate, 0.5 * gap
 
@@ -237,7 +244,7 @@ class VariableLengthPrecoding:
     def snr_bits(self, H: np.ndarray, P: float, corr=None):
         norm2 = np.sum(np.abs(H) ** 2, axis=1)
         short = norm2 * P >= self.spec.threshold
-        c_max = (corr or self.codebook.correlation_stats(H))[0]
+        c_max, _, _ = corr or self.codebook.correlation_stats(H)
         snr = np.where(short, norm2 * P / (self.t * self.r), c_max * P / self.r)
         bits = np.where(short, 1.0, 1.0 + self.spec.index_bits)
         return snr, bits
@@ -255,15 +262,15 @@ class VariableLengthPrecoding:
 
     def conditioned(self, Hbar: np.ndarray, P: float, corr=None):
         (lo, hi), coef, tail_short = self.prepare(P)
-        c_max = (corr or self.codebook.correlation_stats(Hbar))[0]
-        s = c_max * P / self.r
+        corr = corr or _BookStats(self.codebook, Hbar)
+        s = corr.c_max * P / self.r
         x0 = self.spec.threshold / P
         x = np.clip((2.0 * np.log(s) - lo - hi) / (hi - lo), -1.0, 1.0)
         tail_long = np.exp(_chebval(x, coef))
-        uncovered = c_max < 1.0 - self.spec.delta
+        uncovered = corr.c_max < 1.0 - self.spec.delta
         if np.any(uncovered):
             tail_long[uncovered] = gamma_weighted_q_tail(self.t, s[uncovered], x0)
-        ser = np.maximum(bpsk_mrc_ser(self.t, s) - tail_long, 0.0) + tail_short
+        ser = np.maximum(corr.mrc_ser(P, self.r) - tail_long, 0.0) + tail_short
         rate = np.full(len(Hbar), 1.0 + self.spec.index_bits * (1.0 - gamma_tail(self.t, x0)))
         return ser, rate, 0.0
 
@@ -302,32 +309,63 @@ def _chunk_bounds(samples: int):
     return [(i, min(i + _CHUNK, samples)) for i in range(0, samples, _CHUNK)]
 
 
+class _BookStats:
+    """One codebook's per-draw correlation stats on one set of draws,
+    shared by every spec that quantizes with it.
+
+    Iterates as ``(c_max, c_min, c_first)``.  ``mrc_ser(P, r)`` is
+    ``bpsk_mrc_ser(t, c_max P / r)``, kept for the latest P only, one array
+    per r: bf-flq, bf-vlq and pc-vlq at r = 1 read the same array, and
+    since x / 1.0 == x each reads what it would compute alone.  Readers
+    must not write into it.
+    """
+
+    def __init__(self, book: BeamformingCodebook, H: np.ndarray):
+        self.t = book.t
+        self.c_max, self.c_min, self.c_first = book.correlation_stats(H)
+        self._P, self._mrc = None, {}
+
+    def __iter__(self):
+        return iter((self.c_max, self.c_min, self.c_first))
+
+    def mrc_ser(self, P: float, r: float = 1.0) -> np.ndarray:
+        if P != self._P:
+            self._P, self._mrc = P, {}
+        if r not in self._mrc:
+            self._mrc[r] = bpsk_mrc_ser(self.t, self.c_max * P / r)
+        return self._mrc[r]
+
+
 def _draws(specs, stream, c_idx, n, conditioning):
     """P-free half of chunk c_idx: its n draws from substream (0, c_idx),
-    as the specs evaluate them (unit rows in radial mode), and the
-    correlation stats of each distinct codebook."""
-    H = sample_channels(stream.child(0, c_idx), specs[0].t, n)
-    if conditioning == "radial":
-        H = H / np.linalg.norm(H, axis=1, keepdims=True)
+    as the specs evaluate them (directions in radial mode), and the
+    ``_BookStats`` of each distinct codebook."""
+    sample = sample_directions if conditioning == "radial" else sample_channels
+    H = sample(stream.child(0, c_idx), specs[0].t, n)
     stats = {}
     for spec in specs:
         book = spec.codebook
         if book is not None and id(book) not in stats:
-            stats[id(book)] = book.correlation_stats(H)
+            stats[id(book)] = _BookStats(book, H)
     return H, stats
 
 
 def _conditional_ser(specs, H, stats, P, conditioning):
-    """Per-draw (ser, rate, half-width) of every spec at power P."""
-    out = []
+    """Per-draw (ser, rate, half-width) of each spec at power P, one spec
+    at a time."""
     for spec in specs:
         corr = None if spec.codebook is None else stats[id(spec.codebook)]
         if conditioning == "radial":
-            out.append(spec.conditioned(H, P, corr))
+            yield spec.conditioned(H, P, corr)
         else:
             snr, bits = spec.snr_bits(H, P, corr)
-            out.append((q_function(np.sqrt(2.0 * snr)), bits, 0.0))
-    return out
+            yield q_function(np.sqrt(2.0 * snr)), bits, 0.0
+
+
+def _spec_moments(values):
+    """Per-chunk moments of one spec's (ser, rate, half-width) at one P."""
+    ser_v, rate_v, hw = values
+    return _moments(ser_v), _moments(rate_v), hw
 
 
 def _moments(v: np.ndarray):
@@ -381,14 +419,12 @@ def ser_rate_sweep(
     sizes = [hi - lo for lo, hi in _chunk_bounds(samples)]
 
     def task(c_idx):
-        # per-(P, spec) moments of one chunk; each grid point's per-draw
-        # values are reduced before the next point is evaluated
+        # per-(P, spec) moments of one chunk; map holds no reference to a
+        # spec's per-draw values once they are reduced, so they are freed
+        # before the next spec is evaluated
         H, stats = _draws(specs, stream, c_idx, sizes[c_idx], conditioning)
         return [
-            [
-                (_moments(ser_v), _moments(rate_v), hw)
-                for ser_v, rate_v, hw in _conditional_ser(specs, H, stats, P, conditioning)
-            ]
+            list(map(_spec_moments, _conditional_ser(specs, H, stats, P, conditioning)))
             for P in P_grid
         ]
 

@@ -122,14 +122,20 @@ def gamma_tail(t: int, x):
     scalar = a.ndim == 0
     a = np.atleast_1d(a)
     pos = np.clip(a, 0.0, 700.0)
+    # acc = sum_{k < t} pos^k / k!, each term from the last, in place
     term = np.ones_like(pos)
     acc = np.ones_like(pos)
     for k in range(1, int(t)):
-        term = term * pos / k
+        term *= pos
+        term /= k
         acc += term
+    out = np.negative(pos, out=pos)
     with np.errstate(under="ignore"):
-        out = np.exp(-pos) * acc
-    out = np.where(a <= 0.0, 1.0, np.where(a >= 700.0, 0.0, out))
+        np.exp(out, out=out)
+        out *= acc
+    low, high = a <= 0.0, a >= 700.0
+    if np.any(low) or np.any(high):
+        out = np.where(low, 1.0, np.where(high, 0.0, out))
     return float(out[0]) if scalar else out
 
 
@@ -366,12 +372,27 @@ def bpsk_mrc_ser(t: int, snr):
     a = np.atleast_1d(a)
     if np.any(a < 0.0):
         raise ValueError("snr must be >= 0")
-    mu = np.sqrt(a / (1.0 + a))
-    # 0.5 (1 - mu) without the cancellation at high SNR: 1 - mu^2 = 1/(1+a).
-    lo = 0.5 / ((1.0 + a) * (1.0 + mu))
-    hi = 0.5 * (1.0 + mu)
-    acc = np.zeros_like(a)
-    for k in range(t):
-        acc += math.comb(t - 1 + k, k) * hi**k
-    res = lo**t * acc
+    # mu = sqrt(a / (1 + a)); 0.5 (1 - mu) is formed without the
+    # cancellation at high SNR as lo = 0.5 / ((1 + a)(1 + mu)), since
+    # 1 - mu^2 = 1/(1+a); hi = 0.5 (1 + mu)
+    lo = np.add(1.0, a)
+    hi = np.divide(a, lo)
+    np.sqrt(hi, out=hi)
+    hi += 1.0
+    lo *= hi
+    np.divide(0.5, lo, out=lo)
+    hi *= 0.5
+    # res = lo^t sum_{k < t} C(t-1+k, k) hi^k, the powers as ``**`` forms them
+    acc = np.ones_like(a)
+    term = np.empty_like(a)
+    for k in range(1, t):
+        np.multiply(math.comb(t - 1 + k, k), _power(hi, k, term), out=term)
+        acc += term
+    res = np.multiply(_power(lo, t, lo), acc, out=acc)
     return float(res[0]) if scalar else res
+
+
+def _power(x: np.ndarray, k: int, out: np.ndarray) -> np.ndarray:
+    """``x ** k`` for an integer k >= 1, bit for bit, into out (which may be
+    x): ``**`` squares with ``np.square``."""
+    return np.square(x, out=out) if k == 2 else np.power(x, k, out=out)

@@ -5,17 +5,22 @@ import math
 import numpy as np
 import pytest
 
-from vlqsim.channel import RngStream, sample_channels
+from vlqsim.channel import RngStream, sample_channels, sample_directions
+
+
+def ks_statistic(x: np.ndarray, cdf) -> float:
+    """One-sample Kolmogorov-Smirnov distance against the given CDF."""
+    x = np.sort(x)
+    n = len(x)
+    f = cdf(x)
+    d_plus = np.max(np.arange(1, n + 1) / n - f)
+    d_minus = np.max(f - np.arange(0, n) / n)
+    return max(d_plus, d_minus)
 
 
 def ks_statistic_exponential(x: np.ndarray) -> float:
     """One-sample Kolmogorov-Smirnov distance against Exp(1)."""
-    x = np.sort(x)
-    n = len(x)
-    cdf = 1.0 - np.exp(-x)
-    d_plus = np.max(np.arange(1, n + 1) / n - cdf)
-    d_minus = np.max(cdf - np.arange(0, n) / n)
-    return max(d_plus, d_minus)
+    return ks_statistic(x, lambda x: 1.0 - np.exp(-x))
 
 
 class TestDeterminism:
@@ -88,3 +93,49 @@ class TestUnitary:
         )
         d = ks_statistic_exponential(np.abs(rotated.ravel()) ** 2)
         assert d < 1.63 / math.sqrt(rotated.size)
+
+
+class TestDirections:
+    def test_unit_rows_with_real_first_entry(self):
+        for t in (2, 3, 4, 8):
+            H = sample_directions(RngStream(30), t, 20000)
+            assert H.shape == (20000, t) and H.dtype == complex
+            assert np.max(np.abs(np.linalg.norm(H, axis=1) - 1.0)) <= 1e-15
+            assert np.all(H[:, 0].imag == 0.0) and np.all(H[:, 0].real >= 0.0)
+
+    def test_first_power_and_relative_phases(self):
+        # |h_1|^2 of a uniform unit vector in C^t is Beta(1, t-1), and the
+        # phases relative to h_1 are independent and uniform
+        for t in (2, 3, 4):
+            H = sample_directions(RngStream(31, t), t, 50000)
+            crit = 1.63 / math.sqrt(len(H))  # 1% critical value
+            first = np.abs(H[:, 0]) ** 2
+            assert ks_statistic(first, lambda x: 1.0 - (1.0 - x) ** (t - 1)) < crit
+            for j in range(1, t):
+                phase = np.mod(np.angle(H[:, j]), 2.0 * np.pi) / (2.0 * np.pi)
+                assert ks_statistic(phase, lambda x: x) < crit
+
+    def test_same_law_as_normalised_channels(self):
+        # |<x, h>|^2 against a fixed unit x is Beta(1, t-1) either way
+        t = 3
+        x = np.array([1.0, 1.0j, -1.0]) / math.sqrt(3.0)
+        H = sample_directions(RngStream(32), t, 50000)
+        corr = np.abs(H @ x.conj()) ** 2
+        assert ks_statistic(corr, lambda c: 1.0 - (1.0 - c) ** (t - 1)) < 1.63 / math.sqrt(len(H))
+
+    def test_single_antenna_is_all_ones(self):
+        H = sample_directions(RngStream(33), 1, 10)
+        assert H.shape == (10, 1) and np.all(H == 1.0)
+
+    def test_rejects_bad_arguments(self):
+        with pytest.raises(ValueError):
+            sample_directions(RngStream(1), 0, 10)
+        with pytest.raises(ValueError):
+            sample_directions(RngStream(1), 2, 0)
+
+    def test_deterministic_per_substream(self):
+        s = RngStream(34)
+        a = sample_directions(s.child(0, 3), 2, 100)
+        assert np.array_equal(a, sample_directions(s.child(0, 3), 2, 100))
+        b = sample_directions(s.child(0, 4), 2, 100)
+        assert not np.any(a == b)

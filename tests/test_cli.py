@@ -419,6 +419,22 @@ class TestMainExitCodes:
             for line in lines:
                 assert "A>=B on 100.00%" in line and "max violation +0.00e+00" in line, doc
 
+    def test_compare_follows_conditioning(self, tmp_path, capsys):
+        # a radial config is compared per direction, not draw by draw
+        outputs = {}
+        for conditioning in ("radial", "none"):
+            doc = base_config(
+                strategy="pc-vlq", t=2, delta=0.3, samples=20000, conditioning=conditioning,
+                **{"P-grid-dB": [5.0, 15.0], "output-path": str(tmp_path / "o.csv")},
+            )
+            capsys.readouterr()
+            assert main(["compare", "--config", write_config(tmp_path, doc),
+                         "--baseline", "bf-full"]) == 0
+            outputs[conditioning] = capsys.readouterr().out.splitlines()
+        radial, plain = outputs["radial"], outputs["none"]
+        assert len(radial) == len(plain) == 3
+        assert all(a != b for a, b in zip(radial[1:], plain[1:]))
+
     def test_bounds_subcommand(self, capsys):
         assert main(["bounds", "--t", "2"]) == 0
         assert "C1" in capsys.readouterr().out

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -214,19 +215,24 @@ class TestSharedCorrelation:
     @pytest.mark.parametrize("workers", [1, 3])
     def test_once_per_chunk(self, book, calls, monkeypatch, workers):
         # the draws and their correlation do not depend on P, so a chunk is
-        # sampled and correlated once for the whole grid
-        sampled = []
-        original = estimate.sample_channels
-
-        def counted(stream, t, n):
-            sampled.append(n)
-            return original(stream, t, n)
-
-        monkeypatch.setattr(estimate, "sample_channels", counted)
+        # sampled and correlated once for the whole grid, by its mode's sampler
         samples = 2 * _CHUNK + 5  # three chunks, the last one short
         P_grid = [10.0, 100.0]
-        ser_rate_sweep(self.coded_specs(book), P_grid, samples, RngStream(48), workers=workers)
-        assert sorted(calls) == sorted(sampled) == [5, _CHUNK, _CHUNK]
+        for conditioning, sampler in (("radial", "sample_directions"), ("none", "sample_channels")):
+            sampled = []
+            original = getattr(estimate, sampler)
+
+            def counted(stream, t, n, original=original, sampled=sampled):
+                sampled.append(n)
+                return original(stream, t, n)
+
+            monkeypatch.setattr(estimate, sampler, counted)
+            calls.clear()
+            ser_rate_sweep(
+                self.coded_specs(book), P_grid, samples, RngStream(48),
+                workers=workers, conditioning=conditioning,
+            )
+            assert sorted(calls) == sorted(sampled) == [5, _CHUNK, _CHUNK]
 
     def test_paired_compare_shares_too(self, book, calls):
         flq, vlq, _ = self.coded_specs(book)
@@ -276,6 +282,67 @@ class TestGridSharing:
         one = peak([10.0])
         many = peak(list(np.geomspace(10.0, 1e6, 9)))
         assert many <= 1.1 * one
+
+
+class TestDirectionSampler:
+    """Radial sweeps draw directions with ``channel.sample_directions`` and
+    share the MRC SER of c_max P / r across specs."""
+
+    @staticmethod
+    def normalised_channels(stream, t, n):
+        H = sample_channels(stream, t, n)
+        return H / np.linalg.norm(H, axis=1, keepdims=True)
+
+    @pytest.mark.parametrize("t, delta, samples", [(2, 0.2, 4 * _CHUNK), (4, 0.3, 2 * _CHUNK)])
+    def test_agrees_with_normalised_channels(self, monkeypatch, t, delta, samples):
+        # the books the benchmark sweeps (|B| = 12 and 239); independent
+        # seeds, so the two estimates differ by sampling noise only
+        book = build_covering_codebook(t, delta, RngStream(0, 101), stop_streak=400)
+        specs = TestSharedCorrelation.coded_specs(book)
+        grid = [1e2, 1e3, 1e4]
+        new = ser_rate_sweep(specs, grid, samples, RngStream(70))
+        monkeypatch.setattr(estimate, "sample_directions", self.normalised_channels)
+        old = ser_rate_sweep(specs, grid, samples, RngStream(71))
+        for a, b in zip(new, old):
+            assert (a.quantizer_id, a.P) == (b.quantizer_id, b.P)
+            assert abs(a.ser - b.ser) <= 5.0 * math.hypot(a.ser_stderr, b.ser_stderr), (a, b)
+            assert abs(a.rate - b.rate) <= 5.0 * math.hypot(a.rate_stderr, b.rate_stderr), (a, b)
+
+    def test_csv_bytes_do_not_depend_on_workers(self, tmp_path, all_specs):
+        samples = 2 * _CHUNK + 11  # three chunks
+        paths = []
+        for workers in (1, 3):
+            recs = ser_rate_sweep(all_specs, [3.0, 300.0], samples, RngStream(72), workers=workers)
+            paths.append(tmp_path / f"w{workers}.csv")
+            write_records_csv(recs, paths[-1])
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_shared_stats_change_no_bit(self, book, monkeypatch):
+        half = Fraction(1, 2)
+        specs = TestSharedCorrelation.coded_specs(book) + [
+            VariableLengthPrecoding(VlqPrecodingSpec(precoding_codebook(book), r=half))
+        ]
+        H, stats = estimate._draws(specs, RngStream(73), 0, 5000, "radial")
+        calls = []
+        original = estimate.bpsk_mrc_ser
+
+        def counted(t, snr):
+            calls.append(np.size(snr))
+            return original(t, snr)
+
+        grid = [10.0, 1e3]
+        for P in grid:
+            alone = [spec.conditioned(H, P) for spec in specs]
+            monkeypatch.setattr(estimate, "bpsk_mrc_ser", counted)
+            shared = [spec.conditioned(H, P, stats[id(book)]) for spec in specs]
+            monkeypatch.setattr(estimate, "bpsk_mrc_ser", original)
+            for (ser_a, rate_a, hw_a), (ser_s, rate_s, hw_s) in zip(alone, shared):
+                assert np.array_equal(ser_a, ser_s) and np.array_equal(rate_a, rate_s)
+                assert hw_a == hw_s
+            # r = 1/2 reads its own value, not the r = 1 one
+            assert not np.array_equal(shared[2][0], shared[3][0])
+        # one array per (P, r): r = 1 for bf-flq, bf-vlq and pc-vlq, and r = 1/2
+        assert calls == [len(H)] * 2 * len(grid)
 
 
 class TestPrecodingKernel:

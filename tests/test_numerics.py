@@ -280,3 +280,61 @@ class TestBpskMrcSer:
             lo = float(bpsk_mrc_ser(t, 1e4))
             hi = float(bpsk_mrc_ser(t, 1e5))
             assert math.log10(lo / hi) == pytest.approx(t, abs=0.02)
+
+
+class TestBufferedKernels:
+    """``gamma_tail`` and ``bpsk_mrc_ser`` work in place but keep the
+    arithmetic of the allocating formulas below, in the same order."""
+
+    @staticmethod
+    def gamma_tail_formula(t, x):
+        a = np.atleast_1d(np.asarray(x, dtype=float))
+        pos = np.clip(a, 0.0, 700.0)
+        term = np.ones_like(pos)
+        acc = np.ones_like(pos)
+        for k in range(1, int(t)):
+            term = term * pos / k
+            acc += term
+        with np.errstate(under="ignore"):
+            out = np.exp(-pos) * acc
+        return np.where(a <= 0.0, 1.0, np.where(a >= 700.0, 0.0, out))
+
+    @staticmethod
+    def mrc_formula(t, snr):
+        a = np.atleast_1d(np.asarray(snr, dtype=float))
+        mu = np.sqrt(a / (1.0 + a))
+        lo = 0.5 / ((1.0 + a) * (1.0 + mu))
+        hi = 0.5 * (1.0 + mu)
+        acc = np.zeros_like(a)
+        for k in range(t):
+            acc += math.comb(t - 1 + k, k) * hi**k
+        return lo**t * acc
+
+    def test_gamma_tail_bit_for_bit(self):
+        gen = np.random.default_rng(80)
+        x = np.concatenate([
+            10.0 ** gen.uniform(-12.0, 3.0, 4000),
+            gen.uniform(0.0, 60.0, 4000),
+            [-5.0, -0.0, 0.0, 5e-324, 1e-300, 699.999, 700.0, 701.0, 1e300],
+        ])
+        for t in range(1, 9):
+            assert np.array_equal(gamma_tail(t, x), self.gamma_tail_formula(t, x))
+            assert np.array_equal(gamma_tail(t, x[:4000]), self.gamma_tail_formula(t, x[:4000]))
+            grid = x[:512].reshape(8, 64)  # the 2-D shape the Craig kernel passes
+            assert np.array_equal(gamma_tail(t, grid), self.gamma_tail_formula(t, grid))
+            for xs in (-1.0, 0.0, 0.3, 12.5, 700.0, 900.0):
+                got = gamma_tail(t, xs)
+                assert isinstance(got, float)
+                assert got == float(self.gamma_tail_formula(t, xs)[0])
+
+    def test_mrc_bit_for_bit(self):
+        gen = np.random.default_rng(81)
+        snr = np.concatenate([
+            10.0 ** gen.uniform(-8.0, 12.0, 8000), [0.0, 5e-324, 1e-300, 1.0, 1e300],
+        ])
+        for t in range(1, 9):
+            assert np.array_equal(bpsk_mrc_ser(t, snr), self.mrc_formula(t, snr))
+            for s in (0.0, 0.1, 10.0, 1e4, 1e9):
+                got = bpsk_mrc_ser(t, s)
+                assert isinstance(got, float)
+                assert got == float(self.mrc_formula(t, s)[0])
