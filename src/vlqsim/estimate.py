@@ -41,19 +41,25 @@ branch rule is written once, in its ``snr_bits``.
 No adaptive quadrature runs in a sweep.  The precoding VLQ's radial SER
 needs the truncated Rayleigh-Q integral I(s, x0); ``prepare(P)`` evaluates
 it with the fixed Craig-form kernel ``gamma_weighted_q_tail`` at 24
-Chebyshev nodes per chunk and P, and draws are evaluated on the
-interpolant, so the sweep keeps no per-P state.  Per-chunk moments are
-centred and combined in chunk order, so the standard error of a constant
-per-draw value is rounding-sized.  ``ser_full_analytic`` keeps the
-adaptive quadrature as an independent oracle.
+Chebyshev nodes, once per spec and P, and keeps the interpolant's series
+only as long as the SER can see.  Draws are evaluated on it at an abscissa
+that depends on c_max and delta alone, computed once per chunk in the
+codebook's stats.  Per-chunk moments are centred and combined in chunk
+order, so the standard error of a per-draw value that varies only by
+rounding is rounding-sized; a scheme whose rate is constant per direction
+returns it as a scalar, whose moments are exact and whose stderr is 0.
+``ser_full_analytic`` keeps the adaptive quadrature as an independent
+oracle.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -98,8 +104,8 @@ CSV_COLUMNS = (
     "quantizer", "P_dB", "P_linear", "ser", "ser_stderr", "rate", "rate_stderr", "samples", "seed"
 )
 
-# Chebyshev nodes on [-1, 1] for the precoding VLQ's per-chunk table of
-# log I in log s (see ``VariableLengthPrecoding.prepare``).
+# Chebyshev nodes on [-1, 1] for the precoding VLQ's per-P table of log I
+# (see ``VariableLengthPrecoding``).
 _TABLE_NODES = 24
 _TABLE_X = chebpts1(_TABLE_NODES)
 
@@ -148,8 +154,7 @@ class FeedbackFree:
         return snr, np.zeros(len(H))
 
     def conditioned(self, Hbar: np.ndarray, P: float, corr=None):
-        n = len(Hbar)
-        return np.full(n, bpsk_mrc_ser(self.t, P / self.divisor)), np.zeros(n), 0.0
+        return np.full(len(Hbar), bpsk_mrc_ser(self.t, P / self.divisor)), 0.0, 0.0
 
 
 def FullCsitBeamforming(t: int) -> FeedbackFree:
@@ -179,7 +184,7 @@ class FixedLengthBeamforming:
 
     def conditioned(self, Hbar: np.ndarray, P: float, corr=None):
         corr = corr or _BookStats(self.codebook, Hbar)
-        return corr.mrc_ser(P), np.full(len(Hbar), float(self.bits)), 0.0
+        return corr.mrc_ser(P), float(self.bits), 0.0
 
 
 class VariableLengthBeamforming:
@@ -224,14 +229,20 @@ class VariableLengthPrecoding:
 
         F(s) - I(s, x0) + I(P/(t r), x0),    s = c_max P / r,
 
-    where F = ``bpsk_mrc_ser``.  The short-branch term is direction-free.
-    ``prepare(P)`` evaluates I once per call at the _TABLE_NODES Chebyshev
-    nodes of log s over [(1-delta) P/r, P/r], which a delta-cover's c_max
-    lands in, and fits the Chebyshev interpolant of log I in log s; draws
-    are evaluated on it to ~1e-12 relative.  Draws the codebook does not
-    cover (c_max < 1 - delta) get the kernel directly, because a polynomial
-    must not extrapolate.  The feedback rate conditioned on the direction
-    is exact and constant.
+    where F = ``bpsk_mrc_ser``.  The short-branch term and the feedback
+    rate are direction-free.  A delta-cover's c_max lies in [1 - delta, 1],
+    and there I is tabulated in the abscissa x = 1 - 2 ln c_max / ln(1 - delta)
+    in [-1, 1], which depends on neither P nor r: each chunk's ``_BookStats``
+    computes x once for every pc-vlq spec at every P.  ``prepare(P)``
+    evaluates I at the _TABLE_NODES Chebyshev nodes in x and fits the
+    Chebyshev interpolant of log I; each spec keeps one table per P, so a
+    sweep builds it once per grid point, not once per chunk.  The series is
+    then cut to what the SER can see: trailing coefficients are dropped
+    while their absolute sum, which bounds the change in log I, stays below
+    eps times the smallest SER / I over the nodes.  At t=2, delta=0.2 it
+    keeps 8 of 24; at delta=0.9, where I ~ F, it keeps all.  Draws the
+    codebook does not cover (c_max < 1 - delta) get the kernel directly,
+    because a polynomial must not extrapolate.
     """
 
     def __init__(self, spec: VlqPrecodingSpec):
@@ -240,6 +251,8 @@ class VariableLengthPrecoding:
         self.t = spec.codebook.t
         self.r = float(spec.r)
         self.quantizer_id = "pc-vlq"
+        self._tables = {}
+        self._tables_lock = threading.Lock()
 
     def snr_bits(self, H: np.ndarray, P: float, corr=None):
         norm2 = np.sum(np.abs(H) ** 2, axis=1)
@@ -250,28 +263,37 @@ class VariableLengthPrecoding:
         return snr, bits
 
     def prepare(self, P: float):
-        """(log s interval, Chebyshev coefficients of log I on it,
-        short-branch I) for power P."""
+        """(Chebyshev coefficients of log I in x, short-branch I, feedback
+        rate) for power P."""
         t, r = self.t, self.r
         x0 = self.spec.threshold / P
         lo, hi = math.log((1.0 - self.spec.delta) * P / r), math.log(P / r)
         s_nodes = np.exp(lo + 0.5 * (hi - lo) * (_TABLE_X + 1.0))
         tail = gamma_weighted_q_tail(t, np.append(s_nodes, P / (t * r)), x0)
-        coef = chebfit(_TABLE_X, np.log(np.maximum(tail[:-1], 1e-300)), _TABLE_NODES - 1)
-        return (lo, hi), coef, tail[-1]
+        tail_nodes, tail_short = np.maximum(tail[:-1], 1e-300), tail[-1]
+        coef = chebfit(_TABLE_X, np.log(tail_nodes), _TABLE_NODES - 1)
+        # |T_k| <= 1 on [-1, 1], so dropping c_k, c_k+1, ... moves log I by at
+        # most the sum of their |c|, and the SER by about I times that
+        ser_nodes = bpsk_mrc_ser(t, s_nodes) - tail_nodes + tail_short
+        tol = np.finfo(float).eps * np.min(ser_nodes / tail_nodes)
+        dropped = np.cumsum(np.abs(coef[::-1]))[::-1]
+        keep = max(2, int(np.count_nonzero(dropped > tol)))
+        rate = 1.0 + self.spec.index_bits * (1.0 - gamma_tail(t, x0))
+        return coef[:keep], tail_short, rate
 
     def conditioned(self, Hbar: np.ndarray, P: float, corr=None):
-        (lo, hi), coef, tail_short = self.prepare(P)
+        with self._tables_lock:
+            if P not in self._tables:
+                self._tables[P] = self.prepare(P)
+        coef, tail_short, rate = self._tables[P]
         corr = corr or _BookStats(self.codebook, Hbar)
-        s = corr.c_max * P / self.r
-        x0 = self.spec.threshold / P
-        x = np.clip((2.0 * np.log(s) - lo - hi) / (hi - lo), -1.0, 1.0)
-        tail_long = np.exp(_chebval(x, coef))
-        uncovered = corr.c_max < 1.0 - self.spec.delta
-        if np.any(uncovered):
-            tail_long[uncovered] = gamma_weighted_q_tail(self.t, s[uncovered], x0)
-        ser = np.maximum(corr.mrc_ser(P, self.r) - tail_long, 0.0) + tail_short
-        rate = np.full(len(Hbar), 1.0 + self.spec.index_bits * (1.0 - gamma_tail(self.t, x0)))
+        tail = np.exp(_chebval(corr.cheb_x, coef))
+        if corr.uncovered.size:
+            s = corr.c_max[corr.uncovered] * P / self.r
+            tail[corr.uncovered] = gamma_weighted_q_tail(self.t, s, self.spec.threshold / P)
+        ser = np.subtract(corr.mrc_ser(P, self.r), tail, out=tail)
+        np.maximum(ser, 0.0, out=ser)
+        ser += tail_short
         return ser, rate, 0.0
 
 
@@ -321,9 +343,22 @@ class _BookStats:
     """
 
     def __init__(self, book: BeamformingCodebook, H: np.ndarray):
-        self.t = book.t
+        self.t, self.delta = book.t, book.delta
         self.c_max, self.c_min, self.c_first = book.correlation_stats(H)
         self._P, self._mrc = None, {}
+
+    @cached_property
+    def cheb_x(self) -> np.ndarray:
+        """The precoding VLQ's table abscissa 1 - 2 ln c_max / ln(1 - delta),
+        clipped to [-1, 1]; P- and r-free, so every pc-vlq spec reads it at
+        every P."""
+        x = 1.0 - 2.0 * np.log(self.c_max) / math.log(1.0 - self.delta)
+        return np.clip(x, -1.0, 1.0)
+
+    @cached_property
+    def uncovered(self) -> np.ndarray:
+        """Indices of the draws the codebook does not cover, c_max < 1 - delta."""
+        return np.flatnonzero(self.c_max < 1.0 - self.delta)
 
     def __iter__(self):
         return iter((self.c_max, self.c_min, self.c_first))
@@ -365,6 +400,9 @@ def _conditional_ser(specs, H, stats, P, conditioning):
 def _spec_moments(values):
     """Per-chunk moments of one spec's (ser, rate, half-width) at one P."""
     ser_v, rate_v, hw = values
+    if np.ndim(rate_v) == 0:
+        # a constant rate: closed-form moments, free of rounding noise
+        return _moments(ser_v), (len(ser_v), len(ser_v) * rate_v, 0.0), hw
     return _moments(ser_v), _moments(rate_v), hw
 
 

@@ -26,7 +26,7 @@ from vlqsim.estimate import (
     ser_rate_sweep,
     write_records_csv,
 )
-from vlqsim.numerics import bpsk_mrc_ser, gamma_weighted_q_tail, q_function
+from vlqsim.numerics import bpsk_mrc_ser, gamma_tail, gamma_weighted_q_tail, q_function
 from vlqsim.quantizer import VlqBeamformingSpec, VlqPrecodingSpec
 
 
@@ -96,6 +96,20 @@ class TestSweepUnbiasedness:
         grid = [3.0, 10.0, 100.0, 1e3, 1e4]
         for rec in ser_rate_sweep(specs, grid, 2 * _CHUNK + 7, RngStream(39)):
             assert rec.ser_stderr <= 1e-14 * rec.ser
+
+    def test_constant_rates_have_zero_stderr(self, all_specs):
+        # every radial rate but bf-vlq's is exact and constant per direction,
+        # so its moments are taken in closed form, with no rounding noise
+        grid = [3.0, 1e2, 1e4]
+        recs = ser_rate_sweep(all_specs, grid, 2 * _CHUNK + 7, RngStream(40), workers=2)
+        constant = [rec for rec in recs if rec.quantizer_id != "bf-vlq"]
+        assert len(constant) == 5 * len(grid)
+        assert all(rec.rate_stderr == 0.0 for rec in constant)
+        pc = all_specs[-1].spec
+        for rec in constant:
+            if rec.quantizer_id == "pc-vlq":
+                want = 1.0 + pc.index_bits * (1.0 - gamma_tail(2, 2 / (pc.delta * rec.P)))
+                assert abs(rec.rate - want) <= math.ulp(want), rec
 
     def test_open_loop_radial_matches_quadrature(self):
         spec = OpenLoopPrecoding(2)
@@ -374,6 +388,62 @@ class TestPrecodingKernel:
                 want += gamma_weighted_q_tail(t, P / t, x0)
                 # 24-node Chebyshev interpolant of log I: measured <= 1.1e-14
                 assert np.max(np.abs(ser / want - 1.0)) <= 1e-11
+
+    def test_table_is_built_once_per_spec_and_power(self, book, monkeypatch, tmp_path):
+        calls = []
+        original = VariableLengthPrecoding.prepare
+
+        def counted(spec, P):
+            calls.append((id(spec), P))
+            return original(spec, P)
+
+        monkeypatch.setattr(VariableLengthPrecoding, "prepare", counted)
+        grid = [10.0, 1e3, 1e5]
+        paths = []
+        for workers in (1, 3):
+            pc = [
+                VariableLengthPrecoding(VlqPrecodingSpec(precoding_codebook(book), r=r))
+                for r in (Fraction(1), Fraction(1, 2))
+            ]
+            specs = TestSharedCorrelation.coded_specs(book)[:2] + pc
+            calls.clear()
+            # three chunks, so a table per chunk would be three per (spec, P)
+            recs = ser_rate_sweep(specs, grid, 2 * _CHUNK + 9, RngStream(63), workers=workers)
+            assert sorted(calls) == sorted((id(spec), P) for spec in pc for P in grid)
+            paths.append(tmp_path / f"w{workers}.csv")
+            write_records_csv(recs, paths[-1])
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    @pytest.mark.parametrize(
+        "t, delta, seed, kept",
+        [(2, 0.9, (42, 7), range(24, 25)), (2, 0.2, (0, 101), range(2, 12)),
+         (4, 0.3, (0, 101), range(2, 12))],
+    )
+    def test_series_is_cut_where_the_ser_stops_changing(self, monkeypatch, t, delta, seed, kept):
+        # delta = 0.9 leaves I ~ F, so SER << I and every coefficient counts;
+        # at the benchmark's books the trailing ones are below what the SER sees
+        book = build_covering_codebook(t, delta, RngStream(*seed), stop_streak=400)
+        spec = VariableLengthPrecoding(VlqPrecodingSpec(precoding_codebook(book)))
+        fits = []
+        fit = estimate.chebfit
+
+        def recorded(*args):
+            fits.append(fit(*args))
+            return fits[-1]
+
+        monkeypatch.setattr(estimate, "chebfit", recorded)
+        H, stats = estimate._draws([spec], RngStream(64), 0, 20000, "radial")
+        corr = stats[id(book)]
+        for P in (1e2, 1e3, 1e4):
+            cut, short, rate = spec.prepare(P)
+            full = fits[-1]
+            assert len(full) == 24 and np.array_equal(cut, full[: len(cut)])
+            assert len(cut) in kept
+            spec._tables[P] = (cut, short, rate)
+            ser_cut, _, _ = spec.conditioned(H, P, corr)
+            spec._tables[P] = (full, short, rate)
+            ser_full, _, _ = spec.conditioned(H, P, corr)
+            assert np.max(np.abs(ser_cut / ser_full - 1.0)) <= 4.0 * np.finfo(float).eps
 
     def test_clenshaw_is_chebval_bit_for_bit(self):
         gen = np.random.default_rng(65)
