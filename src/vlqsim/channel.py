@@ -56,48 +56,68 @@ def sample_channels(stream: RngStream, t: int, n: int) -> np.ndarray:
 
 
 def sample_directions(stream: RngStream, t: int, n: int) -> np.ndarray:
-    """n directions h / ||h|| of h ~ CN(0, I_t), up to a common phase,
-    shape (n, t); each row has its first entry real and >= 0.
+    """The real (t^2, n) lift of n directions h / ||h|| of h ~ CN(0, I_t),
+    up to a common phase, in the row layout of ``codebook._lift``: |h_k|^2
+    in rows 0..t-1, then Re and Im of h_k conj(h_l) for each pair k < l.
 
     Exact in law, with no rejection and no norm, from 2t - 2 uniforms per
-    draw: the squared magnitudes of a uniform unit vector in C^t are
+    draw: the squared magnitudes m_k of a uniform unit vector in C^t are
     Dirichlet(1, ..., 1), which stick-breaking draws with the Beta(1, k)
     inverse CDF 1 - (1 - u)^(1/k), k = t-1, ..., 1; the other t - 1 entries
-    get independent uniform phases relative to the first.  Quantities that
-    depend only on |<x, h>|^2 have the same law as on normalised
-    ``sample_channels`` draws.
+    get independent uniform phases relative to the first, h_l =
+    sqrt(m_l) e^(-i phi_l) with h_0 real and >= 0.  Quantities that depend
+    only on |<x, h>|^2 have the same law as on normalised ``sample_channels``
+    draws.
+
+    The lift is filled in place with two n-buffers of scratch: the m_k go
+    into rows 0..t-1, the phasors cos and sin phi_l into the rows of the
+    pairs (0, l), the pairs (k >= 1, l) are built from those rows, and the
+    amplitudes sqrt(m_k m_l) are applied last.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
     if n < 1:
         raise ValueError("n must be >= 1")
-    out = np.empty((n, t), dtype=complex)
+    lifted = np.empty((t * t, n))
     if t == 1:
-        out.fill(1.0)
-        return out
-    # one row of n uniforms at a time: t - 1 for the magnitudes, then
-    # t - 1 for the phases; |h_j| is kept in out.real until its phase comes
+        lifted.fill(1.0)
+        return lifted
     gen = stream.generator()
     u, keep = np.empty(n), np.empty(n)
-    rest = np.ones(n)  # squared norm not yet assigned
+    mag = lifted[:t]
+    # one row of n uniforms at a time: t - 1 for the magnitudes, then t - 1
+    # for the phases; the squared norm not yet assigned stays in mag[t - 1]
+    mag[t - 1].fill(1.0)
     for j in range(t - 1):
         gen.random(out=u)
         np.subtract(1.0, u, out=keep)
         if t - 1 - j > 1:
             np.power(keep, 1.0 / (t - 1 - j), out=keep)
-        # keep = (1 - u)^(1/k) is 1 - Beta(1, k), k = t-1-j;
-        # |h_j|^2 = rest (1 - keep), rest <- rest keep
-        np.subtract(1.0, keep, out=u)
-        u *= rest
-        rest *= keep
-        np.sqrt(u, out=out.real[:, j])
-    np.sqrt(rest, out=out.real[:, t - 1])
-    out.imag[:, 0] = 0.0
-    for j in range(1, t):
+        # keep = (1 - u)^(1/k) is 1 - Beta(1, k), k = t-1-j
+        np.subtract(1.0, keep, out=mag[j])
+        mag[j] *= mag[t - 1]
+        mag[t - 1] *= keep
+    k, l = np.triu_indices(t, 1)
+    re, im = lifted[t : t + len(k)], lifted[t + len(k) :]
+    # the pairs (0, b) come first; their rows take the unit phasors
+    for b in range(1, t):
         gen.random(out=u)
         u *= 2.0 * np.pi
-        np.sin(u, out=keep)
-        np.multiply(keep, out.real[:, j], out=out.imag[:, j])
-        np.cos(u, out=keep)
-        out.real[:, j] *= keep
-    return out
+        np.cos(u, out=re[b - 1])
+        np.sin(u, out=im[b - 1])
+    # h_a conj(h_b) / sqrt(m_a m_b) = e^(i (phi_b - phi_a)) for a >= 1
+    for p in range(t - 1, len(k)):
+        ca, sa = re[k[p] - 1], im[k[p] - 1]
+        cb, sb = re[l[p] - 1], im[l[p] - 1]
+        np.multiply(ca, cb, out=re[p])
+        np.multiply(sa, sb, out=u)
+        re[p] += u
+        np.multiply(ca, sb, out=im[p])
+        np.multiply(sa, cb, out=u)
+        im[p] -= u
+    for p, (a, b) in enumerate(zip(k, l)):
+        np.multiply(mag[a], mag[b], out=u)
+        np.sqrt(u, out=u)
+        re[p] *= u
+        im[p] *= u
+    return lifted

@@ -257,8 +257,17 @@ def _grid_schemes(config: SimulationConfig, strategies) -> list:
     return [(grid, tuple(_spec(s, t, book) for s in strategies)) for grid, book in books]
 
 
-def run_config(config: SimulationConfig, workers: int = 1, output: str | None = None) -> list:
-    """Execute a sweep config; writes the CSV and a JSON summary next to it."""
+def run_config(
+    config: SimulationConfig, workers: int | None = None, output: str | None = None
+) -> list:
+    """Execute a sweep config; writes the CSV and a JSON summary next to it.
+
+    ``workers`` threads run the sweep, by default one per usable CPU.  The
+    summary's "gains" is null, with the reason in "gains-reason", when the
+    top decades admit no fit.
+    """
+    if workers is not None and workers < 1:
+        raise ConfigError("workers must be >= 1")
     out = Path(output if output is not None else config.output_path)
     # fail before any draw, not after, on an output that cannot be written
     if out.is_dir() or not (out.parent.is_dir() and os.access(out.parent, os.W_OK)):
@@ -280,8 +289,12 @@ def run_config(config: SimulationConfig, workers: int = 1, output: str | None = 
     summary["constants"] = {"c1": c1}
     summary["converse-violations"] = bounds_mod.converse_check(records, config.t, c1)
     if len(config.P_grid) >= 3 and config.P_grid[-1] / config.P_grid[0] >= 100.0:
-        gains = est.estimate_gains(records, top_decades=2)
-        summary["gains"] = {"diversity": gains.diversity, "array-gain": gains.array_gain}
+        try:
+            gains = est.estimate_gains(records, top_decades=2)
+        except ValueError as exc:
+            summary["gains"], summary["gains-reason"] = None, str(exc)
+        else:
+            summary["gains"] = {"diversity": gains.diversity, "array-gain": gains.array_gain}
     Path(str(out) + ".summary.json").write_text(json.dumps(summary, indent=1))
     return records
 
@@ -488,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="run a configured SER/rate sweep")
     p_sweep.add_argument("--config", required=True)
-    p_sweep.add_argument("--workers", type=int, default=1)
+    p_sweep.add_argument("--workers", type=int, default=None)
     p_sweep.add_argument("--output", default=None)
 
     p_fit = sub.add_parser("fit", help="diversity/array-gain fit on a sweep CSV")

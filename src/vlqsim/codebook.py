@@ -34,7 +34,9 @@ _DUPLICATE_CORR = 1.0 - 1e-9
 _PROBE_BATCH = 512  # build probes drawn per generator call
 _BUILD_MARGIN = 0.25  # share of delta the build threshold keeps inside the cover
 _REFINE_STEPS = 30  # descent steps from the worst verification probe
-_CORR_BLOCK = 4096  # channel rows per real GEMM in correlation_stats
+# entries of one (|B|, block) GEMM result in the correlation kernel: small
+# enough to stay in cache for its three reductions
+_CORR_ENTRIES = 1 << 16
 
 
 class CoveringError(RuntimeError):
@@ -76,19 +78,35 @@ class BeamformingCodebook:
     def correlation_stats(self, h: np.ndarray):
         """Per row of h: (max_i, min_i, i = 0) of |<x_i, h>|^2.
 
-        Uses |x^H h|^2 = <lift(h), lift(x)> with the codeword side's
-        off-diagonal terms doubled, so each block of rows is one real GEMM
-        of inner dimension t^2 whose (|B|, block) result is reduced in
-        place.  Rows need not be unit norm.
+        Rows need not be unit norm; they are lifted one block at a time.
         """
         h = np.atleast_2d(h)
-        n = len(h)
+        return self._reduce(len(h), lambda lo, hi: _lift(h[lo:hi]))
+
+    def lifted_stats(self, lifted: np.ndarray):
+        """``correlation_stats`` of draws given as their real (t^2, n) lift
+        in ``_lift``'s row layout, as ``channel.sample_directions`` returns
+        them."""
+        return self._reduce(lifted.shape[1], lambda lo, hi: lifted[:, lo:hi])
+
+    def _reduce(self, n: int, block):
+        """(max, min, first) over the codebook of n draws whose lifted
+        columns lo:hi ``block(lo, hi)`` returns.
+
+        Uses |x^H h|^2 = <lift(h), lift(x)> with the codeword side's
+        off-diagonal terms doubled, so each block of columns is one real
+        GEMM of inner dimension t^2 whose (|B|, block) result is reduced in
+        place.  A block is _CORR_ENTRIES // |B| columns, rounded down to a
+        multiple of 64 and at most 4096: 4096 at |B| = 12, 256 at |B| = 239,
+        where the BLAS then runs each product on one thread.
+        """
+        width = min(4096, max(64, _CORR_ENTRIES // len(self) // 64 * 64))
         c_max, c_min, c_first = np.empty(n), np.empty(n), np.empty(n)
-        buf = np.empty(len(self) * min(n, _CORR_BLOCK))
-        for lo in range(0, n, _CORR_BLOCK):
-            hi = min(lo + _CORR_BLOCK, n)
+        buf = np.empty(len(self) * min(n, width))
+        for lo in range(0, n, width):
+            hi = min(lo + width, n)
             corr = buf[: len(self) * (hi - lo)].reshape(len(self), hi - lo)
-            np.matmul(self._lifted, _lift(h[lo:hi]), out=corr)
+            np.matmul(self._lifted, block(lo, hi), out=corr)
             np.max(corr, axis=0, out=c_max[lo:hi])
             np.min(corr, axis=0, out=c_min[lo:hi])
             c_first[lo:hi] = corr[0]

@@ -10,27 +10,31 @@ Q(sqrt(2 snr(h))) over channel draws.  Two conditioning modes:
   errors bounded as P grows.  Without it the per-draw estimator's relative
   stderr grows like P^t/sqrt(N) and deep-SNR points are unusable.  Only
   the direction is drawn, up to a common phase, by
-  ``channel.sample_directions`` from 2t - 2 uniforms per draw; plain mode
-  draws whole channels with ``sample_channels``.
+  ``channel.sample_directions`` from 2t - 2 uniforms per draw, straight
+  into the real (t^2, n) lift that the correlation reads; plain mode
+  draws whole complex channels with ``sample_channels``.
 
 Common random numbers: every quantizer at every grid point of one sweep
 sees the same draws, and the chunk partition is fixed, so outputs do not
 depend on the worker count and a grid point's records equal a one-point
 sweep at that P.  Records at different P in one sweep are therefore
 correlated; each record's mean and stderr are unchanged in distribution.
+Chunks of _CHUNK draws run on one thread per usable CPU by default.
 
 Because the draws are shared, so is the codebook correlation.  Each spec
 names the beamforming codebook it quantizes with (``spec.codebook``, None
-for full CSIT and open loop); per chunk, ``correlation_stats`` runs once
+for full CSIT and open loop); per chunk, the correlation runs once
 per distinct codebook for the whole P grid, and every spec using it
 receives the same per-draw (max, min, column-0) of |<x_i, h>|^2 through
-``snr_bits(H, P, corr)`` or ``conditioned(Hbar, P, corr)``.  The kernel
-itself is a blocked real GEMM on lifted vectors (see
-``BeamformingCodebook.correlation_stats``); called without ``corr``, a
-spec computes its own.  In radial mode the stats also hold the MRC SER
-``bpsk_mrc_ser(t, c_max P / r)`` for the current P, one array per r, so
-bf-flq, bf-vlq and pc-vlq at r = 1 evaluate it once per chunk and P
-instead of once each, with the same bits.  Each spec's per-draw values
+``snr_bits(H, P, corr)`` or ``conditioned(lifted, P, corr)``.  The kernel
+itself is one blocked real GEMM on lifted vectors (see
+``BeamformingCodebook.lifted_stats``; ``correlation_stats`` lifts complex
+rows block by block into it); called without ``corr``, a spec computes
+its own.  A radial chunk's lift is freed once its stats exist, and the
+specs then read only its draw count.  In radial mode the stats also hold
+the MRC SER ``bpsk_mrc_ser(t, c_max P / r)`` for the current P, one array
+per r, so bf-flq, bf-vlq and pc-vlq at r = 1 evaluate it once per chunk
+and P instead of once each, with the same bits.  Each spec's per-draw values
 are reduced to chunk moments before the next spec is evaluated.
 
 Schemes: full-CSIT beamforming and precoding and the open-loop precoder
@@ -56,6 +60,8 @@ from __future__ import annotations
 
 import csv
 import math
+import os
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -97,7 +103,7 @@ __all__ = [
     "CSV_COLUMNS",
 ]
 
-_CHUNK = 1 << 16
+_CHUNK = 1 << 15
 
 # Header of the sweep CSV that write_records_csv writes and read_records_csv reads.
 CSV_COLUMNS = (
@@ -153,8 +159,8 @@ class FeedbackFree:
         snr = np.sum(np.abs(H) ** 2, axis=1) * P / self.divisor
         return snr, np.zeros(len(H))
 
-    def conditioned(self, Hbar: np.ndarray, P: float, corr=None):
-        return np.full(len(Hbar), bpsk_mrc_ser(self.t, P / self.divisor)), 0.0, 0.0
+    def conditioned(self, lifted: np.ndarray, P: float, corr=None):
+        return np.full(lifted.shape[1], bpsk_mrc_ser(self.t, P / self.divisor)), 0.0, 0.0
 
 
 def FullCsitBeamforming(t: int) -> FeedbackFree:
@@ -182,8 +188,8 @@ class FixedLengthBeamforming:
         c_max, _, _ = corr or self.codebook.correlation_stats(H)
         return c_max * P, np.full(len(H), float(self.bits))
 
-    def conditioned(self, Hbar: np.ndarray, P: float, corr=None):
-        corr = corr or _BookStats(self.codebook, Hbar)
+    def conditioned(self, lifted: np.ndarray, P: float, corr=None):
+        corr = corr or _BookStats(self.codebook, lifted)
         return corr.mrc_ser(P), float(self.bits), 0.0
 
 
@@ -210,8 +216,8 @@ class VariableLengthBeamforming:
         bits = np.where(short, 1.0, 1.0 + self.spec.index_bits)
         return snr, bits
 
-    def conditioned(self, Hbar: np.ndarray, P: float, corr=None):
-        corr = corr or _BookStats(self.codebook, Hbar)
+    def conditioned(self, lifted: np.ndarray, P: float, corr=None):
+        corr = corr or _BookStats(self.codebook, lifted)
         beta = self.spec.beta(P)
         p_short = gamma_tail(self.t, beta / (np.maximum(corr.c_min, 1e-300) * P))
         gap = q_function(math.sqrt(2.0 * beta))
@@ -281,12 +287,12 @@ class VariableLengthPrecoding:
         rate = 1.0 + self.spec.index_bits * (1.0 - gamma_tail(t, x0))
         return coef[:keep], tail_short, rate
 
-    def conditioned(self, Hbar: np.ndarray, P: float, corr=None):
+    def conditioned(self, lifted: np.ndarray, P: float, corr=None):
         with self._tables_lock:
             if P not in self._tables:
                 self._tables[P] = self.prepare(P)
         coef, tail_short, rate = self._tables[P]
-        corr = corr or _BookStats(self.codebook, Hbar)
+        corr = corr or _BookStats(self.codebook, lifted)
         tail = np.exp(_chebval(corr.cheb_x, coef))
         if corr.uncovered.size:
             s = corr.c_max[corr.uncovered] * P / self.r
@@ -332,19 +338,18 @@ def _chunk_bounds(samples: int):
 
 
 class _BookStats:
-    """One codebook's per-draw correlation stats on one set of draws,
-    shared by every spec that quantizes with it.
+    """One codebook's per-draw correlation stats on one chunk's lifted
+    directions, shared by every spec that quantizes with it in radial mode.
 
-    Iterates as ``(c_max, c_min, c_first)``.  ``mrc_ser(P, r)`` is
-    ``bpsk_mrc_ser(t, c_max P / r)``, kept for the latest P only, one array
-    per r: bf-flq, bf-vlq and pc-vlq at r = 1 read the same array, and
-    since x / 1.0 == x each reads what it would compute alone.  Readers
-    must not write into it.
+    ``mrc_ser(P, r)`` is ``bpsk_mrc_ser(t, c_max P / r)``, kept for the
+    latest P only, one array per r: bf-flq, bf-vlq and pc-vlq at r = 1 read
+    the same array, and since x / 1.0 == x each reads what it would compute
+    alone.  Readers must not write into it.
     """
 
-    def __init__(self, book: BeamformingCodebook, H: np.ndarray):
+    def __init__(self, book: BeamformingCodebook, lifted: np.ndarray):
         self.t, self.delta = book.t, book.delta
-        self.c_max, self.c_min, self.c_first = book.correlation_stats(H)
+        self.c_max, self.c_min, self.c_first = book.lifted_stats(lifted)
         self._P, self._mrc = None, {}
 
     @cached_property
@@ -360,9 +365,6 @@ class _BookStats:
         """Indices of the draws the codebook does not cover, c_max < 1 - delta."""
         return np.flatnonzero(self.c_max < 1.0 - self.delta)
 
-    def __iter__(self):
-        return iter((self.c_max, self.c_min, self.c_first))
-
     def mrc_ser(self, P: float, r: float = 1.0) -> np.ndarray:
         if P != self._P:
             self._P, self._mrc = P, {}
@@ -373,15 +375,16 @@ class _BookStats:
 
 def _draws(specs, stream, c_idx, n, conditioning):
     """P-free half of chunk c_idx: its n draws from substream (0, c_idx),
-    as the specs evaluate them (directions in radial mode), and the
-    ``_BookStats`` of each distinct codebook."""
-    sample = sample_directions if conditioning == "radial" else sample_channels
-    H = sample(stream.child(0, c_idx), specs[0].t, n)
+    as the specs evaluate them, and the stats of each distinct codebook on
+    them: in radial mode the directions' lift and ``_BookStats``, in plain
+    mode the channels and ``correlation_stats``."""
+    radial = conditioning == "radial"
+    H = (sample_directions if radial else sample_channels)(stream.child(0, c_idx), specs[0].t, n)
     stats = {}
     for spec in specs:
         book = spec.codebook
         if book is not None and id(book) not in stats:
-            stats[id(book)] = _BookStats(book, H)
+            stats[id(book)] = _BookStats(book, H) if radial else book.correlation_stats(H)
     return H, stats
 
 
@@ -425,13 +428,40 @@ def _mean_stderr(parts):
     return mean, math.sqrt(m2 / max(n - 1, 1) / n)
 
 
+# worker count -> the ThreadPoolExecutor that runs sweeps on that many threads
+_POOLS = {}
+_POOLS_LOCK = threading.Lock()
+
+
+def _pool(workers: int) -> ThreadPoolExecutor:
+    """The executor with ``workers`` threads, created on first use and kept
+    for the life of the process.
+
+    A sweep that started and joined its own threads gave every new thread a
+    fresh malloc arena, and what those arenas kept made the peak RSS of
+    repeated sweeps vary by up to 17%; threads that persist reuse theirs.
+    """
+    with _POOLS_LOCK:
+        if workers not in _POOLS:
+            _POOLS[workers] = ThreadPoolExecutor(max_workers=workers)
+        return _POOLS[workers]
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
+
+
 def ser_rate_sweep(
     specs,
     P_grid,
     samples: int,
     stream: RngStream,
     *,
-    workers: int = 1,
+    workers: int | None = None,
     conditioning: str = "radial",
 ) -> list:
     """SER and feedback-rate records for every (spec, P) pair.
@@ -442,7 +472,9 @@ def ser_rate_sweep(
     correlated once for the whole grid.  Per-chunk moments are combined
     with compensated summation in index order, so the result is
     bit-identical for any worker count, and a grid point's records equal
-    those of a one-point sweep at that P.
+    those of a one-point sweep at that P.  Chunks run on ``workers``
+    threads, by default one per usable CPU, never more than there are
+    chunks.
     """
     specs = list(specs)
     P_grid = [float(P) for P in P_grid]
@@ -454,21 +486,27 @@ def ser_rate_sweep(
         raise ValueError("conditioning must be 'none' or 'radial'")
     if len({s.t for s in specs}) != 1:
         raise ValueError("all specs must share the antenna count")
+    if workers is not None and workers < 1:
+        raise ValueError("workers must be >= 1")
     sizes = [hi - lo for lo, hi in _chunk_bounds(samples)]
+    workers = min(workers or _usable_cpus(), len(sizes))
 
     def task(c_idx):
         # per-(P, spec) moments of one chunk; map holds no reference to a
         # spec's per-draw values once they are reduced, so they are freed
         # before the next spec is evaluated
         H, stats = _draws(specs, stream, c_idx, sizes[c_idx], conditioning)
+        if conditioning == "radial":
+            # specs given the stats read only the lift's draw count, so the
+            # lift is freed before the grid is swept
+            H = np.empty((0, sizes[c_idx]))
         return [
             list(map(_spec_moments, _conditional_ser(specs, H, stats, P, conditioning)))
             for P in P_grid
         ]
 
     if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(task, range(len(sizes))))
+        results = list(_pool(workers).map(task, range(len(sizes))))
     else:
         results = [task(c_idx) for c_idx in range(len(sizes))]
     records = []
@@ -496,7 +534,9 @@ def estimate_gains(records, top_decades: int = 2) -> GainEstimate:
     """Diversity and array gain from the top decades of a sweep.
 
     Fits ln SER against ln P; diversity is minus the slope and the array
-    gain is 1/(SER * P^diversity) at the largest grid point.
+    gain is 1/(SER * P^diversity) at the largest grid point, computed in
+    the log domain.  A top-decade SER of 0 (the draws saw no error there)
+    or a gain beyond the float range raises ValueError.
     """
     recs = sorted(records, key=lambda r: r.P)
     if len(recs) < 3:
@@ -509,10 +549,14 @@ def estimate_gains(records, top_decades: int = 2) -> GainEstimate:
     top = [r for r in recs if r.P >= cut * (1.0 - 1e-12)]
     if len(top) < 3:
         raise ValueError("fewer than 3 records in the top decades")
+    if min(r.ser for r in top) <= 0.0:
+        raise ValueError("a top-decade SER is 0: too few draws to see an error there")
     fit = fit_loglog([(r.P, r.ser) for r in top])
     d = -fit.slope
-    g = 1.0 / (recs[-1].ser * p_max**d)
-    return GainEstimate(diversity=d, array_gain=g, fit=fit)
+    log_g = -(math.log(recs[-1].ser) + d * math.log(p_max))
+    if not log_g < math.log(sys.float_info.max):
+        raise ValueError(f"array gain e^{log_g:.6g} exceeds the float range")
+    return GainEstimate(diversity=d, array_gain=math.exp(log_g), fit=fit)
 
 
 def paired_compare(

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from vlqsim.channel import RngStream, sample_channels, sample_directions
+from vlqsim.codebook import _lift
 
 
 def ks_statistic(x: np.ndarray, cdf) -> float:
@@ -95,37 +96,69 @@ class TestUnitary:
         assert d < 1.63 / math.sqrt(rotated.size)
 
 
+def unlift(lifted: np.ndarray, t: int) -> np.ndarray:
+    """The direction rows (n, t), first entry real and >= 0, whose lift
+    ``sample_directions`` returned: h_0 = sqrt(m_0), and each pair (0, l)
+    holds h_0 conj(h_l)."""
+    pairs = t * (t - 1) // 2
+    h = np.empty((lifted.shape[1], t), dtype=complex)
+    h[:, 0] = np.sqrt(lifted[0])
+    for l in range(1, t):
+        h[:, l] = np.conj(lifted[t + l - 1] + 1j * lifted[t + pairs + l - 1]) / h[:, 0]
+    return h
+
+
 class TestDirections:
+    """``sample_directions`` returns the real (t^2, n) lift of the draws."""
+
     def test_unit_rows_with_real_first_entry(self):
+        # the lift is that of one unit vector per draw, with h_0 real >= 0
         for t in (2, 3, 4, 8):
-            H = sample_directions(RngStream(30), t, 20000)
-            assert H.shape == (20000, t) and H.dtype == complex
+            L = sample_directions(RngStream(30), t, 20000)
+            assert L.shape == (t * t, 20000) and L.dtype == float
+            H = unlift(L, t)
             assert np.max(np.abs(np.linalg.norm(H, axis=1) - 1.0)) <= 1e-15
             assert np.all(H[:, 0].imag == 0.0) and np.all(H[:, 0].real >= 0.0)
+            assert np.max(np.abs(_lift(H) - L)) <= 1e-15
+
+    def test_pairs_are_rank_one(self):
+        # Re^2 + Im^2 of h_k conj(h_l) is m_k m_l, and the m_k sum to 1
+        for t in (2, 3, 4, 8):
+            L = sample_directions(RngStream(35, t), t, 20000)
+            m = L[:t]
+            assert np.all(m >= 0.0)
+            assert np.max(np.abs(np.sum(m, axis=0) - 1.0)) <= 1e-15
+            k, l = np.triu_indices(t, 1)
+            re, im = L[t : t + len(k)], L[t + len(k) :]
+            assert np.max(np.abs((re**2 + im**2) / (m[k] * m[l]) - 1.0)) <= 1e-15
 
     def test_first_power_and_relative_phases(self):
         # |h_1|^2 of a uniform unit vector in C^t is Beta(1, t-1), and the
         # phases relative to h_1 are independent and uniform
         for t in (2, 3, 4):
-            H = sample_directions(RngStream(31, t), t, 50000)
-            crit = 1.63 / math.sqrt(len(H))  # 1% critical value
-            first = np.abs(H[:, 0]) ** 2
-            assert ks_statistic(first, lambda x: 1.0 - (1.0 - x) ** (t - 1)) < crit
+            L = sample_directions(RngStream(31, t), t, 50000)
+            crit = 1.63 / math.sqrt(L.shape[1])  # 1% critical value
+            assert ks_statistic(L[0], lambda x: 1.0 - (1.0 - x) ** (t - 1)) < crit
+            pairs = t * (t - 1) // 2
             for j in range(1, t):
-                phase = np.mod(np.angle(H[:, j]), 2.0 * np.pi) / (2.0 * np.pi)
+                angle = np.arctan2(L[t + pairs + j - 1], L[t + j - 1])
+                phase = np.mod(angle, 2.0 * np.pi) / (2.0 * np.pi)
                 assert ks_statistic(phase, lambda x: x) < crit
 
     def test_same_law_as_normalised_channels(self):
-        # |<x, h>|^2 against a fixed unit x is Beta(1, t-1) either way
+        # |<x, h>|^2 = <lift(x), L> with x's off-diagonal terms doubled, for
+        # a fixed unit x, is Beta(1, t-1) either way
         t = 3
-        x = np.array([1.0, 1.0j, -1.0]) / math.sqrt(3.0)
-        H = sample_directions(RngStream(32), t, 50000)
-        corr = np.abs(H @ x.conj()) ** 2
-        assert ks_statistic(corr, lambda c: 1.0 - (1.0 - c) ** (t - 1)) < 1.63 / math.sqrt(len(H))
+        x = np.array([[1.0, 1.0j, -1.0]]) / math.sqrt(3.0)
+        w = _lift(x)[:, 0]
+        w[t:] *= 2.0
+        L = sample_directions(RngStream(32), t, 50000)
+        corr = w @ L
+        assert ks_statistic(corr, lambda c: 1.0 - (1.0 - c) ** (t - 1)) < 1.63 / math.sqrt(len(corr))
 
     def test_single_antenna_is_all_ones(self):
-        H = sample_directions(RngStream(33), 1, 10)
-        assert H.shape == (10, 1) and np.all(H == 1.0)
+        L = sample_directions(RngStream(33), 1, 10)
+        assert L.shape == (1, 10) and np.all(L == 1.0)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):

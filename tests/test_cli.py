@@ -501,6 +501,8 @@ _BAD_FILES = [
         "sweep", "--config", write_config(p, base_config(
             strategy="bf-vlq", t=2, samples=1000, schedule=_LOGP,
             **{"P-grid-dB": [10.0, 20.0, 30.0], "output-path": str(p / "o.csv")}))], 2),
+    ("sweep-workers-below-one", lambda p: [
+        "sweep", "--config", write_config(p, base_config(samples=1000)), "--workers", "-3"], 2),
 ]
 
 
@@ -522,6 +524,29 @@ def test_bad_files_get_exit_codes_not_tracebacks(tmp_path, capsys, monkeypatch, 
     # bad input costs no draw, and writes, truncates or leaves no file
     assert sweeps == []
     assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+
+# plain-mode sweeps whose SER collapses in the top decades, so that no power
+# law can be fitted there
+_UNFITTABLE = {
+    "bf-full": dict(t=2),
+    "open-loop": dict(t=3),
+    "pc-vlq": dict(t=3, delta=0.5),
+}
+
+
+@pytest.mark.parametrize("strategy", list(_UNFITTABLE))
+def test_unfittable_gains_are_recorded_not_raised(tmp_path, capsys, strategy):
+    out = tmp_path / "o.csv"
+    doc = base_config(
+        strategy=strategy, samples=150000, **_UNFITTABLE[strategy],
+        **{"P-grid-dB": [5, 15, 25, 35, 40, 45, 50, 60], "output-path": str(out)},
+    )
+    assert main(["sweep", "--config", write_config(tmp_path, doc)]) == 0
+    assert capsys.readouterr().err == ""
+    assert len(estimate.read_records_csv(out)) == 8
+    summary = json.loads((tmp_path / "o.csv.summary.json").read_text())
+    assert summary["gains"] is None and summary["gains-reason"]
 
 
 class TestSelftest:

@@ -13,6 +13,7 @@ from vlqsim.codebook import (
     BeamformingCodebook,
     CoveringError,
     CoveringReport,
+    _lift,
     build_covering_codebook,
     fit_c0,
     load_codebook,
@@ -136,6 +137,10 @@ class TestCorrelationKernel:
             assert got.shape == (n,)
             np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-12)
         assert np.array_equal(book.max_correlation_sq(h), c_max)
+        # the same kernel on the lift that radial sweeps sample directly; a
+        # one-column block may sum in another order
+        for got, ref in zip(book.lifted_stats(_lift(h)), (c_max, c_min, c_first)):
+            np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-15)
 
 
 class TestPrecoding:

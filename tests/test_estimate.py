@@ -1,6 +1,9 @@
 """Semi-analytic estimator: unbiasedness, bounds, determinism, comparisons."""
 
 import math
+import os
+import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -10,7 +13,12 @@ from numpy.polynomial.chebyshev import chebval
 
 from vlqsim import estimate
 from vlqsim.channel import RngStream, sample_channels
-from vlqsim.codebook import BeamformingCodebook, build_covering_codebook, precoding_codebook
+from vlqsim.codebook import (
+    BeamformingCodebook,
+    _lift,
+    build_covering_codebook,
+    precoding_codebook,
+)
 from vlqsim.estimate import (
     _CHUNK,
     FixedLengthBeamforming,
@@ -173,6 +181,9 @@ class TestSweepInvariants:
             ser_rate_sweep(
                 [FullCsitBeamforming(2), FullCsitBeamforming(3)], [1.0], 10, RngStream(1)
             )
+        for workers in (0, -3):
+            with pytest.raises(ValueError, match="workers"):
+                ser_rate_sweep(all_specs, [1.0], 10, RngStream(1), workers=workers)
 
     def test_bf_vlq_needs_power_above_one(self, book):
         vlq = VariableLengthBeamforming(VlqBeamformingSpec(book))
@@ -191,9 +202,36 @@ class TestSweepInvariants:
 class TestDeterminism:
     def test_worker_count_does_not_change_results(self, all_specs):
         base = ser_rate_sweep(all_specs, [3.0, 30.0], 150000, RngStream(40), workers=1)
-        for workers in (4, 16):
+        for workers in (4, 16, None):
             again = ser_rate_sweep(all_specs, [3.0, 30.0], 150000, RngStream(40), workers=workers)
             assert again == base
+
+    def test_default_workers_are_the_usable_cpus_up_to_the_chunks(self, all_specs, monkeypatch):
+        if hasattr(os, "sched_getaffinity"):
+            assert estimate._usable_cpus() == len(os.sched_getaffinity(0))
+        pools = []
+        pool = estimate._pool
+        monkeypatch.setattr(estimate, "_pool", lambda workers: pools.append(workers) or pool(workers))
+        monkeypatch.setattr(estimate, "_usable_cpus", lambda: 5)
+        for chunks in (3, 8):
+            ser_rate_sweep(all_specs[:1], [3.0], (chunks - 1) * _CHUNK + 1, RngStream(42))
+        assert pools == [3, 5]
+
+    def test_sweeps_reuse_their_threads(self, all_specs, monkeypatch):
+        # new threads per sweep took new malloc arenas and made peak RSS vary
+        threads = []
+        sample = estimate.sample_directions
+
+        def recorded(stream, t, n):
+            threads.append(threading.current_thread().name)
+            return sample(stream, t, n)
+
+        monkeypatch.setattr(estimate, "sample_directions", recorded)
+        ser_rate_sweep(all_specs, [3.0], 4 * _CHUNK, RngStream(43), workers=2)
+        first = set(threads)
+        threads.clear()
+        ser_rate_sweep(all_specs, [3.0], 4 * _CHUNK, RngStream(43), workers=2)
+        assert set(threads) <= first and threading.current_thread().name not in first
 
     def test_csv_bytes_stable(self, tmp_path, all_specs):
         recs = ser_rate_sweep(all_specs, [3.0], 50000, RngStream(41), workers=2)
@@ -208,14 +246,16 @@ class TestDeterminism:
 class TestSharedCorrelation:
     @pytest.fixture
     def calls(self, monkeypatch):
+        # draws per run of the one GEMM-and-reduce loop, which both
+        # correlation_stats (complex rows) and lifted_stats (lifts) call
         calls = []
-        original = BeamformingCodebook.correlation_stats
+        original = BeamformingCodebook._reduce
 
-        def counted(book, h):
-            calls.append(len(h))
-            return original(book, h)
+        def counted(book, n, block):
+            calls.append(n)
+            return original(book, n, block)
 
-        monkeypatch.setattr(BeamformingCodebook, "correlation_stats", counted)
+        monkeypatch.setattr(BeamformingCodebook, "_reduce", counted)
         return calls
 
     @staticmethod
@@ -288,7 +328,7 @@ class TestGridSharing:
         def peak(grid):
             tracemalloc.start()
             try:
-                ser_rate_sweep(specs, grid, samples, RngStream(52))
+                ser_rate_sweep(specs, grid, samples, RngStream(52), workers=1)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -296,6 +336,21 @@ class TestGridSharing:
         one = peak([10.0])
         many = peak(list(np.geomspace(10.0, 1e6, 9)))
         assert many <= 1.1 * one
+
+    def test_peak_memory_of_a_lifted_sweep(self):
+        # the benchmark's t=4 book (|B| = 239) on two workers: each holds one
+        # chunk's lift (4 MiB) and a cache-sized GEMM block, and frees the
+        # lift once the chunk's stats exist; with 65 536-draw chunks of
+        # complex directions one worker alone peaked at about 14 MB
+        book = build_covering_codebook(4, 0.3, RngStream(0, 101), stop_streak=400)
+        specs = TestSharedCorrelation.coded_specs(book)
+        tracemalloc.start()
+        try:
+            ser_rate_sweep(specs, [1e2, 1e3, 1e4], 4 * _CHUNK, RngStream(53), workers=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12e6
 
 
 class TestDirectionSampler:
@@ -305,9 +360,9 @@ class TestDirectionSampler:
     @staticmethod
     def normalised_channels(stream, t, n):
         H = sample_channels(stream, t, n)
-        return H / np.linalg.norm(H, axis=1, keepdims=True)
+        return _lift(H / np.linalg.norm(H, axis=1, keepdims=True))
 
-    @pytest.mark.parametrize("t, delta, samples", [(2, 0.2, 4 * _CHUNK), (4, 0.3, 2 * _CHUNK)])
+    @pytest.mark.parametrize("t, delta, samples", [(2, 0.2, 1 << 18), (4, 0.3, 1 << 17)])
     def test_agrees_with_normalised_channels(self, monkeypatch, t, delta, samples):
         # the books the benchmark sweeps (|B| = 12 and 239); independent
         # seeds, so the two estimates differ by sampling noise only
@@ -356,7 +411,7 @@ class TestDirectionSampler:
             # r = 1/2 reads its own value, not the r = 1 one
             assert not np.array_equal(shared[2][0], shared[3][0])
         # one array per (P, r): r = 1 for bf-flq, bf-vlq and pc-vlq, and r = 1/2
-        assert calls == [len(H)] * 2 * len(grid)
+        assert calls == [H.shape[1]] * 2 * len(grid)
 
 
 class TestPrecodingKernel:
@@ -381,7 +436,7 @@ class TestPrecodingKernel:
             H = sample_channels(RngStream(61), t, 4000)
             Hbar = H / np.linalg.norm(H, axis=1, keepdims=True)
             for P in (10.0, 1e3, 1e5, 1e7):
-                ser, _, _ = spec.conditioned(Hbar, P)
+                ser, _, _ = spec.conditioned(_lift(Hbar), P)
                 s = book.correlation_stats(Hbar)[0] * P
                 x0 = spec.spec.threshold / P
                 want = np.maximum(bpsk_mrc_ser(t, s) - gamma_weighted_q_tail(t, s, x0), 0.0)
@@ -412,6 +467,45 @@ class TestPrecodingKernel:
             assert sorted(calls) == sorted((id(spec), P) for spec in pc for P in grid)
             paths.append(tmp_path / f"w{workers}.csv")
             write_records_csv(recs, paths[-1])
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_shared_state_under_more_workers_than_cores(self, book, monkeypatch, tmp_path):
+        # six chunks on six threads switching every microsecond: a lost
+        # update of a spec's table dict would build a table twice
+        calls = []
+        original = VariableLengthPrecoding.prepare
+
+        def counted(spec, P):
+            calls.append((id(spec), P))
+            return original(spec, P)
+
+        monkeypatch.setattr(VariableLengthPrecoding, "prepare", counted)
+        grid = [10.0, 1e3, 1e5]
+        paths = []
+        for workers in (1, 6):
+            pc = [
+                VariableLengthPrecoding(VlqPrecodingSpec(precoding_codebook(book), r=r))
+                for r in (Fraction(1), Fraction(1, 2))
+            ]
+            specs = TestSharedCorrelation.coded_specs(book)[:2] + pc
+            calls.clear()
+            done = []
+
+            def sweep(specs=specs, workers=workers, done=done):
+                done.append(ser_rate_sweep(specs, grid, 6 * _CHUNK, RngStream(66), workers=workers))
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                runner = threading.Thread(target=sweep, daemon=True)
+                runner.start()
+                runner.join(timeout=120.0)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not runner.is_alive() and len(done) == 1
+            assert sorted(calls) == sorted((id(spec), P) for spec in pc for P in grid)
+            paths.append(tmp_path / f"w{workers}.csv")
+            write_records_csv(done[0], paths[-1])
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
     @pytest.mark.parametrize(
@@ -464,7 +558,7 @@ class TestPrecodingKernel:
         assert 100 <= np.count_nonzero(low) < len(Hbar)
         P = 100.0
         x0 = spec.spec.threshold / P
-        ser, _, _ = spec.conditioned(Hbar, P)
+        ser, _, _ = spec.conditioned(_lift(Hbar), P)
         short = gamma_weighted_q_tail(2, P / 2.0, x0)
         s = c_max[low] * P
         exact = bpsk_mrc_ser(2, s) - gamma_weighted_q_tail(2, s, x0) + short
@@ -574,6 +668,30 @@ class TestGains:
         go = estimate_gains(openl, top_decades=2)
         assert abs(go.diversity - 2.0) <= 0.1
         assert go.array_gain < gf.array_gain
+
+    def test_steep_top_decades_do_not_overflow(self):
+        # a plain-mode bf-full sweep whose top SERs collapse: P^d alone
+        # overflows (d ~ 64 at P = 1e6), 1 / (SER P^d) does not
+        sers = {1e4: 4.971464802092799e-08, 10**4.5: 4.989887870983963e-11,
+                1e5: 4.592310654346096e-20, 1e6: 2.20923417823238e-136}
+        recs = [SweepRecord("bf-full", P, ser, 0, 0, 0, 1, 0) for P, ser in sers.items()]
+        g = estimate_gains(recs, top_decades=2)
+        assert g.diversity > 60.0
+        want = math.exp(-(math.log(sers[1e6]) + g.diversity * math.log(1e6)))
+        assert 0.0 < g.array_gain == pytest.approx(want, rel=1e-12)
+
+    def test_unfittable_top_decades_rejected(self):
+        grid = (1e4, 1e5, 1e6)
+        # no error seen at the top point
+        recs = [SweepRecord("x", P, ser, 0, 0, 0, 1, 0) for P, ser in zip(grid, (1e-9, 1e-12, 0.0))]
+        with pytest.raises(ValueError, match="SER is 0"):
+            estimate_gains(recs, top_decades=2)
+        # a flat fit through a subnormal SER: 1 / SER exceeds the float range
+        recs = [
+            SweepRecord("x", P, ser, 0, 0, 0, 1, 0) for P, ser in zip(grid, (1e-310, 1e-200, 1e-310))
+        ]
+        with pytest.raises(ValueError, match="float range"):
+            estimate_gains(recs, top_decades=2)
 
     def test_insufficient_span_rejected(self):
         recs = [SweepRecord("x", P, 0.1 / P, 0, 0, 0, 1, 0) for P in (1.0, 2.0, 4.0)]

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vlqsim.channel import RngStream, sample_channels
-from vlqsim.codebook import build_covering_codebook, precoding_codebook
+from vlqsim.codebook import _lift, build_covering_codebook, precoding_codebook
 from vlqsim.estimate import (
     FeedbackFree,
     FixedLengthBeamforming,
@@ -122,7 +122,8 @@ class TestFullCsit:
             assert isinstance(spec, FeedbackFree)
             assert spec.quantizer_id == qid and spec.codebook is None
             assert spec.divisor == divisor
-            ser, rate, hw = spec.conditioned(Hbar, 30.0)
+            ser, rate, hw = spec.conditioned(_lift(Hbar), 30.0)
+            assert ser.shape == (len(Hbar),)
             assert np.all(ser == bpsk_mrc_ser(4, 30.0 / divisor))
             assert np.all(rate == 0.0) and hw == 0.0
 
@@ -188,7 +189,7 @@ class TestVlqBeamforming:
             with pytest.raises(ValueError):
                 vlq.snr_bits(H, P)
             with pytest.raises(ValueError):
-                vlq.conditioned(H, P)
+                vlq.conditioned(_lift(H), P)
 
     def test_short_branch_probability_union_bound(self, bf_spec):
         # Pr[long] <= |B| (1 - exp(-beta/P)) for the all-codewords threshold
