@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["RngStream", "sample_channels", "sample_directions"]
+__all__ = ["RngStream", "sample_channels", "sample_directions", "sample_magnitudes"]
 
 
 @dataclass(frozen=True)
@@ -46,13 +46,30 @@ def _complex_normal(gen: np.random.Generator, shape) -> np.ndarray:
     return np.sqrt(-np.log1p(-u1)) * np.exp(2j * np.pi * u2)
 
 
+def _check_sizes(t: int, n: int) -> None:
+    if t < 1 or n < 1:
+        raise ValueError(f"t and n must be >= 1, got t={t}, n={n}")
+
+
 def sample_channels(stream: RngStream, t: int, n: int) -> np.ndarray:
     """n i.i.d. channel vectors h ~ CN(0, I_t), shape (n, t)."""
-    if t < 1:
-        raise ValueError("t must be >= 1")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_sizes(t, n)
     return _complex_normal(stream.generator(), (n, t))
+
+
+def sample_magnitudes(stream: RngStream, t: int, n: int) -> np.ndarray:
+    """n squared norms ||h||^2 ~ Gamma(t, 1) of h ~ CN(0, I_t), which are
+    independent of the direction h / ||h||: sums of t Exp(1) draws
+    -log(1 - u), from one row of n uniforms at a time."""
+    _check_sizes(t, n)
+    gen = stream.generator()
+    norm2, u = np.zeros(n), np.empty(n)
+    for _ in range(t):
+        gen.random(out=u)
+        np.negative(u, out=u)
+        np.log1p(u, out=u)
+        norm2 -= u
+    return norm2
 
 
 def sample_directions(stream: RngStream, t: int, n: int) -> np.ndarray:
@@ -74,10 +91,7 @@ def sample_directions(stream: RngStream, t: int, n: int) -> np.ndarray:
     pairs (0, l), the pairs (k >= 1, l) are built from those rows, and the
     amplitudes sqrt(m_k m_l) are applied last.
     """
-    if t < 1:
-        raise ValueError("t must be >= 1")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_sizes(t, n)
     lifted = np.empty((t * t, n))
     if t == 1:
         lifted.fill(1.0)

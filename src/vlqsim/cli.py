@@ -358,8 +358,8 @@ def selftest(seed: int = 0, verbose: bool = True) -> list:
         specs = [_spec(s, 2, book) for s in _CODED]
         full = est.FullCsitBeamforming(2)
         for spec in specs:
-            _, _, frac, worst = est.paired_compare(
-                spec, full, 10.0, 20000, RngStream(seed, 15)
+            ((_, _, frac, worst),) = est.paired_compare(
+                spec, full, [10.0], 20000, RngStream(seed, 15)
             )
             assert frac == 1.0 and worst == 0.0, (
                 f"{spec.quantizer_id} beat full-CSIT on some draw ({worst})"
@@ -446,11 +446,11 @@ def _cmd_compare(args) -> int:
     runs = _grid_schemes(config, [config.strategy, args.baseline])
     print(f"pairwise {config.strategy} vs {args.baseline} ({config.samples} draws/point)")
     for grid, (spec, baseline) in runs:
-        for P in grid:
-            gap, se, frac, worst = est.paired_compare(
-                spec, baseline, P, config.samples, RngStream(config.seed, 5),
-                conditioning=config.conditioning,
-            )
+        gaps = est.paired_compare(
+            spec, baseline, grid, config.samples, RngStream(config.seed, 5),
+            conditioning=config.conditioning,
+        )
+        for P, (gap, se, frac, worst) in zip(grid, gaps):
             print(
                 f"  P = {P:10.4g}: mean gap {gap:+.4e} +- {se:.1e}  "
                 f"A>=B on {100 * frac:.2f}% of draws  max violation {worst:+.2e}"

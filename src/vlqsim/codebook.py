@@ -75,18 +75,10 @@ class BeamformingCodebook:
     def __len__(self) -> int:
         return len(self.vectors)
 
-    def correlation_stats(self, h: np.ndarray):
-        """Per row of h: (max_i, min_i, i = 0) of |<x_i, h>|^2.
-
-        Rows need not be unit norm; they are lifted one block at a time.
-        """
-        h = np.atleast_2d(h)
-        return self._reduce(len(h), lambda lo, hi: _lift(h[lo:hi]))
-
     def lifted_stats(self, lifted: np.ndarray):
-        """``correlation_stats`` of draws given as their real (t^2, n) lift
-        in ``_lift``'s row layout, as ``channel.sample_directions`` returns
-        them."""
+        """Per draw: (max_i, min_i, i = 0) of |<x_i, h>|^2, for draws given
+        as their real (t^2, n) lift in ``_lift``'s row layout, as
+        ``channel.sample_directions`` returns them."""
         return self._reduce(lifted.shape[1], lambda lo, hi: lifted[:, lo:hi])
 
     def _reduce(self, n: int, block):
@@ -116,8 +108,10 @@ class BeamformingCodebook:
         return c_max, c_min, c_first
 
     def max_correlation_sq(self, h: np.ndarray) -> np.ndarray:
-        """max_i |<x_i, h>|^2 for each row of h, vectorized."""
-        return self.correlation_stats(h)[0]
+        """max_i |<x_i, h>|^2 for each row of h, which need not be unit norm
+        and are lifted one block at a time."""
+        h = np.atleast_2d(h)
+        return self._reduce(len(h), lambda lo, hi: _lift(h[lo:hi]))[0]
 
 
 def _lift(z: np.ndarray) -> np.ndarray:

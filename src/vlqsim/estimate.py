@@ -1,18 +1,20 @@
 """Semi-analytic SER / feedback-rate estimation.
 
 The primary estimator averages the conditional BPSK error rate
-Q(sqrt(2 snr(h))) over channel draws.  Two conditioning modes:
+Q(sqrt(2 snr(h))) over h ~ CN(0, I_t).  Every snr reads only ||h||^2 and
+the codeword correlations of the direction hbar = h / ||h||, and
+h = a hbar with a^2 ~ Gamma(t,1) independent of hbar.  So both modes draw
+directions, up to a common phase, with ``channel.sample_directions`` from
+2t - 2 uniforms per draw, straight into the real (t^2, n) lift that the
+correlation reads:
 
-* "none": per-draw conditional SER; supports exact pathwise comparisons.
-* "radial": the channel magnitude is integrated out analytically per
-  direction (h = a hbar with a^2 ~ Gamma(t,1) independent of hbar), which
-  removes the dominant variance component and keeps relative standard
-  errors bounded as P grows.  Without it the per-draw estimator's relative
-  stderr grows like P^t/sqrt(N) and deep-SNR points are unusable.  Only
-  the direction is drawn, up to a common phase, by
-  ``channel.sample_directions`` from 2t - 2 uniforms per draw, straight
-  into the real (t^2, n) lift that the correlation reads; plain mode
-  draws whole complex channels with ``sample_channels``.
+* "none": ``channel.sample_magnitudes`` adds each draw's ||h||^2 from t
+  more uniforms, and ``snr_bits(norm2, stats, P)`` gives its conditional
+  SER; this supports exact pathwise comparisons.
+* "radial": ``conditioned(n, stats, P)`` integrates the magnitude out
+  analytically per direction, which removes the dominant variance
+  component and keeps relative standard errors bounded as P grows (per
+  draw they grow like P^t/sqrt(N), and deep-SNR points are unusable).
 
 Common random numbers: every quantizer at every grid point of one sweep
 sees the same draws, and the chunk partition is fixed, so outputs do not
@@ -20,21 +22,20 @@ depend on the worker count and a grid point's records equal a one-point
 sweep at that P.  Records at different P in one sweep are therefore
 correlated; each record's mean and stderr are unchanged in distribution.
 Chunks of _CHUNK draws run on one thread per usable CPU by default.
+``paired_compare`` runs the same chunk loop and reduces each chunk to the
+moments of the per-draw gap between two specs.
 
 Because the draws are shared, so is the codebook correlation.  Each spec
 names the beamforming codebook it quantizes with (``spec.codebook``, None
-for full CSIT and open loop); per chunk, the correlation runs once
-per distinct codebook for the whole P grid, and every spec using it
-receives the same per-draw (max, min, column-0) of |<x_i, h>|^2 through
-``snr_bits(H, P, corr)`` or ``conditioned(lifted, P, corr)``.  The kernel
-itself is one blocked real GEMM on lifted vectors (see
-``BeamformingCodebook.lifted_stats``; ``correlation_stats`` lifts complex
-rows block by block into it); called without ``corr``, a spec computes
-its own.  A radial chunk's lift is freed once its stats exist, and the
-specs then read only its draw count.  In radial mode the stats also hold
-the MRC SER ``bpsk_mrc_ser(t, c_max P / r)`` for the current P, one array
-per r, so bf-flq, bf-vlq and pc-vlq at r = 1 evaluate it once per chunk
-and P instead of once each, with the same bits.  Each spec's per-draw values
+for full CSIT and open loop); per chunk, the correlation runs once per
+distinct codebook for the whole P grid, and every spec using it receives
+the same ``_BookStats``: per-draw (max, min, column-0) of
+|<x_i, hbar>|^2.  The kernel itself is one blocked real GEMM on the lift
+(see ``BeamformingCodebook.lifted_stats``), and the lift is freed once its
+stats exist.  In radial mode the stats also hold the MRC SER
+``bpsk_mrc_ser(t, c_max P / r)`` for the current P, one array per r, so
+bf-flq, bf-vlq and pc-vlq at r = 1 evaluate it once per chunk and P
+instead of once each, with the same bits.  Each spec's per-draw values
 are reduced to chunk moments before the next spec is evaluated.
 
 Schemes: full-CSIT beamforming and precoding and the open-loop precoder
@@ -71,7 +72,7 @@ from fractions import Fraction
 import numpy as np
 from numpy.polynomial.chebyshev import chebfit, chebpts1
 
-from .channel import RngStream, sample_channels, sample_directions
+from .channel import RngStream, sample_channels, sample_directions, sample_magnitudes
 from .codebook import BeamformingCodebook
 from .numerics import (
     LogLogFit,
@@ -101,6 +102,8 @@ __all__ = [
     "write_records_csv",
     "read_records_csv",
     "CSV_COLUMNS",
+    # re-exported for perfbench/spans.py, which traces it; no sweep calls it
+    "sample_channels",
 ]
 
 _CHUNK = 1 << 15
@@ -155,12 +158,11 @@ class FeedbackFree:
         self.quantizer_id = quantizer_id
         self.codebook = None
 
-    def snr_bits(self, H: np.ndarray, P: float, corr=None):
-        snr = np.sum(np.abs(H) ** 2, axis=1) * P / self.divisor
-        return snr, np.zeros(len(H))
+    def snr_bits(self, norm2: np.ndarray, stats, P: float):
+        return norm2 * P / self.divisor, np.zeros(len(norm2))
 
-    def conditioned(self, lifted: np.ndarray, P: float, corr=None):
-        return np.full(lifted.shape[1], bpsk_mrc_ser(self.t, P / self.divisor)), 0.0, 0.0
+    def conditioned(self, n: int, stats, P: float):
+        return np.full(n, bpsk_mrc_ser(self.t, P / self.divisor)), 0.0, 0.0
 
 
 def FullCsitBeamforming(t: int) -> FeedbackFree:
@@ -184,13 +186,11 @@ class FixedLengthBeamforming:
         self.bits = index_bits(len(book))
         self.quantizer_id = "bf-flq"
 
-    def snr_bits(self, H: np.ndarray, P: float, corr=None):
-        c_max, _, _ = corr or self.codebook.correlation_stats(H)
-        return c_max * P, np.full(len(H), float(self.bits))
+    def snr_bits(self, norm2: np.ndarray, stats, P: float):
+        return stats.c_max * (norm2 * P), np.full(len(norm2), float(self.bits))
 
-    def conditioned(self, lifted: np.ndarray, P: float, corr=None):
-        corr = corr or _BookStats(self.codebook, lifted)
-        return corr.mrc_ser(P), float(self.bits), 0.0
+    def conditioned(self, n: int, stats, P: float):
+        return stats.mrc_ser(P), float(self.bits), 0.0
 
 
 class VariableLengthBeamforming:
@@ -209,19 +209,18 @@ class VariableLengthBeamforming:
         self.t = spec.codebook.t
         self.quantizer_id = "bf-vlq"
 
-    def snr_bits(self, H: np.ndarray, P: float, corr=None):
-        c_max, c_min, c_first = corr or self.codebook.correlation_stats(H)
-        short = c_min * P >= self.spec.beta(P)
-        snr = np.where(short, c_first, c_max) * P
+    def snr_bits(self, norm2: np.ndarray, stats, P: float):
+        gain = norm2 * P
+        short = stats.c_min * gain >= self.spec.beta(P)
+        snr = np.where(short, stats.c_first, stats.c_max) * gain
         bits = np.where(short, 1.0, 1.0 + self.spec.index_bits)
         return snr, bits
 
-    def conditioned(self, lifted: np.ndarray, P: float, corr=None):
-        corr = corr or _BookStats(self.codebook, lifted)
+    def conditioned(self, n: int, stats, P: float):
         beta = self.spec.beta(P)
-        p_short = gamma_tail(self.t, beta / (np.maximum(corr.c_min, 1e-300) * P))
+        p_short = gamma_tail(self.t, beta / (np.maximum(stats.c_min, 1e-300) * P))
         gap = q_function(math.sqrt(2.0 * beta))
-        ser = corr.mrc_ser(P) + 0.5 * gap * p_short
+        ser = stats.mrc_ser(P) + 0.5 * gap * p_short
         rate = 1.0 + self.spec.index_bits * (1.0 - p_short)
         return ser, rate, 0.5 * gap
 
@@ -260,11 +259,10 @@ class VariableLengthPrecoding:
         self._tables = {}
         self._tables_lock = threading.Lock()
 
-    def snr_bits(self, H: np.ndarray, P: float, corr=None):
-        norm2 = np.sum(np.abs(H) ** 2, axis=1)
-        short = norm2 * P >= self.spec.threshold
-        c_max, _, _ = corr or self.codebook.correlation_stats(H)
-        snr = np.where(short, norm2 * P / (self.t * self.r), c_max * P / self.r)
+    def snr_bits(self, norm2: np.ndarray, stats, P: float):
+        gain = norm2 * P
+        short = gain >= self.spec.threshold
+        snr = np.where(short, gain / (self.t * self.r), stats.c_max * gain / self.r)
         bits = np.where(short, 1.0, 1.0 + self.spec.index_bits)
         return snr, bits
 
@@ -287,17 +285,16 @@ class VariableLengthPrecoding:
         rate = 1.0 + self.spec.index_bits * (1.0 - gamma_tail(t, x0))
         return coef[:keep], tail_short, rate
 
-    def conditioned(self, lifted: np.ndarray, P: float, corr=None):
+    def conditioned(self, n: int, stats, P: float):
         with self._tables_lock:
             if P not in self._tables:
                 self._tables[P] = self.prepare(P)
         coef, tail_short, rate = self._tables[P]
-        corr = corr or _BookStats(self.codebook, lifted)
-        tail = np.exp(_chebval(corr.cheb_x, coef))
-        if corr.uncovered.size:
-            s = corr.c_max[corr.uncovered] * P / self.r
-            tail[corr.uncovered] = gamma_weighted_q_tail(self.t, s, self.spec.threshold / P)
-        ser = np.subtract(corr.mrc_ser(P, self.r), tail, out=tail)
+        tail = np.exp(_chebval(stats.cheb_x, coef))
+        if stats.uncovered.size:
+            s = stats.c_max[stats.uncovered] * P / self.r
+            tail[stats.uncovered] = gamma_weighted_q_tail(self.t, s, self.spec.threshold / P)
+        ser = np.subtract(stats.mrc_ser(P, self.r), tail, out=tail)
         np.maximum(ser, 0.0, out=ser)
         ser += tail_short
         return ser, rate, 0.0
@@ -333,13 +330,10 @@ def ser_full_analytic(t: int, P: float, r: Fraction | float = 1) -> float:
     return integrate_gamma_weighted(lambda x: q_function(np.sqrt(2.0 * x * P / r)), t)
 
 
-def _chunk_bounds(samples: int):
-    return [(i, min(i + _CHUNK, samples)) for i in range(0, samples, _CHUNK)]
-
-
 class _BookStats:
-    """One codebook's per-draw correlation stats on one chunk's lifted
-    directions, shared by every spec that quantizes with it in radial mode.
+    """One codebook's per-draw correlation stats (max, min and column 0 of
+    |<x_i, hbar>|^2) on one chunk's lifted directions, shared by every spec
+    that quantizes with it, in either mode.
 
     ``mrc_ser(P, r)`` is ``bpsk_mrc_ser(t, c_max P / r)``, kept for the
     latest P only, one array per r: bf-flq, bf-vlq and pc-vlq at r = 1 read
@@ -374,29 +368,27 @@ class _BookStats:
 
 
 def _draws(specs, stream, c_idx, n, conditioning):
-    """P-free half of chunk c_idx: its n draws from substream (0, c_idx),
-    as the specs evaluate them, and the stats of each distinct codebook on
-    them: in radial mode the directions' lift and ``_BookStats``, in plain
-    mode the channels and ``correlation_stats``."""
-    radial = conditioning == "radial"
-    H = (sample_directions if radial else sample_channels)(stream.child(0, c_idx), specs[0].t, n)
-    stats = {}
-    for spec in specs:
-        book = spec.codebook
-        if book is not None and id(book) not in stats:
-            stats[id(book)] = _BookStats(book, H) if radial else book.correlation_stats(H)
-    return H, stats
+    """P-free half of chunk c_idx: (norm2, stats).  stats maps each distinct
+    codebook's id to its ``_BookStats`` on n directions from substream
+    (0, c_idx).  norm2 holds each draw's ||h||^2 from substream (1, c_idx)
+    in plain mode; it is None in radial mode, which never reads (1, c_idx)."""
+    t = specs[0].t
+    lifted = sample_directions(stream.child(0, c_idx), t, n)
+    books = {id(s.codebook): s.codebook for s in specs if s.codebook is not None}
+    stats = {key: _BookStats(book, lifted) for key, book in books.items()}
+    norm2 = None if conditioning == "radial" else sample_magnitudes(stream.child(1, c_idx), t, n)
+    return norm2, stats
 
 
-def _conditional_ser(specs, H, stats, P, conditioning):
+def _conditional_ser(specs, n, norm2, stats, P):
     """Per-draw (ser, rate, half-width) of each spec at power P, one spec
-    at a time."""
+    at a time: per direction in radial mode (norm2 None), else per draw."""
     for spec in specs:
-        corr = None if spec.codebook is None else stats[id(spec.codebook)]
-        if conditioning == "radial":
-            yield spec.conditioned(H, P, corr)
+        book_stats = None if spec.codebook is None else stats[id(spec.codebook)]
+        if norm2 is None:
+            yield spec.conditioned(n, book_stats, P)
         else:
-            snr, bits = spec.snr_bits(H, P, corr)
+            snr, bits = spec.snr_bits(norm2, book_stats, P)
             yield q_function(np.sqrt(2.0 * snr)), bits, 0.0
 
 
@@ -455,28 +447,14 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def ser_rate_sweep(
-    specs,
-    P_grid,
-    samples: int,
-    stream: RngStream,
-    *,
-    workers: int | None = None,
-    conditioning: str = "radial",
-) -> list:
-    """SER and feedback-rate records for every (spec, P) pair.
-
-    Every spec at every grid point sees the same channel draws (common
-    random numbers).  Chunks are a fixed partition of the sample index
-    range, chunk c drawn from substream (0, c); each chunk is sampled and
-    correlated once for the whole grid.  Per-chunk moments are combined
-    with compensated summation in index order, so the result is
-    bit-identical for any worker count, and a grid point's records equal
-    those of a one-point sweep at that P.  Chunks run on ``workers``
-    threads, by default one per usable CPU, never more than there are
-    chunks.
+def _chunk_loop(specs, P_grid, samples, stream, workers, conditioning, reduce):
+    """The chunk loop of ``ser_rate_sweep`` and ``paired_compare``: checks
+    the arguments and returns (the grid as floats, results), where
+    results[c][p] is ``reduce`` of the specs' per-draw values at the p-th
+    grid point on chunk c, which ``reduce`` must not keep.  Each chunk is
+    drawn and correlated once for the whole grid, on ``workers`` threads,
+    by default one per usable CPU, never more than there are chunks.
     """
-    specs = list(specs)
     P_grid = [float(P) for P in P_grid]
     if not P_grid or min(P_grid) <= 0.0:
         raise ValueError("P grid must be nonempty and positive")
@@ -488,45 +466,53 @@ def ser_rate_sweep(
         raise ValueError("all specs must share the antenna count")
     if workers is not None and workers < 1:
         raise ValueError("workers must be >= 1")
-    sizes = [hi - lo for lo, hi in _chunk_bounds(samples)]
+    sizes = [min(_CHUNK, samples - lo) for lo in range(0, samples, _CHUNK)]
     workers = min(workers or _usable_cpus(), len(sizes))
 
     def task(c_idx):
-        # per-(P, spec) moments of one chunk; map holds no reference to a
-        # spec's per-draw values once they are reduced, so they are freed
-        # before the next spec is evaluated
-        H, stats = _draws(specs, stream, c_idx, sizes[c_idx], conditioning)
-        if conditioning == "radial":
-            # specs given the stats read only the lift's draw count, so the
-            # lift is freed before the grid is swept
-            H = np.empty((0, sizes[c_idx]))
-        return [
-            list(map(_spec_moments, _conditional_ser(specs, H, stats, P, conditioning)))
-            for P in P_grid
-        ]
+        n = sizes[c_idx]
+        norm2, stats = _draws(specs, stream, c_idx, n, conditioning)
+        return [reduce(_conditional_ser(specs, n, norm2, stats, P)) for P in P_grid]
 
     if workers > 1:
-        results = list(_pool(workers).map(task, range(len(sizes))))
-    else:
-        results = [task(c_idx) for c_idx in range(len(sizes))]
+        return P_grid, list(_pool(workers).map(task, range(len(sizes))))
+    return P_grid, [task(c_idx) for c_idx in range(len(sizes))]
+
+
+def ser_rate_sweep(
+    specs,
+    P_grid,
+    samples: int,
+    stream: RngStream,
+    *,
+    workers: int | None = None,
+    conditioning: str = "radial",
+) -> list:
+    """SER and feedback-rate records for every (spec, P) pair, on the same
+    draws (common random numbers), on ``workers`` threads, by default one
+    per usable CPU.
+
+    Each spec's per-draw values are reduced to chunk moments before the
+    next spec is evaluated, and the moments are combined with compensated
+    summation in chunk order, so the result is bit-identical for any worker
+    count, and a grid point's records equal a one-point sweep at that P.
+    """
+    specs = list(specs)
+    P_grid, results = _chunk_loop(
+        specs, P_grid, samples, stream, workers, conditioning,
+        lambda values: list(map(_spec_moments, values)),
+    )
     records = []
-    for p_idx, P in enumerate(P_grid):
-        for j, spec in enumerate(specs):
-            ser, ser_se = _mean_stderr([r[p_idx][j][0] for r in results])
-            rate, rate_se = _mean_stderr([r[p_idx][j][1] for r in results])
-            hw = max(r[p_idx][j][2] for r in results)
-            records.append(
-                SweepRecord(
-                    quantizer_id=spec.quantizer_id,
-                    P=P,
-                    ser=min(ser, 0.5),
-                    ser_stderr=ser_se + hw,
-                    rate=rate,
-                    rate_stderr=rate_se,
-                    samples=samples,
-                    seed=stream.master_seed,
-                )
-            )
+    for P, point in zip(P_grid, zip(*results)):
+        for spec, parts in zip(specs, zip(*point)):
+            ser_parts, rate_parts, hw = zip(*parts)
+            ser, ser_se = _mean_stderr(ser_parts)
+            rate, rate_se = _mean_stderr(rate_parts)
+            records.append(SweepRecord(
+                quantizer_id=spec.quantizer_id, P=P, ser=min(ser, 0.5),
+                ser_stderr=ser_se + max(hw), rate=rate, rate_stderr=rate_se,
+                samples=samples, seed=stream.master_seed,
+            ))
     return records
 
 
@@ -562,33 +548,37 @@ def estimate_gains(records, top_decades: int = 2) -> GainEstimate:
 def paired_compare(
     spec_a,
     spec_b,
-    P: float,
+    P_grid,
     samples: int,
     stream: RngStream,
     *,
     conditioning: str = "none",
-):
-    """Pathwise comparison of conditional SERs on identical channel draws.
+) -> list:
+    """Pathwise comparison of conditional SERs on identical draws.
 
-    Returns (mean-gap, gap-stderr, fraction-A-dominates, max-violation)
-    where the gap is SER_A - SER_B per draw and max-violation is the most
-    negative gap observed (0.0 when A dominates everywhere).
+    Returns one (mean-gap, gap-stderr, fraction-A-dominates, max-violation)
+    per grid point, where the gap is SER_A - SER_B per draw and
+    max-violation is the most negative gap observed (0.0 when A dominates
+    everywhere).  Runs on ``ser_rate_sweep``'s chunk loop, with its checks
+    and default threads, so a grid point's result equals a one-point call
+    and does not depend on the worker count.
     """
-    if spec_a.t != spec_b.t:
-        raise ValueError("specs must share the antenna count")
-    specs = (spec_a, spec_b)
-    parts = []
-    dom = 0
-    worst = 0.0
-    for c_idx, (lo, hi) in enumerate(_chunk_bounds(samples)):
-        H, stats = _draws(specs, stream, c_idx, hi - lo, conditioning)
-        (va, _, _), (vb, _, _) = _conditional_ser(specs, H, stats, P, conditioning)
-        gap = va - vb
-        parts.append(_moments(gap))
-        dom += int(np.count_nonzero(gap >= 0.0))
-        worst = min(worst, float(np.min(gap)))
-    mean, se = _mean_stderr(parts)
-    return mean, se, dom / samples, worst
+    _, results = _chunk_loop(
+        (spec_a, spec_b), P_grid, samples, stream, None, conditioning, _gap_stats
+    )
+    out = []
+    for point in zip(*results):
+        moments, dominated, smallest = zip(*point)
+        out.append((*_mean_stderr(moments), sum(dominated) / samples, min(0.0, *smallest)))
+    return out
+
+
+def _gap_stats(values):
+    """(moments, draws with gap >= 0, smallest gap) of one chunk's gap
+    SER_A - SER_B at one P."""
+    (ser_a, _, _), (ser_b, _, _) = values
+    gap = ser_a - ser_b
+    return _moments(gap), int(np.count_nonzero(gap >= 0.0)), float(np.min(gap))
 
 
 def _format(x: float) -> str:

@@ -97,8 +97,8 @@ class TestCriterion3PathwiseDominance:
             OpenLoopPrecoding(2),
         ]
         for spec in challengers:
-            _, _, frac, worst = paired_compare(
-                spec, full, 10.0, 100000, RngStream(50), conditioning="none"
+            ((_, _, frac, worst),) = paired_compare(
+                spec, full, [10.0], 100000, RngStream(50), conditioning="none"
             )
             assert frac == 1.0, spec.quantizer_id
             assert worst == 0.0, spec.quantizer_id
@@ -108,13 +108,13 @@ class TestCriterion3PathwiseDominance:
 
 
 class TestCriterion4CoveredLoss:
-    def test_per_draw_and_average_bounds(self, book02, book01):
+    def test_per_draw_and_average_bounds(self, book02, book01, snr_bits):
         t0 = time.time()
         for book in (book01, book02):
             spec = FixedLengthBeamforming(book)
             for P in (10.0, 100.0):
                 H = sample_channels(RngStream(51), 2, 100000)
-                snr, _ = spec.snr_bits(H, P)
+                snr, _ = snr_bits(spec, H, P)
                 degraded = (1.0 - book.delta) * np.sum(np.abs(H) ** 2, axis=1) * P
                 assert np.all(snr >= degraded - 1e-12)
                 (rec,) = ser_rate_sweep([spec], [P], 100000, RngStream(52))
@@ -135,10 +135,8 @@ class TestCriterion5VariableLengthPenalties:
         recs = ser_rate_sweep([flq, vlq], grid, 10**6, RngStream(53), workers=4)
         MEASURED_RECORDS.extend(recs)
         gaps = []
-        for P in grid:
-            gap, se, _, _ = paired_compare(
-                vlq, flq, P, 10**6, RngStream(54), conditioning="radial"
-            )
+        compared = paired_compare(vlq, flq, grid, 10**6, RngStream(54), conditioning="radial")
+        for P, (gap, se, _, _) in zip(grid, compared):
             assert -3.0 * se <= gap <= P ** (-3) + 3.0 * se
             gaps.append(gap)
             (rate_rec,) = [r for r in recs if r.quantizer_id == "bf-vlq" and r.P == P]

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from vlqsim.channel import RngStream, sample_channels, sample_directions
+from vlqsim.channel import RngStream, sample_channels, sample_directions, sample_magnitudes
 from vlqsim.codebook import _lift
+from vlqsim.numerics import gamma_tail
 
 
 def ks_statistic(x: np.ndarray, cdf) -> float:
@@ -172,3 +173,38 @@ class TestDirections:
         assert np.array_equal(a, sample_directions(s.child(0, 3), 2, 100))
         b = sample_directions(s.child(0, 4), 2, 100)
         assert not np.any(a == b)
+
+
+class TestMagnitudes:
+    """``sample_magnitudes`` draws plain mode's ||h||^2, which scales the
+    direction ``sample_directions`` draws into h ~ CN(0, I_t)."""
+
+    @pytest.mark.parametrize("t", [1, 2, 3, 4])
+    def test_gamma_law(self, t):
+        norm2 = sample_magnitudes(RngStream(36, t), t, 50000)
+        crit = 1.63 / math.sqrt(len(norm2))  # 1% critical value
+        assert ks_statistic(norm2, lambda x: 1.0 - gamma_tail(t, x)) < crit
+
+    def test_projection_on_a_fixed_direction_is_exponential(self):
+        # |<x, h>|^2 = ||h||^2 |<x, hbar>|^2 with ||h||^2 and hbar drawn
+        # independently is Exp(1), as for h ~ CN(0, I_t)
+        t, n = 3, 50000
+        x = np.array([[1.0, 1.0j, -1.0]]) / math.sqrt(3.0)
+        w = _lift(x)[:, 0]
+        w[t:] *= 2.0
+        stream = RngStream(37)
+        norm2 = sample_magnitudes(stream.child(1, 0), t, n)
+        power = norm2 * (w @ sample_directions(stream.child(0, 0), t, n))
+        assert ks_statistic_exponential(power) < 1.63 / math.sqrt(n)
+
+    def test_rejects_bad_arguments(self):
+        with pytest.raises(ValueError):
+            sample_magnitudes(RngStream(1), 0, 10)
+        with pytest.raises(ValueError):
+            sample_magnitudes(RngStream(1), 2, 0)
+
+    def test_deterministic_per_substream(self):
+        s = RngStream(38)
+        a = sample_magnitudes(s.child(1, 3), 2, 100)
+        assert np.array_equal(a, sample_magnitudes(s.child(1, 3), 2, 100))
+        assert not np.any(a == sample_magnitudes(s.child(1, 4), 2, 100))

@@ -12,7 +12,7 @@ import pytest
 from numpy.polynomial.chebyshev import chebval
 
 from vlqsim import estimate
-from vlqsim.channel import RngStream, sample_channels
+from vlqsim.channel import RngStream, sample_channels, sample_directions
 from vlqsim.codebook import (
     BeamformingCodebook,
     _lift,
@@ -20,6 +20,7 @@ from vlqsim.codebook import (
     precoding_codebook,
 )
 from vlqsim.estimate import (
+    _BookStats,
     _CHUNK,
     FixedLengthBeamforming,
     FullCsitBeamforming,
@@ -247,7 +248,7 @@ class TestSharedCorrelation:
     @pytest.fixture
     def calls(self, monkeypatch):
         # draws per run of the one GEMM-and-reduce loop, which both
-        # correlation_stats (complex rows) and lifted_stats (lifts) call
+        # max_correlation_sq (complex rows) and lifted_stats (lifts) call
         calls = []
         original = BeamformingCodebook._reduce
 
@@ -269,18 +270,19 @@ class TestSharedCorrelation:
     @pytest.mark.parametrize("workers", [1, 3])
     def test_once_per_chunk(self, book, calls, monkeypatch, workers):
         # the draws and their correlation do not depend on P, so a chunk is
-        # sampled and correlated once for the whole grid, by its mode's sampler
+        # sampled and correlated once for the whole grid, in either mode by
+        # the one direction sampler
         samples = 2 * _CHUNK + 5  # three chunks, the last one short
         P_grid = [10.0, 100.0]
-        for conditioning, sampler in (("radial", "sample_directions"), ("none", "sample_channels")):
+        original = estimate.sample_directions
+        for conditioning in ("radial", "none"):
             sampled = []
-            original = getattr(estimate, sampler)
 
-            def counted(stream, t, n, original=original, sampled=sampled):
+            def counted(stream, t, n, sampled=sampled):
                 sampled.append(n)
                 return original(stream, t, n)
 
-            monkeypatch.setattr(estimate, sampler, counted)
+            monkeypatch.setattr(estimate, "sample_directions", counted)
             calls.clear()
             ser_rate_sweep(
                 self.coded_specs(book), P_grid, samples, RngStream(48),
@@ -289,8 +291,11 @@ class TestSharedCorrelation:
             assert sorted(calls) == sorted(sampled) == [5, _CHUNK, _CHUNK]
 
     def test_paired_compare_shares_too(self, book, calls):
+        # one correlation per chunk for the whole grid
         flq, vlq, _ = self.coded_specs(book)
-        paired_compare(vlq, flq, 100.0, _CHUNK + 1, RngStream(49), conditioning="radial")
+        paired_compare(
+            vlq, flq, [100.0, 1e3, 1e4], _CHUNK + 1, RngStream(49), conditioning="radial"
+        )
         assert len(calls) == 2
 
     def test_sharing_does_not_change_records(self, book):
@@ -391,7 +396,9 @@ class TestDirectionSampler:
         specs = TestSharedCorrelation.coded_specs(book) + [
             VariableLengthPrecoding(VlqPrecodingSpec(precoding_codebook(book), r=half))
         ]
-        H, stats = estimate._draws(specs, RngStream(73), 0, 5000, "radial")
+        n = 5000
+        _, stats = estimate._draws(specs, RngStream(73), 0, n, "radial")
+        lifted = sample_directions(RngStream(73).child(0, 0), 2, n)
         calls = []
         original = estimate.bpsk_mrc_ser
 
@@ -401,9 +408,9 @@ class TestDirectionSampler:
 
         grid = [10.0, 1e3]
         for P in grid:
-            alone = [spec.conditioned(H, P) for spec in specs]
+            alone = [spec.conditioned(n, _BookStats(book, lifted), P) for spec in specs]
             monkeypatch.setattr(estimate, "bpsk_mrc_ser", counted)
-            shared = [spec.conditioned(H, P, stats[id(book)]) for spec in specs]
+            shared = [spec.conditioned(n, stats[id(book)], P) for spec in specs]
             monkeypatch.setattr(estimate, "bpsk_mrc_ser", original)
             for (ser_a, rate_a, hw_a), (ser_s, rate_s, hw_s) in zip(alone, shared):
                 assert np.array_equal(ser_a, ser_s) and np.array_equal(rate_a, rate_s)
@@ -411,7 +418,7 @@ class TestDirectionSampler:
             # r = 1/2 reads its own value, not the r = 1 one
             assert not np.array_equal(shared[2][0], shared[3][0])
         # one array per (P, r): r = 1 for bf-flq, bf-vlq and pc-vlq, and r = 1/2
-        assert calls == [H.shape[1]] * 2 * len(grid)
+        assert calls == [n] * 2 * len(grid)
 
 
 class TestPrecodingKernel:
@@ -435,9 +442,10 @@ class TestPrecodingKernel:
             spec = VariableLengthPrecoding(VlqPrecodingSpec(precoding_codebook(book)))
             H = sample_channels(RngStream(61), t, 4000)
             Hbar = H / np.linalg.norm(H, axis=1, keepdims=True)
+            stats = _BookStats(book, _lift(Hbar))
             for P in (10.0, 1e3, 1e5, 1e7):
-                ser, _, _ = spec.conditioned(_lift(Hbar), P)
-                s = book.correlation_stats(Hbar)[0] * P
+                ser, _, _ = spec.conditioned(len(Hbar), stats, P)
+                s = book.max_correlation_sq(Hbar) * P
                 x0 = spec.spec.threshold / P
                 want = np.maximum(bpsk_mrc_ser(t, s) - gamma_weighted_q_tail(t, s, x0), 0.0)
                 want += gamma_weighted_q_tail(t, P / t, x0)
@@ -526,7 +534,7 @@ class TestPrecodingKernel:
             return fits[-1]
 
         monkeypatch.setattr(estimate, "chebfit", recorded)
-        H, stats = estimate._draws([spec], RngStream(64), 0, 20000, "radial")
+        _, stats = estimate._draws([spec], RngStream(64), 0, 20000, "radial")
         corr = stats[id(book)]
         for P in (1e2, 1e3, 1e4):
             cut, short, rate = spec.prepare(P)
@@ -534,9 +542,9 @@ class TestPrecodingKernel:
             assert len(full) == 24 and np.array_equal(cut, full[: len(cut)])
             assert len(cut) in kept
             spec._tables[P] = (cut, short, rate)
-            ser_cut, _, _ = spec.conditioned(H, P, corr)
+            ser_cut, _, _ = spec.conditioned(20000, corr, P)
             spec._tables[P] = (full, short, rate)
-            ser_full, _, _ = spec.conditioned(H, P, corr)
+            ser_full, _, _ = spec.conditioned(20000, corr, P)
             assert np.max(np.abs(ser_cut / ser_full - 1.0)) <= 4.0 * np.finfo(float).eps
 
     def test_clenshaw_is_chebval_bit_for_bit(self):
@@ -553,12 +561,12 @@ class TestPrecodingKernel:
         spec = VariableLengthPrecoding(VlqPrecodingSpec(precoding_codebook(holed)))
         H = sample_channels(RngStream(62), 2, 4000)
         Hbar = H / np.linalg.norm(H, axis=1, keepdims=True)
-        c_max = holed.correlation_stats(Hbar)[0]
+        c_max = holed.max_correlation_sq(Hbar)
         low = c_max < 1.0 - holed.delta
         assert 100 <= np.count_nonzero(low) < len(Hbar)
         P = 100.0
         x0 = spec.spec.threshold / P
-        ser, _, _ = spec.conditioned(_lift(Hbar), P)
+        ser, _, _ = spec.conditioned(len(Hbar), _BookStats(holed, _lift(Hbar)), P)
         short = gamma_weighted_q_tail(2, P / 2.0, x0)
         s = c_max[low] * P
         exact = bpsk_mrc_ser(2, s) - gamma_weighted_q_tail(2, s, x0) + short
@@ -569,12 +577,12 @@ class TestPrecodingKernel:
 
 
 class TestSingletonCodebook:
-    def test_flq_charges_no_bits(self):
+    def test_flq_charges_no_bits(self, snr_bits):
         book = BeamformingCodebook(vectors=np.array([[1.0 + 0.0j]]), delta=0.5)
         spec = FixedLengthBeamforming(book)
         assert spec.bits == 0
         H = sample_channels(RngStream(63), 1, 50)
-        _, bits = spec.snr_bits(H, 10.0)
+        _, bits = snr_bits(spec, H, 10.0)
         assert np.all(bits == 0.0)
         for conditioning in ("radial", "none"):
             (rec,) = ser_rate_sweep([spec], [10.0], 1000, RngStream(64), conditioning=conditioning)
@@ -584,13 +592,13 @@ class TestSingletonCodebook:
 class TestPairedCompare:
     def test_self_comparison(self, book):
         spec = FixedLengthBeamforming(book)
-        gap, se, frac, worst = paired_compare(spec, spec, 10.0, 20000, RngStream(42))
+        ((gap, se, frac, worst),) = paired_compare(spec, spec, [10.0], 20000, RngStream(42))
         assert gap == 0.0 and frac == 1.0 and worst == 0.0
 
     def test_nothing_beats_full_csit(self, all_specs):
         full = all_specs[0]
         for spec in all_specs[1:]:
-            _, _, frac, worst = paired_compare(spec, full, 10.0, 50000, RngStream(43))
+            ((_, _, frac, worst),) = paired_compare(spec, full, [10.0], 50000, RngStream(43))
             assert frac == 1.0
             assert worst == 0.0
 
@@ -600,23 +608,137 @@ class TestPairedCompare:
         P = 100.0
         flq = FixedLengthBeamforming(book)
         vlq = VariableLengthBeamforming(VlqBeamformingSpec(book))
-        gap, se, frac, worst = paired_compare(vlq, flq, P, 400000, RngStream(44))
+        ((gap, se, frac, worst),) = paired_compare(vlq, flq, [P], 400000, RngStream(44))
         assert gap >= -3.0 * se
         assert gap <= P ** (-3) + 3.0 * se
 
     def test_mismatched_antennas_rejected(self, book):
         with pytest.raises(ValueError):
-            paired_compare(FullCsitBeamforming(2), FullCsitBeamforming(3), 1.0, 10, RngStream(1))
+            paired_compare(FullCsitBeamforming(2), FullCsitBeamforming(3), [1.0], 10, RngStream(1))
+
+    @pytest.mark.parametrize(
+        "grid, samples, conditioning, match",
+        [
+            ([10.0], 10, "radail", "conditioning"),
+            ([10.0], 0, "none", "samples"),
+            ([-1.0], 10, "none", "P grid"),
+            ([10.0, -1.0], 10, "radial", "P grid"),
+            ([], 10, "none", "P grid"),
+        ],
+    )
+    def test_rejects_bad_arguments(self, book, grid, samples, conditioning, match):
+        # the sweep's checks, before any draw: a misspelt mode no longer runs
+        # plain mode, and no zero division or sqrt warning gets through
+        flq = FixedLengthBeamforming(book)
+        with pytest.raises(ValueError, match=match):
+            paired_compare(
+                flq, FullCsitBeamforming(2), grid, samples, RngStream(1), conditioning=conditioning
+            )
+
+    @pytest.mark.parametrize("conditioning", ["radial", "none"])
+    def test_grid_point_equals_one_point_call(self, all_specs, conditioning):
+        full, flq, vlq, _, _, pc = all_specs
+        grid = [3.0, 30.0, 300.0]
+        for a, b in ((vlq, flq), (pc, full)):
+            def compare(grid, a=a, b=b):
+                return paired_compare(
+                    a, b, grid, _CHUNK + 3, RngStream(77), conditioning=conditioning
+                )
+
+            swept = compare(grid)
+            assert len(swept) == len(grid)
+            for P, point in zip(grid, swept):
+                assert compare([P]) == [point]
+
+    @pytest.mark.parametrize("conditioning", ["radial", "none"])
+    def test_runs_on_the_sweep_threads(self, all_specs, monkeypatch, conditioning):
+        # three chunks on the default threads: the same result on 1 and 3
+        full, flq, vlq, _, _, pc = all_specs
+        pools = []
+        pool = estimate._pool
+        monkeypatch.setattr(estimate, "_pool", lambda workers: pools.append(workers) or pool(workers))
+        results = []
+        for cpus in (1, 3):
+            monkeypatch.setattr(estimate, "_usable_cpus", lambda cpus=cpus: cpus)
+            results.append(
+                [
+                    paired_compare(
+                        a, b, [3.0, 300.0], 2 * _CHUNK + 11, RngStream(78),
+                        conditioning=conditioning,
+                    )
+                    for a, b in ((vlq, flq), (pc, full))
+                ]
+            )
+        assert pools == [3, 3]
+        assert results[0] == results[1]
+
+
+class TestPlainDraws:
+    """Plain mode draws the radial directions plus an independent
+    ||h||^2 ~ Gamma(t, 1) per draw."""
+
+    def test_radial_mode_never_draws_magnitudes(self, all_specs, monkeypatch):
+        grid = [3.0, 300.0]
+        samples = _CHUNK + 7
+        base = ser_rate_sweep(all_specs, grid, samples, RngStream(74))
+        compared = paired_compare(
+            all_specs[2], all_specs[1], grid, samples, RngStream(74), conditioning="radial"
+        )
+
+        def refuse(stream, t, n):
+            raise AssertionError("radial mode drew magnitudes")
+
+        monkeypatch.setattr(estimate, "sample_magnitudes", refuse)
+        assert ser_rate_sweep(all_specs, grid, samples, RngStream(74)) == base
+        again = paired_compare(
+            all_specs[2], all_specs[1], grid, samples, RngStream(74), conditioning="radial"
+        )
+        assert again == compared
+
+    def test_magnitudes_have_their_own_substreams(self, all_specs, monkeypatch):
+        streams = {"sample_directions": [], "sample_magnitudes": []}
+        for name, record in streams.items():
+            original = getattr(estimate, name)
+
+            def recorded(stream, t, n, original=original, record=record):
+                record.append(stream)
+                return original(stream, t, n)
+
+            monkeypatch.setattr(estimate, name, recorded)
+        ser_rate_sweep(all_specs, [10.0], 2 * _CHUNK + 5, RngStream(75), conditioning="none")
+        directions, magnitudes = streams["sample_directions"], streams["sample_magnitudes"]
+        assert len(directions) == len(magnitudes) == 3
+        assert len(set(magnitudes)) == 3 and not set(magnitudes) & set(directions)
+        first = [s.generator().random(4) for s in directions]
+        for stream in magnitudes:
+            u = stream.generator().random(4)
+            assert not any(np.array_equal(u, v) for v in first)
+
+    def test_plain_sweep_matches_channel_reference(self, all_specs, snr_bits):
+        # a per-draw evaluation on CN(0, I) channels; independent seeds, so
+        # the two estimates differ by sampling noise only
+        grid = [10.0, 100.0]
+        n = 200000
+        recs = ser_rate_sweep(all_specs, grid, n, RngStream(76), conditioning="none")
+        H = sample_channels(RngStream(77), 2, n)
+        for rec in recs:
+            (spec,) = [s for s in all_specs if s.quantizer_id == rec.quantizer_id]
+            snr, bits = snr_bits(spec, H, rec.P)
+            ser = q_function(np.sqrt(2.0 * snr))
+            ser_tol = 5.0 * math.hypot(rec.ser_stderr, np.std(ser) / math.sqrt(n)) + 1e-12
+            rate_tol = 5.0 * math.hypot(rec.rate_stderr, np.std(bits) / math.sqrt(n)) + 1e-9
+            assert abs(rec.ser - np.mean(ser)) <= ser_tol, rec
+            assert abs(rec.rate - np.mean(bits)) <= rate_tol, rec
 
 
 class TestCoveredLossBounds:
-    def test_pathwise_covered_ser_bound(self, book):
+    def test_pathwise_covered_ser_bound(self, book, snr_bits):
         # conditional SER of the quantized beamformer never exceeds the
         # (1-delta)-degraded full-CSIT error on any draw
         P = 10.0
         H = sample_channels(RngStream(45), 2, 100000)
         spec = FixedLengthBeamforming(book)
-        snr, _ = spec.snr_bits(H, P)
+        snr, _ = snr_bits(spec, H, P)
         degraded = (1.0 - book.delta) * np.sum(np.abs(H) ** 2, axis=1) * P
         assert np.all(q_function(np.sqrt(2.0 * snr)) <= q_function(np.sqrt(2.0 * degraded)) + 1e-18)
 

@@ -1,12 +1,14 @@
 """Quantizer decisions as the sweep computes them, against brute force.
 
-Every decision rule is checked through the estimators' ``snr_bits``.  The
-reference correlation is the direct complex product |<x_i, h>|^2, which
-does not share code with the lifted kernel ``correlation_stats``.
+Every decision rule is checked through the estimators' ``snr_bits``, fed
+each channel's ||h||^2 and the lifted stats of its direction by the
+``snr_bits`` fixture.  The reference correlation is the direct complex
+product |<x_i, h>|^2, which does not share code with the lifted kernel.
 """
 
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from vlqsim.estimate import (
     OpenLoopPrecoding,
     VariableLengthBeamforming,
     VariableLengthPrecoding,
+    _BookStats,
 )
 from vlqsim.numerics import bpsk_mrc_ser
 from vlqsim.quantizer import (
@@ -87,23 +90,23 @@ class TestPrefixCode:
 
 
 class TestFullCsit:
-    def test_beamformer_achieves_channel_norm(self):
+    def test_beamformer_achieves_channel_norm(self, snr_bits):
         H = sample_channels(RngStream(0), 3, 100)
         x = H / np.linalg.norm(H, axis=1, keepdims=True)
         achieved = np.abs(np.sum(x.conj() * H, axis=1)) ** 2 * 7.0
-        snr, bits = FullCsitBeamforming(3).snr_bits(H, 7.0)
+        snr, bits = snr_bits(FullCsitBeamforming(3), H, 7.0)
         assert np.allclose(snr, achieved, rtol=1e-12, atol=0.0)
         assert np.all(bits == 0.0)
 
-    def test_precoder_is_rank_one_projector(self):
+    def test_precoder_is_rank_one_projector(self, snr_bits):
         # full CSIT sends the projector h h^dagger / ||h||^2, open loop the
         # identity I / sqrt(t); each spends rate r over the space-time code
         H = sample_channels(RngStream(1), 3, 100)
         r = Fraction(3, 4)
         for h, full, open_ in zip(
             H,
-            FullCsitPrecoding(3, r).snr_bits(H, 7.0)[0],
-            OpenLoopPrecoding(3, r).snr_bits(H, 7.0)[0],
+            snr_bits(FullCsitPrecoding(3, r), H, 7.0)[0],
+            snr_bits(OpenLoopPrecoding(3, r), H, 7.0)[0],
         ):
             W = np.outer(h, h.conj()) / np.vdot(h, h).real
             assert full == pytest.approx(np.linalg.norm(W @ h) ** 2 * 7.0 / 0.75, rel=1e-12)
@@ -122,41 +125,41 @@ class TestFullCsit:
             assert isinstance(spec, FeedbackFree)
             assert spec.quantizer_id == qid and spec.codebook is None
             assert spec.divisor == divisor
-            ser, rate, hw = spec.conditioned(_lift(Hbar), 30.0)
+            ser, rate, hw = spec.conditioned(len(Hbar), None, 30.0)
             assert ser.shape == (len(Hbar),)
             assert np.all(ser == bpsk_mrc_ser(4, 30.0 / divisor))
             assert np.all(rate == 0.0) and hw == 0.0
 
 
 class TestFlqEncode:
-    def test_picks_best_codeword(self, book):
+    def test_picks_best_codeword(self, book, snr_bits):
         H = sample_channels(RngStream(1), 2, 200)
-        snr, bits = FixedLengthBeamforming(book).snr_bits(H, 2.0)
+        snr, bits = snr_bits(FixedLengthBeamforming(book), H, 2.0)
         corr = brute_corr(book, H)
         assert np.allclose(snr, 2.0 * np.max(corr, axis=1), rtol=1e-12, atol=0.0)
         assert np.all(bits == index_bits(len(book)))
 
     @given(st.floats(min_value=0.0, max_value=2 * math.pi))
     @settings(max_examples=50, deadline=None)
-    def test_phase_invariance(self, book, theta):
+    def test_phase_invariance(self, book, snr_bits, theta):
         H = np.array([[0.6 + 0.2j, -0.5 + 0.9j]])
         flq = FixedLengthBeamforming(book)
         vlq = VariableLengthBeamforming(VlqBeamformingSpec(book))
-        base = flq.snr_bits(H, 5.0)
-        rotated = flq.snr_bits(np.exp(1j * theta) * H, 5.0)
+        base = snr_bits(flq, H, 5.0)
+        rotated = snr_bits(flq, np.exp(1j * theta) * H, 5.0)
         assert rotated[0] == pytest.approx(base[0], rel=1e-12)
         assert np.array_equal(rotated[1], base[1])
         assert np.array_equal(
-            vlq.snr_bits(np.exp(1j * theta) * H, 5.0)[1], vlq.snr_bits(H, 5.0)[1]
+            snr_bits(vlq, np.exp(1j * theta) * H, 5.0)[1], snr_bits(vlq, H, 5.0)[1]
         )
 
 
 class TestVlqBeamforming:
-    def test_short_branch_requires_all_codewords_strong(self, bf_spec):
+    def test_short_branch_requires_all_codewords_strong(self, bf_spec, snr_bits):
         P = 50.0
         beta = bf_spec.beta(P)
         H = sample_channels(RngStream(2), 2, 2000)
-        snr, bits = VariableLengthBeamforming(bf_spec).snr_bits(H, P)
+        snr, bits = snr_bits(VariableLengthBeamforming(bf_spec), H, P)
         snrs = brute_corr(bf_spec.codebook, H) * P
         short = bits == 1.0
         assert np.any(short) and not np.all(short)
@@ -174,39 +177,41 @@ class TestVlqBeamforming:
         c_min = bf_spec.beta(P) / P
         assert c_min * P == bf_spec.beta(P)
         vlq = VariableLengthBeamforming(bf_spec)
-        H = np.ones((1, 2), dtype=complex)
-        at = (np.array([0.9]), np.array([c_min]), np.array([0.5]))
-        below = (at[0], np.nextafter(at[1], 0.0), at[2])
-        snr, bits = vlq.snr_bits(H, P, at)
+        norm2 = np.ones(1)
+        at = SimpleNamespace(c_max=np.array([0.9]), c_min=np.array([c_min]), c_first=np.array([0.5]))
+        below = SimpleNamespace(
+            c_max=at.c_max, c_min=np.nextafter(at.c_min, 0.0), c_first=at.c_first
+        )
+        snr, bits = vlq.snr_bits(norm2, at, P)
         assert bits[0] == 1.0 and snr[0] == 0.5 * P
-        snr, bits = vlq.snr_bits(H, P, below)
+        snr, bits = vlq.snr_bits(norm2, below, P)
         assert bits[0] == 1.0 + bf_spec.index_bits and snr[0] == 0.9 * P
 
-    def test_rejects_unit_power(self, bf_spec):
+    def test_rejects_unit_power(self, bf_spec, snr_bits):
         vlq = VariableLengthBeamforming(bf_spec)
         H = np.array([[1.0, 0.0]], dtype=complex)
         for P in (1.0, 0.5):
             with pytest.raises(ValueError):
-                vlq.snr_bits(H, P)
+                snr_bits(vlq, H, P)
             with pytest.raises(ValueError):
-                vlq.conditioned(_lift(H), P)
+                vlq.conditioned(len(H), _BookStats(bf_spec.codebook, _lift(H)), P)
 
-    def test_short_branch_probability_union_bound(self, bf_spec):
+    def test_short_branch_probability_union_bound(self, bf_spec, snr_bits):
         # Pr[long] <= |B| (1 - exp(-beta/P)) for the all-codewords threshold
         P = 2000.0
         n = 20000
         H = sample_channels(RngStream(4), 2, n)
-        _, bits = VariableLengthBeamforming(bf_spec).snr_bits(H, P)
+        _, bits = snr_bits(VariableLengthBeamforming(bf_spec), H, P)
         p_hat = np.count_nonzero(bits != 1.0) / n
         bound = len(bf_spec.codebook) * (1.0 - math.exp(-bf_spec.beta(P) / P))
         assert p_hat <= bound + 3.0 * math.sqrt(p_hat * (1 - p_hat) / n + 1e-9)
 
 
 class TestVlqPrecoding:
-    def test_branches(self, pc_spec):
+    def test_branches(self, pc_spec, snr_bits):
         P = 20.0
         H = sample_channels(RngStream(5), 2, 2000)
-        snr, bits = VariableLengthPrecoding(pc_spec).snr_bits(H, P)
+        snr, bits = snr_bits(VariableLengthPrecoding(pc_spec), H, P)
         n2 = np.sum(np.abs(H) ** 2, axis=1)
         short = n2 * P >= pc_spec.threshold
         assert 0 < np.count_nonzero(short) < len(H)
@@ -216,24 +221,24 @@ class TestVlqPrecoding:
         assert np.all(bits[~short] == 1.0 + pc_spec.index_bits)
         assert np.allclose(snr[~short], np.max(corr, axis=1) * P, rtol=1e-12, atol=0.0)
 
-    def test_threshold_boundary_goes_short(self, pc_spec):
+    def test_threshold_boundary_goes_short(self, pc_spec, snr_bits):
         # ||h||^2 P == t / delta exactly: ||h||^2 = 2, P = 5, threshold 10
         assert pc_spec.threshold == 10.0
         vlq = VariableLengthPrecoding(pc_spec)
         H = np.ones((1, 2), dtype=complex)
-        snr, bits = vlq.snr_bits(H, 5.0)
+        snr, bits = snr_bits(vlq, H, 5.0)
         assert bits[0] == 1.0 and snr[0] == 5.0
-        _, bits = vlq.snr_bits(H, np.nextafter(5.0, 0.0))
+        _, bits = snr_bits(vlq, H, np.nextafter(5.0, 0.0))
         assert bits[0] == 1.0 + pc_spec.index_bits
 
-    def test_rate_fraction_scales_snr(self, book):
+    def test_rate_fraction_scales_snr(self, book, snr_bits):
         spec34 = VlqPrecodingSpec(precoding_codebook(book), r=Fraction(3, 4))
         H = sample_channels(RngStream(6), 2, 400)
         P = 5.0
-        snr1, bits1 = VariableLengthPrecoding(VlqPrecodingSpec(precoding_codebook(book))).snr_bits(
-            H, P
+        snr1, bits1 = snr_bits(
+            VariableLengthPrecoding(VlqPrecodingSpec(precoding_codebook(book))), H, P
         )
-        snr34, bits34 = VariableLengthPrecoding(spec34).snr_bits(H, P)
+        snr34, bits34 = snr_bits(VariableLengthPrecoding(spec34), H, P)
         assert np.array_equal(bits1, bits34)
         assert np.allclose(snr34, snr1 / 0.75, rtol=1e-12, atol=0.0)
         n2 = np.sum(np.abs(H) ** 2, axis=1)
