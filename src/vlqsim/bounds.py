@@ -1,24 +1,22 @@
 """Achievability and converse bound evaluators and their constants.
 
-Derived constants (the Gaussian-tail sandwich constant and the array-gain
-gap constant) are computed numerically here; the covering constant and the
-precoding rate constant are empirical, threaded in from built codebook
-families.
+The Gaussian-tail sandwich constant c1 is found numerically; the array
+gains and their gap constant c3 are closed forms, and every full-CSIT
+error rate here is the closed form ``numerics.bpsk_mrc_ser``.  The
+covering constant and the precoding rate constant are empirical, threaded
+in from built codebook families.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .numerics import fit_loglog, minimize_1d, q_function
-from .estimate import ser_full_analytic
+from .numerics import bpsk_mrc_ser, minimize_1d, q_function
 
 __all__ = [
-    "BoundConstants",
     "derive_c1",
     "prop1_bounds",
     "delta_schedule",
@@ -30,22 +28,6 @@ __all__ = [
     "converse_check",
     "constants_table",
 ]
-
-
-@dataclass(frozen=True)
-class BoundConstants:
-    c0_hat: float  # empirical covering constant, max |B| delta^{2t}
-    c1: float  # derived: min Q(x) e^{x^2}
-    c2_hat: float  # empirical precoding rate constant
-    c3: float  # derived: array-gain gap, (1/g_open - 1/g_full)/2
-    t: int
-    r: Fraction
-
-    def __post_init__(self):
-        if min(self.c0_hat, self.c1, self.c2_hat, self.c3) <= 0.0:
-            raise ValueError("all constants must be positive")
-        if self.c1 > 0.5:
-            raise ValueError("c1 cannot exceed Q(0)")
 
 
 def derive_c1():
@@ -74,11 +56,23 @@ def prop1_bounds(cardinality: int, t: int, P: float):
     return ser_slack, rate_bound
 
 
-def phi_schedule(delta: float, t: int, c0_hat: float) -> float:
-    """phi(delta) = (t+1) C0 delta^-2t * log2(4 C0 delta^-2t)."""
+def _covering_size(c0_hat: float, t: int, delta: float) -> float:
+    """C0 delta^-2t, the size scale of a delta-cover; ValueError unless it
+    is finite."""
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must be in (0, 1)")
-    m = c0_hat * delta ** (-2 * t)
+    try:
+        m = c0_hat * delta ** (-2 * t)
+    except OverflowError:
+        m = math.inf
+    if not math.isfinite(m):
+        raise ValueError(f"C0 delta^-2t overflows at C0 = {c0_hat:g}, delta = {delta:g}")
+    return m
+
+
+def phi_schedule(delta: float, t: int, c0_hat: float) -> float:
+    """phi(delta) = (t+1) C0 delta^-2t * log2(4 C0 delta^-2t)."""
+    m = _covering_size(c0_hat, t, delta)
     return (t + 1) * m * math.log2(4.0 * m)
 
 
@@ -124,39 +118,32 @@ def thm3_converse_lb(P: float, R: float, c1: float) -> float:
 
 def thm6_constants(t: int, r: Fraction = Fraction(1)):
     """Array gains of the closed-loop and open-loop baselines and the
-    converse gap constant c3 = (1/g_open - 1/g_full)/2.
+    converse gap constant c3 = (1/g_open - 1/g_full)/2, in closed form.
 
-    Both baselines have full diversity t; the open-loop identity precoder
-    scales the SNR by 1/t, which costs a factor t^t in array gain.
-    Returns (g_open, g_full, c3) from log-log fits on the high-P grid
-    P = 1e4 .. 1e6.
+    With t-branch MRC, SER(P) (P/r)^t -> C(2t-1, t)/4^t at high P (Proakis
+    & Salehi, BPSK with L-branch MRC), so g_full = (4/r)^t / C(2t-1, t).
+    The open-loop identity precoder scales the SNR by 1/t, which costs a
+    factor t^t in array gain: g_open = g_full / t^t, and
+    c3 = C(2t-1, t) (r/4)^t (t^t - 1)/2.  The values are exact rationals
+    rounded once to float.  Returns (g_open, g_full, c3).
     """
     if t not in (2, 3, 4):
         raise ValueError("t must be in {2, 3, 4}")
-    P_grid = np.geomspace(1e4, 1e6, 9)
-    gains = {}
-    for scale, key in ((1.0, "full"), (1.0 / t, "open")):
-        pts = [(P, ser_full_analytic(t, scale * P, r)) for P in P_grid]
-        fit = fit_loglog(pts)
-        d = -fit.slope
-        if abs(d - t) > 0.05 * t:
-            raise RuntimeError(f"fitted diversity {d:.3f} too far from {t}")
-        P_top, ser_top = pts[-1]
-        gains[key] = 1.0 / (ser_top * P_top**t)
-    g_full, g_open = gains["full"], gains["open"]
-    if not g_open < g_full:
-        raise RuntimeError("open-loop array gain should be below full-CSIT")
-    c3 = 0.5 * (1.0 / g_open - 1.0 / g_full)
-    return g_open, g_full, c3
+    if not 0 < r <= 1:
+        raise ValueError("r must be in (0, 1]")
+    inv_g_full = math.comb(2 * t - 1, t) * (Fraction(r) / 4) ** t
+    return (
+        float(1 / (inv_g_full * t**t)),
+        float(1 / inv_g_full),
+        float(inv_g_full * (t**t - 1) / 2),
+    )
 
 
 def c2_hat(c0_hat: float, t: int, delta: float) -> float:
     """Empirical precoding rate constant,
     (1 + ceil(C0 delta^-2t) + 1) t^t / Gamma(t+1) normalized by
     ln(1/delta)."""
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must be in (0, 1)")
-    count = 2 + math.ceil(c0_hat * delta ** (-2 * t))
+    count = 2 + math.ceil(_covering_size(c0_hat, t, delta))
     return count * t**t / (math.gamma(t + 1) * math.log(1.0 / delta))
 
 
@@ -164,13 +151,15 @@ def prop4_bounds(t: int, delta: float, P: float, r: Fraction, c0_hat: float):
     """Variable-length precoding bounds: (ser_bound, rate_bound) with
     ser_bound = SER_r(FULL)(1 + 2 t delta) + delta / P^t and
     rate_bound = 1 + C2 delta^-t ln(1/delta) / P^t."""
-    ser_full = ser_full_analytic(t, P, r)
+    if P <= 0.0 or not 0 < r <= 1:
+        raise ValueError("need P > 0 and r in (0, 1]")
+    ser_full = bpsk_mrc_ser(t, P / r)
     ser_bound = ser_full * (1.0 + 2.0 * t * delta) + delta / P**t
     rate_bound = 1.0 + c2_hat(c0_hat, t, delta) * delta ** (-t) * math.log(1.0 / delta) / P**t
     return ser_bound, rate_bound
 
 
-def converse_check(records, t: int, c1: float, r: Fraction = Fraction(1)):
+def converse_check(records, t: int, c1: float):
     """Consistency of measured (rate, SER) points with the converse bounds.
 
     Beamforming quantizer records (ids bf-flq, bf-vlq) are checked against
@@ -178,42 +167,44 @@ def converse_check(records, t: int, c1: float, r: Fraction = Fraction(1)):
     the budget term t ln P / (13 P); feedback-free baselines are outside
     the scope of that bound (their rate is 0, not >= 1).
     Precoding quantizer records (pc-vlq) are checked against
-    SER_r >= SER_r(OPEN) - (R - 1).  Returns a list of violation dicts
-    (empty when consistent).
+    SER >= SER(OPEN) - (R - 1), with SER(OPEN) the closed-form open-loop
+    error rate ``bpsk_mrc_ser(t, P / t)``.  Returns a list of violation
+    dicts (empty when consistent).
     """
     violations = []
-    open_cache: dict[float, float] = {}
     for rec in records:
         margin = 3.0 * rec.ser_stderr
         if rec.quantizer_id in ("bf-flq", "bf-vlq"):
             budget = t * math.log(rec.P) / (13.0 * rec.P)
             lb = thm3_converse_lb(rec.P, max(rec.rate - 1.0, 0.0) + budget, c1)
-            if rec.ser + margin < lb:
-                violations.append(
-                    {"quantizer": rec.quantizer_id, "P": rec.P, "ser": rec.ser, "bound": lb}
-                )
         elif rec.quantizer_id == "pc-vlq":
-            if rec.P not in open_cache:
-                open_cache[rec.P] = ser_full_analytic(t, rec.P / t, r)
-            lb = open_cache[rec.P] - max(rec.rate - 1.0, 0.0)
-            if rec.ser + margin < lb:
-                violations.append(
-                    {"quantizer": rec.quantizer_id, "P": rec.P, "ser": rec.ser, "bound": lb}
-                )
+            lb = bpsk_mrc_ser(t, rec.P / t) - max(rec.rate - 1.0, 0.0)
+        else:
+            continue
+        if rec.ser + margin < lb:
+            violations.append(
+                {"quantizer": rec.quantizer_id, "P": rec.P, "ser": rec.ser, "bound": lb}
+            )
     return violations
 
 
-def constants_table(constants: BoundConstants) -> str:
-    """Human-readable table of the bound constants."""
+def constants_table(t: int, r: Fraction, c0_hat: float, delta: float) -> str:
+    """Human-readable table of the bound constants at (t, r), each derived
+    once, for the empirical covering constant c0_hat (finite, > 0) and the
+    precoding resolution delta."""
+    if not (math.isfinite(c0_hat) and c0_hat > 0.0):
+        raise ValueError("c0 must be finite and > 0")
+    c2 = c2_hat(c0_hat, t, delta)
+    _, _, c3 = thm6_constants(t, r)
     c1, x_star = derive_c1()
     rows = [
-        ("C0-hat", constants.c0_hat, "empirical", "max |B| delta^(2t) over built family"),
-        ("C1", constants.c1, "derived", f"min Q(x) exp(x^2), argmin ~ {x_star:.3f}"),
-        ("C2-hat", constants.c2_hat, "empirical", "(2 + ceil(C0 delta^-2t)) t^t / (t! ln(1/delta))"),
-        ("C3", constants.c3, "derived", "(1/g_open - 1/g_full)/2 from quadrature fits"),
+        ("C0-hat", c0_hat, "empirical", "max |B| delta^(2t) over built family"),
+        ("C1", c1, "derived", f"min Q(x) exp(x^2), argmin ~ {x_star:.3f}"),
+        ("C2-hat", c2, "empirical", "(2 + ceil(C0 delta^-2t)) t^t / (t! ln(1/delta))"),
+        ("C3", c3, "derived", "(1/g_open - 1/g_full)/2 = C(2t-1, t) (r/4)^t (t^t - 1)/2"),
     ]
-    width = max(len(r[0]) for r in rows)
-    lines = [f"bound constants (t={constants.t}, r={constants.r})"]
+    width = max(len(row[0]) for row in rows)
+    lines = [f"bound constants (t={t}, r={r})"]
     for name, value, prov, formula in rows:
         lines.append(f"  {name:<{width}}  {value:<12.6g} {prov:<10} {formula}")
     return "\n".join(lines)

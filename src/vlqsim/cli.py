@@ -1,9 +1,10 @@
 """Batch experiment driver.
 
 Subcommands: codebook build|verify, sweep, fit, compare, bounds, selftest.
-Exit codes: 0 success, 2 config error (including unreadable or unwritable
-paths and malformed CSVs), 3 invariant failure (including invalid codebook
-files), 4 numeric non-convergence.
+Exit codes: 0 success, 2 config error (including bad flags, unreadable or
+unwritable paths and malformed CSVs), 3 invariant failure (including invalid
+codebook files).  No subcommand runs adaptive quadrature outside selftest,
+which reports its own failures.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .codebook import (
     save_codebook,
     verify_covering,
 )
-from .numerics import QuadratureError, q_function
+from .numerics import q_function
 from .quantizer import VlqBeamformingSpec, VlqPrecodingSpec, kraft_check
 from .stbc import ostbc_generator
 
@@ -397,6 +398,8 @@ def selftest(seed: int = 0, verbose: bool = True) -> list:
 
 def _cmd_codebook(args) -> int:
     if args.action == "build":
+        if not 1 <= args.t <= 8:
+            raise ConfigError("t must be an integer in [1, 8]")
         book = build_covering_codebook(
             args.t, args.delta, RngStream(args.seed, 101), stop_streak=args.stop_streak
         )
@@ -459,23 +462,21 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    c1, _ = bounds_mod.derive_c1()
-    _, _, c3 = bounds_mod.thm6_constants(args.t, Fraction(args.r))
-    constants = bounds_mod.BoundConstants(
-        c0_hat=args.c0,
-        c1=c1,
-        c2_hat=bounds_mod.c2_hat(args.c0, args.t, args.delta),
-        c3=c3,
-        t=args.t,
-        r=Fraction(args.r),
-    )
-    print(bounds_mod.constants_table(constants))
+    print(bounds_mod.constants_table(args.t, args.r, args.c0, args.delta))
     return 0
 
 
 def _cmd_selftest(args) -> int:
     results = selftest(seed=args.seed)
     return 0 if all(ok for _, ok, _ in results) else 3
+
+
+def _fraction(text: str) -> Fraction:
+    """An argparse type: a rational such as 3/4 or 0.75."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a finite fraction: {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -514,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bounds = sub.add_parser("bounds", help="print the bound constants table")
     p_bounds.add_argument("--t", type=int, default=2)
-    p_bounds.add_argument("--r", default="1")
+    p_bounds.add_argument("--r", type=_fraction, default=Fraction(1))
     p_bounds.add_argument("--c0", type=float, default=0.0224)
     p_bounds.add_argument("--delta", type=float, default=0.35)
 
@@ -542,9 +543,6 @@ def main(argv=None) -> int:
     except CoveringError as exc:
         print(f"invariant failure: {exc}", file=sys.stderr)
         return 3
-    except QuadratureError as exc:
-        print(f"numeric non-convergence: {exc}", file=sys.stderr)
-        return 4
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

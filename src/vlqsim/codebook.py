@@ -272,6 +272,8 @@ def verify_covering(
     Draws uniform unit probes, finds the worst one, then runs local descent
     maximizing its distance to the codebook before reporting.
     """
+    if not 0.0 < delta < 1.0:
+        raise ValueError("delta must be in (0, 1)")
     if probes < 1:
         raise ValueError("probes must be >= 1")
     gen = stream.generator(0)

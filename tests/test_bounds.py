@@ -1,5 +1,6 @@
 """Bound constants, the delta schedule, and converse consistency checks."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -7,8 +8,8 @@ import mpmath
 import numpy as np
 import pytest
 
+from vlqsim import estimate, numerics
 from vlqsim.bounds import (
-    BoundConstants,
     c2_hat,
     constants_table,
     converse_check,
@@ -20,7 +21,8 @@ from vlqsim.bounds import (
     thm3_converse_lb,
     thm6_constants,
 )
-from vlqsim.estimate import SweepRecord
+from vlqsim.cli import SimulationConfig, main, run_config
+from vlqsim.estimate import SweepRecord, ser_full_analytic
 from vlqsim.numerics import q_function
 
 
@@ -95,6 +97,14 @@ class TestDeltaSchedule:
         with pytest.raises(ValueError):
             delta_schedule(1e-12, 2, 0.0224)
 
+    @pytest.mark.parametrize("c0, delta", [(1e308, 0.35), (0.0224, 1e-300), (math.inf, 0.35)])
+    def test_overflowing_cover_size_rejected(self, c0, delta):
+        # C0 delta^-2t must be finite; 1e-300 ** -4 raises OverflowError
+        with pytest.raises(ValueError, match="C0 delta"):
+            phi_schedule(delta, 2, c0)
+        with pytest.raises(ValueError, match="C0 delta"):
+            c2_hat(c0, 2, delta)
+
 
 class TestThm3:
     def test_reference_value(self):
@@ -118,17 +128,41 @@ class TestThm3:
         assert thm3_converse_lb(1e6, 1.0, c1) == 0.0
 
 
+_RATES = (Fraction(1), Fraction(3, 4))
+
+
 class TestThm6:
     def test_gain_ratio_is_t_to_the_t(self):
-        for t in (2, 3):
-            g_open, g_full, c3 = thm6_constants(t)
-            assert g_full / g_open == pytest.approx(float(t**t), rel=0.01)
-            assert c3 > 0.0
-            assert c3 == pytest.approx(0.5 * (1.0 / g_open - 1.0 / g_full), rel=1e-12)
+        for t in (2, 3, 4):
+            for r in _RATES:
+                g_open, g_full, c3 = thm6_constants(t, r)
+                assert g_full / g_open == pytest.approx(float(t**t), rel=1e-15)
+                assert c3 > 0.0
+                assert c3 == pytest.approx(0.5 * (1.0 / g_open - 1.0 / g_full), rel=1e-12)
+
+    @pytest.mark.parametrize("r", _RATES, ids=str)
+    @pytest.mark.parametrize("t", [2, 3, 4])
+    def test_c3_closed_form(self, t, r):
+        want = math.comb(2 * t - 1, t) * float(r / 4) ** t * (t**t - 1) / 2
+        assert thm6_constants(t, r)[2] == pytest.approx(want, rel=1e-15)
+
+    @pytest.mark.parametrize("r", _RATES, ids=str)
+    @pytest.mark.parametrize("t", [2, 3, 4])
+    def test_full_csit_gain_against_quadrature(self, t, r):
+        # SER (P/r)^t approaches C(2t-1, t)/4^t from below, at rate O(1/P)
+        _, g_full, _ = thm6_constants(t, r)
+        for P in (1e3, 1e4, 1e5, 1e6):
+            gap = 1.0 - ser_full_analytic(t, P, r) * P**t * g_full
+            assert 0.0 < gap <= t * t / P, (P, gap)
 
     def test_rejects_unsupported_t(self):
         with pytest.raises(ValueError):
             thm6_constants(1)
+
+    @pytest.mark.parametrize("r", [0, Fraction(5, 4), -1, math.nan])
+    def test_rejects_r_outside_unit_interval(self, r):
+        with pytest.raises(ValueError, match="r must be"):
+            thm6_constants(2, r)
 
 
 class TestC2AndProp4:
@@ -139,8 +173,6 @@ class TestC2AndProp4:
         assert c2_hat(c0, t, delta) == pytest.approx(want, rel=1e-12)
 
     def test_prop4_reduces_to_pieces(self):
-        from vlqsim.estimate import ser_full_analytic
-
         ser_b, rate_b = prop4_bounds(2, 0.2, 100.0, Fraction(1), 0.0224)
         assert ser_b == pytest.approx(
             ser_full_analytic(2, 100.0) * 1.8 + 0.2 / 1e4, rel=1e-9
@@ -177,6 +209,16 @@ class TestConverseCheck:
         out = converse_check([bad], 2, c1)
         assert len(out) == 1
 
+    @pytest.mark.parametrize("t", [2, 3, 4])
+    def test_precoding_bound_matches_quadrature(self, t):
+        c1, _ = derive_c1()
+        for P in (1.0, 1e2, 1e4, 1e6):
+            open_loop = ser_full_analytic(t, P / t)
+            rec = self._rec("pc-vlq", P, 0.0, 1.0 + open_loop / 2)
+            (out,) = converse_check([rec], t, c1)
+            want = open_loop - (rec.rate - 1.0)
+            assert out["bound"] == pytest.approx(want, rel=1e-9)
+
     def test_baselines_are_out_of_scope(self):
         c1, _ = derive_c1()
         # feedback-free baselines carry rate 0 and are not covered by the
@@ -187,14 +229,55 @@ class TestConverseCheck:
 
 class TestConstantsTable:
     def test_renders_all_rows(self):
-        c1, _ = derive_c1()
-        bc = BoundConstants(c0_hat=0.0224, c1=c1, c2_hat=7.6, c3=0.28, t=2, r=Fraction(1))
-        text = constants_table(bc)
+        text = constants_table(2, Fraction(3, 4), 0.0224, 0.35)
+        assert text.splitlines()[0] == "bound constants (t=2, r=3/4)"
         for token in ("C0-hat", "C1", "C2-hat", "C3", "empirical", "derived"):
             assert token in text
+        values = {line.split()[0]: float(line.split()[1]) for line in text.splitlines()[1:]}
+        assert values["C0-hat"] == 0.0224
+        assert values["C1"] == pytest.approx(derive_c1()[0], rel=1e-5)
+        assert values["C2-hat"] == pytest.approx(c2_hat(0.0224, 2, 0.35), rel=1e-5)
+        assert values["C3"] == pytest.approx(thm6_constants(2, Fraction(3, 4))[2], rel=1e-5)
 
     def test_validation(self):
+        # c0 must be finite and > 0, delta in (0, 1), C0 delta^-2t finite
+        bad = [(c0, 0.35) for c0 in (0.0, -0.1, math.nan, math.inf, 1e308)]
+        bad += [(0.0224, delta) for delta in (0.0, 1.0, -0.5, math.nan, 1e-300)]
+        for c0, delta in bad:
+            with pytest.raises(ValueError):
+                constants_table(2, Fraction(1), c0, delta)
+
+    def test_rejects_bad_t_and_r(self):
         with pytest.raises(ValueError):
-            BoundConstants(c0_hat=0.0, c1=0.4, c2_hat=1.0, c3=1.0, t=2, r=Fraction(1))
+            constants_table(5, Fraction(1), 0.0224, 0.35)
         with pytest.raises(ValueError):
-            BoundConstants(c0_hat=0.1, c1=0.6, c2_hat=1.0, c3=1.0, t=2, r=Fraction(1))
+            constants_table(2, Fraction(3, 2), 0.0224, 0.35)
+
+
+class TestNoQuadratureInProduction:
+    """Adaptive quadrature is the oracle only: with it patched to raise,
+    `bounds` and a sweep's summary, converse check included, still run."""
+
+    @pytest.fixture(autouse=True)
+    def no_quadrature(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("integrate_gamma_weighted called")
+
+        for module in (numerics, estimate):
+            monkeypatch.setattr(module, "integrate_gamma_weighted", refuse)
+
+    @pytest.mark.parametrize("t", [2, 3, 4])
+    def test_bounds_subcommand(self, t, capsys):
+        assert main(["bounds", "--t", str(t)]) == 0
+        assert "C3" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("conditioning", ["radial", "none"])
+    def test_sweep_summary(self, tmp_path, conditioning):
+        out = tmp_path / "o.csv"
+        config = SimulationConfig.from_dict({
+            "t": 2, "strategy": "pc-vlq", "delta": 0.3, "P-grid-dB": [5.0, 15.0, 25.0],
+            "samples": 2000, "seed": 7, "output-path": str(out), "conditioning": conditioning,
+        })
+        assert len(run_config(config, workers=1)) == 3
+        summary = json.loads((tmp_path / "o.csv.summary.json").read_text())
+        assert isinstance(summary["converse-violations"], list)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from vlqsim import estimate
+from vlqsim import cli, estimate
 from vlqsim.cli import ConfigError, SimulationConfig, main, run_config, selftest
 from vlqsim.estimate import ser_full_analytic
 
@@ -246,7 +246,7 @@ class TestMainFuzz:
                 ["compare", "--config", cfg, "--baseline", "bf-full"],
                 ["compare", "--config", cfg, "--baseline", "bf-flq"],
             ):
-                assert main(argv) in (0, 2, 3, 4), argv
+                assert main(argv) in (0, 2, 3), argv
 
 
 class TestRunConfig:
@@ -438,6 +438,45 @@ class TestMainExitCodes:
     def test_bounds_subcommand(self, capsys):
         assert main(["bounds", "--t", "2"]) == 0
         assert "C1" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--c0", "inf"], ["--c0", "1e308"], ["--delta", "1e-300"], ["--r", "1/0"]],
+        ids=" ".join,
+    )
+    def test_bounds_bad_flags_are_2(self, capsys, flags):
+        assert _exit_code(["bounds", "--t", "2", *flags]) == 2
+        err = capsys.readouterr().err
+        assert err and "Traceback" not in err
+
+    @pytest.mark.parametrize("delta", ["2", "1", "0", "-0.1", "nan"])
+    def test_verify_delta_outside_unit_interval_is_2(self, tmp_path, capsys, delta):
+        path = tmp_path / "b.json"
+        path.write_text(json.dumps(_book_doc()))
+        assert main(["codebook", "verify", "--input", str(path), "--delta", delta]) == 2
+        captured = capsys.readouterr()
+        assert "delta must be in (0, 1)" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("t", ["0", "9", "100"])
+    def test_build_t_outside_1_to_8_is_2(self, tmp_path, capsys, monkeypatch, t):
+        def refuse(*args, **kwargs):
+            raise AssertionError("build started")
+
+        monkeypatch.setattr(cli, "build_covering_codebook", refuse)
+        argv = ["codebook", "build", "--t", t, "--delta", "0.9",
+                "--output", str(tmp_path / "b.json")]
+        assert main(argv) == 2
+        assert "[1, 8]" in capsys.readouterr().err
+        assert not (tmp_path / "b.json").exists()
+
+
+def _exit_code(argv) -> int:
+    """main's return value, or the status of the SystemExit that argparse
+    raises on a flag it rejects."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 def _book_doc():

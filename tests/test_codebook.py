@@ -103,6 +103,12 @@ class TestBuild:
         report = verify_covering(book, 0.51, probes=20000, stream=RngStream(17))
         assert report.passed
 
+    @pytest.mark.parametrize("delta", [2.0, 1.0, 0.0, -0.1, math.nan])
+    def test_verify_rejects_delta_outside_unit_interval(self, delta):
+        book = BeamformingCodebook(vectors=np.eye(2, dtype=complex), delta=0.51)
+        with pytest.raises(ValueError, match="delta"):
+            verify_covering(book, delta, probes=100, stream=RngStream(17))
+
     def test_impossible_cover_raises(self):
         # a stop streak of 1 aborts long before the sphere is covered at a
         # small delta, so the adversarial certificate must reject the build

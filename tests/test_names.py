@@ -6,6 +6,7 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import sys
 from pathlib import Path
 
 import pytest
@@ -76,5 +77,26 @@ def test_no_unused_imports():
         for folder in ("src", "tests")
         for path in sorted((ROOT / folder).rglob("*.py"))
         if (names := _unused_imports(path))
+    }
+    assert found == {}
+
+
+def _foreign_imports(path: Path) -> list:
+    """Top-level modules `path` imports that are neither numpy, the
+    standard library nor the package itself (relative imports)."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            found.update(a.name.partition(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.partition(".")[0])
+    return sorted(found - {"numpy", "vlqsim"} - sys.stdlib_module_names)
+
+
+def test_package_imports_only_numpy_and_stdlib():
+    found = {
+        str(path.relative_to(ROOT)): names
+        for path in sorted((ROOT / "src" / "vlqsim").rglob("*.py"))
+        if (names := _foreign_imports(path))
     }
     assert found == {}
