@@ -162,10 +162,11 @@ def prop4_bounds(t: int, delta: float, P: float, r: Fraction, c0_hat: float):
 def converse_check(records, t: int, c1: float):
     """Consistency of measured (rate, SER) points with the converse bounds.
 
-    Beamforming quantizer records (ids bf-flq, bf-vlq) are checked against
-    the exponential lower bound evaluated at the measured rate excess plus
-    the budget term t ln P / (13 P); feedback-free baselines are outside
-    the scope of that bound (their rate is 0, not >= 1).
+    Beamforming quantizer records (ids bf-flq, bf-vlq) at P >= 1, where
+    Theorem 3's bound is stated, are checked against the exponential lower
+    bound evaluated at the measured rate excess plus the budget term
+    t ln P / (13 P); records below P = 1 and feedback-free baselines are
+    outside the scope of that bound (the baselines' rate is 0, not >= 1).
     Precoding quantizer records (pc-vlq) are checked against
     SER >= SER(OPEN) - (R - 1), with SER(OPEN) the closed-form open-loop
     error rate ``bpsk_mrc_ser(t, P / t)``.  Returns a list of violation
@@ -175,6 +176,8 @@ def converse_check(records, t: int, c1: float):
     for rec in records:
         margin = 3.0 * rec.ser_stderr
         if rec.quantizer_id in ("bf-flq", "bf-vlq"):
+            if rec.P < 1.0:
+                continue
             budget = t * math.log(rec.P) / (13.0 * rec.P)
             lb = thm3_converse_lb(rec.P, max(rec.rate - 1.0, 0.0) + budget, c1)
         elif rec.quantizer_id == "pc-vlq":

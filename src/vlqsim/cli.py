@@ -29,7 +29,6 @@ from .codebook import (
     CoveringError,
     build_covering_codebook,
     load_codebook,
-    precoding_codebook,
     save_codebook,
     verify_covering,
 )
@@ -240,7 +239,7 @@ def _spec(strategy: str, t: int, book: BeamformingCodebook | None):
         return est.FixedLengthBeamforming(book)
     if strategy == "bf-vlq":
         return est.VariableLengthBeamforming(VlqBeamformingSpec(book))
-    return est.VariableLengthPrecoding(VlqPrecodingSpec(precoding_codebook(book)))
+    return est.VariableLengthPrecoding(VlqPrecodingSpec(book))
 
 
 def _grid_schemes(config: SimulationConfig, strategies) -> list:
@@ -492,12 +491,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--t", type=int, required=True)
     p_build.add_argument("--delta", type=float, required=True)
     p_build.add_argument("--seed", type=int, default=0)
-    p_build.add_argument("--stop-streak", type=int, default=_STOP_STREAK)
+    p_build.add_argument(
+        "--stop-streak", type=int, default=_STOP_STREAK,
+        help="probes in a row that add no codeword before the build stops, "
+        "in [1, 10^7]; outside it, exit 2",
+    )
     p_build.add_argument("--output", required=True)
     p_verify = cb_sub.add_parser("verify")
     p_verify.add_argument("--input", required=True)
     p_verify.add_argument("--delta", type=float, default=None)
-    p_verify.add_argument("--probes", type=int, default=20000)
+    p_verify.add_argument(
+        "--probes", type=int, default=20000,
+        help="uniform probes to draw, in [1, 10^8]; outside it, exit 2",
+    )
     p_verify.add_argument("--seed", type=int, default=0)
 
     p_sweep = sub.add_parser("sweep", help="run a configured SER/rate sweep")
@@ -506,7 +512,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--output", default=None)
 
     p_fit = sub.add_parser("fit", help="diversity/array-gain fit on a sweep CSV")
-    p_fit.add_argument("--input", required=True)
+    p_fit.add_argument(
+        "--input", required=True,
+        help="sweep CSV; a P_linear that is not finite and > 0 exits 2",
+    )
     p_fit.add_argument("--top-decades", type=int, default=2)
 
     p_cmp = sub.add_parser("compare", help="pathwise comparison against a baseline")

@@ -1,9 +1,10 @@
-"""Covering beamforming codebooks and the derived precoding codebook.
+"""Covering beamforming codebooks.
 
 Codebooks are built by greedy sequential covering (random unit probes are
 promoted to codewords whenever no existing codeword is close enough) and
 certified statistically, with adversarial local refinement of the worst
-probe.
+probe.  The precoding VLQ quantizes with the same codebook: its precoders
+{I/sqrt(t)} U {x x^H : x in B} are fixed by B and never built.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from .channel import RngStream, _complex_normal
 __all__ = [
     "BeamformingCodebook",
     "CoveringReport",
-    "PrecodingCodebook",
     "CoveringError",
     "build_covering_codebook",
     "verify_covering",
@@ -34,6 +34,11 @@ _DUPLICATE_CORR = 1.0 - 1e-9
 _PROBE_BATCH = 512  # build probes drawn per generator call
 _BUILD_MARGIN = 0.25  # share of delta the build threshold keeps inside the cover
 _REFINE_STEPS = 30  # descent steps from the worst verification probe
+# input caps: 10^8 probes take about 40 s at t=2 (|B| = 12) and 130 s at t=4
+# (|B| = 239) on a 2-vCPU Xeon, and a build verifies with 10 x its streak,
+# so the streak cap keeps that verification within the probe cap
+_MAX_PROBES = 10**8
+_MAX_STOP_STREAK = 10**7
 # entries of one (|B|, block) GEMM result in the correlation kernel: small
 # enough to stay in cache for its three reductions
 _CORR_ENTRIES = 1 << 16
@@ -138,39 +143,6 @@ class CoveringReport:
             raise ValueError("pass flag inconsistent with worst correlation")
 
 
-@dataclass
-class PrecodingCodebook:
-    """The identity precoder I/sqrt(t) plus the rank-1 precoders x x^H of a
-    beamforming codebook's codewords.
-
-    Every member has spectral norm <= 1 by construction: 1/sqrt(t) for the
-    identity and 1 for x x^H, since the codewords are unit vectors.
-    """
-
-    beamforming: BeamformingCodebook
-    index_of_identity = 0
-
-    @property
-    def delta(self) -> float:
-        return self.beamforming.delta
-
-    @property
-    def t(self) -> int:
-        return self.beamforming.t
-
-    def __len__(self) -> int:
-        return len(self.beamforming) + 1
-
-    @property
-    def matrices(self) -> np.ndarray:
-        """The (|B|+1, t, t) precoders, built on each access."""
-        x = self.beamforming.vectors
-        mats = np.empty((len(self), self.t, self.t), dtype=complex)
-        mats[0] = np.eye(self.t) / math.sqrt(self.t)
-        mats[1:] = x[:, :, None] * x.conj()[:, None, :]
-        return mats
-
-
 def _unit_probes(gen: np.random.Generator, t: int, n: int) -> np.ndarray:
     g = _complex_normal(gen, (n, t))
     return g / np.linalg.norm(g, axis=1, keepdims=True)
@@ -192,12 +164,15 @@ def build_covering_codebook(
     margin, the adversarial post-build certificate essentially always finds
     a point just below the threshold.  The build stops after stop_streak
     consecutive probes required no addition, then must pass a fresh
-    verification at delta itself.
+    verification at delta itself, over 10 x stop_streak probes.  A
+    stop_streak outside [1, 10^7] raises ValueError before any probe.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must be in (0, 1)")
-    if t < 1 or stop_streak < 1:
-        raise ValueError("t and stop_streak must be >= 1")
+    if t < 1:
+        raise ValueError("t must be >= 1")
+    if not 1 <= stop_streak <= _MAX_STOP_STREAK:
+        raise ValueError("stop_streak must be in [1, 10^7]")
     gen = stream.generator(0)
     threshold = 1.0 - (1.0 - _BUILD_MARGIN) * delta
     vectors: list[np.ndarray] = []
@@ -270,12 +245,13 @@ def verify_covering(
     """Statistical covering certificate with adversarial refinement.
 
     Draws uniform unit probes, finds the worst one, then runs local descent
-    maximizing its distance to the codebook before reporting.
+    maximizing its distance to the codebook before reporting.  A probe
+    count outside [1, 10^8] raises ValueError before any probe.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must be in (0, 1)")
-    if probes < 1:
-        raise ValueError("probes must be >= 1")
+    if not 1 <= probes <= _MAX_PROBES:
+        raise ValueError("probes must be in [1, 10^8]")
     gen = stream.generator(0)
     worst_val = math.inf
     worst_probe = None
@@ -302,9 +278,11 @@ def verify_covering(
     )
 
 
-def precoding_codebook(book: BeamformingCodebook) -> PrecodingCodebook:
-    """Identity precoder plus the rank-1 equivalents of the codewords."""
-    return PrecodingCodebook(beamforming=book)
+def precoding_codebook(book: BeamformingCodebook) -> BeamformingCodebook:
+    """``book``: the precoding VLQ quantizes with its beamforming cover.
+    Kept only because ``perfbench/bench.py`` builds pc-vlq through this
+    name; dropping it is a later change to the benchmark."""
+    return book
 
 
 def fit_c0(family) -> float:

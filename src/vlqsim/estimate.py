@@ -40,8 +40,9 @@ are reduced to chunk moments before the next spec is evaluated.
 
 Schemes: full-CSIT beamforming and precoding and the open-loop precoder
 are one ``FeedbackFree`` class that differs only in its SNR divisor;
-bf-flq, bf-vlq and pc-vlq each have a class, and each variable-length
-branch rule is written once, in its ``snr_bits``.
+bf-flq, bf-vlq and pc-vlq each have a class.  Plain mode evaluates each
+branch rule per draw in ``snr_bits``; radial mode integrates the magnitude
+out in ``conditioned``.
 
 No adaptive quadrature runs in a sweep.  The precoding VLQ's radial SER
 needs the truncated Rayleigh-Q integral I(s, x0); ``prepare(P)`` evaluates
@@ -131,8 +132,12 @@ class SweepRecord:
     seed: int
 
     def __post_init__(self):
+        if not (math.isfinite(self.P) and self.P > 0.0):
+            raise ValueError(f"P {self.P} must be finite and > 0")
         if not 0.0 <= self.ser <= 0.5 + 1e-12:
             raise ValueError(f"ser {self.ser} outside [0, 1/2]")
+        if not all(map(math.isfinite, (self.ser_stderr, self.rate, self.rate_stderr))):
+            raise ValueError("ser_stderr, rate and rate_stderr must be finite")
         if self.ser_stderr < 0.0 or self.rate_stderr < 0.0:
             raise ValueError("stderr must be >= 0")
 
@@ -226,7 +231,9 @@ class VariableLengthBeamforming:
 
 
 class VariableLengthPrecoding:
-    """Identity precoder when ||h||^2 P >= t/delta, else nearest codeword.
+    """Identity precoder when ||h||^2 P >= t/delta, else x x^H for the best
+    codeword x of ``codebook``, the beamforming cover that bf-flq and bf-vlq
+    on the same book hold too, so each chunk is correlated with it once.
 
     Radial mode splits the magnitude integral at the branch threshold
     x0 = t/(delta P).  With the truncated Rayleigh-Q integral
@@ -252,7 +259,7 @@ class VariableLengthPrecoding:
 
     def __init__(self, spec: VlqPrecodingSpec):
         self.spec = spec
-        self.codebook = spec.codebook.beamforming
+        self.codebook = spec.codebook
         self.t = spec.codebook.t
         self.r = float(spec.r)
         self.quantizer_id = "pc-vlq"

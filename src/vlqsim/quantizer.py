@@ -1,9 +1,9 @@
 """Quantizer specifications and prefix-code bookkeeping.
 
-The two variable-length specs hold a codebook and the short-branch
-threshold of their scheme; the vectorised decisions built on them live in
-``estimate``.  Each variable-length scheme feeds back the prefix code
-{0} U {1 || index}.
+The two variable-length specs hold a beamforming codebook and the
+short-branch threshold of their scheme; the vectorised decisions built on
+them live in ``estimate``.  Each variable-length scheme feeds back the
+prefix code {0} U {1 || index}.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .codebook import BeamformingCodebook, PrecodingCodebook
+from .codebook import BeamformingCodebook
 
 __all__ = [
     "PrefixCode",
@@ -72,7 +72,10 @@ class VlqBeamformingSpec:
 
 @dataclass(frozen=True)
 class VlqPrecodingSpec:
-    codebook: PrecodingCodebook
+    """Long branch: the index of x in the cover B for the precoder x x^H;
+    short branch: I/sqrt(t).  Index width and prefix code are over |B|."""
+
+    codebook: BeamformingCodebook
     r: Fraction = Fraction(1)
 
     def __post_init__(self):
@@ -85,7 +88,7 @@ class VlqPrecodingSpec:
 
     @property
     def index_bits(self) -> int:
-        return index_bits(len(self.codebook.beamforming))
+        return index_bits(len(self.codebook))
 
     @property
     def threshold(self) -> float:
@@ -93,7 +96,7 @@ class VlqPrecodingSpec:
         return self.codebook.t / self.delta
 
     def prefix_code(self) -> PrefixCode:
-        return _vlq_prefix_code(len(self.codebook.beamforming))
+        return _vlq_prefix_code(len(self.codebook))
 
 
 def kraft_check(code: PrefixCode):

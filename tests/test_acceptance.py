@@ -20,7 +20,7 @@ from vlqsim.bounds import (
 )
 from vlqsim.channel import RngStream, sample_channels
 from vlqsim.cli import SimulationConfig, run_config
-from vlqsim.codebook import BeamformingCodebook, build_covering_codebook, precoding_codebook
+from vlqsim.codebook import BeamformingCodebook, build_covering_codebook
 from vlqsim.estimate import (
     FixedLengthBeamforming,
     FullCsitBeamforming,
@@ -93,7 +93,7 @@ class TestCriterion3PathwiseDominance:
         challengers = [
             FixedLengthBeamforming(book02),
             VariableLengthBeamforming(VlqBeamformingSpec(book02)),
-            VariableLengthPrecoding(VlqPrecodingSpec(precoding_codebook(book02))),
+            VariableLengthPrecoding(VlqPrecodingSpec(book02)),
             OpenLoopPrecoding(2),
         ]
         for spec in challengers:
@@ -154,7 +154,7 @@ class TestCriterion6RateDecayLaws:
         # its asymptotic regime across the whole window
         ortho = BeamformingCodebook(vectors=np.eye(2, dtype=complex), delta=0.51)
         bf = VariableLengthBeamforming(VlqBeamformingSpec(ortho))
-        pc = VariableLengthPrecoding(VlqPrecodingSpec(precoding_codebook(book02)))
+        pc = VariableLengthPrecoding(VlqPrecodingSpec(book02))
         grid = list(np.geomspace(1e2, 1e5, 7))
         recs = ser_rate_sweep([bf, pc], grid, 10**6, RngStream(55), workers=4)
         MEASURED_RECORDS.extend(recs)

@@ -219,6 +219,14 @@ class TestConverseCheck:
             want = open_loop - (rec.rate - 1.0)
             assert out["bound"] == pytest.approx(want, rel=1e-9)
 
+    def test_beamforming_below_unit_power_is_out_of_scope(self):
+        # Theorem 3's bound is stated for P >= 1; below it the check skips
+        # the record instead of raising, and still flags the same record at P = 1
+        c1, _ = derive_c1()
+        assert converse_check([self._rec("bf-flq", 10.0**-0.5, 1e-9, 1.0)], 2, c1) == []
+        (out,) = converse_check([self._rec("bf-flq", 1.0, 1e-9, 1.0)], 2, c1)
+        assert out["P"] == 1.0
+
     def test_baselines_are_out_of_scope(self):
         c1, _ = derive_c1()
         # feedback-free baselines carry rate 0 and are not covered by the

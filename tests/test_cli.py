@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from vlqsim import cli, estimate
+from vlqsim import cli, codebook, estimate
 from vlqsim.cli import ConfigError, SimulationConfig, main, run_config, selftest
 from vlqsim.estimate import ser_full_analytic
 
@@ -355,6 +355,50 @@ class TestMainExitCodes:
         assert "P-grid-dB" in err and "Traceback" not in err
         assert not (tmp_path / "o.csv").exists()
 
+    def test_bf_flq_sweep_below_0db_checks_the_points_from_0db_up(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # Theorem 3's converse is stated for P >= 1 only
+        checked = []
+        lb = cli.bounds_mod.thm3_converse_lb
+        monkeypatch.setattr(
+            cli.bounds_mod, "thm3_converse_lb", lambda P, *a: checked.append(P) or lb(P, *a)
+        )
+        out = tmp_path / "o.csv"
+        doc = base_config(
+            strategy="bf-flq", t=2, delta=0.3, samples=2000,
+            **{"P-grid-dB": [-5.0, 5.0, 15.0], "output-path": str(out)},
+        )
+        assert main(["sweep", "--config", write_config(tmp_path, doc)]) == 0
+        assert capsys.readouterr().err == ""
+        summary = json.loads((tmp_path / "o.csv.summary.json").read_text())
+        assert summary["records"] == 3 and summary["converse-violations"] == []
+        assert checked == [10.0**0.5, 10.0**1.5]
+
+    @pytest.mark.parametrize(
+        "action, flag, value",
+        [("build", "--stop-streak", "10000001"), ("build", "--stop-streak", "0"),
+         ("verify", "--probes", "100000001"), ("verify", "--probes", "0")],
+    )
+    def test_probe_counts_outside_their_caps_are_2(
+        self, tmp_path, capsys, monkeypatch, action, flag, value
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a probe was drawn")
+
+        monkeypatch.setattr(codebook, "_unit_probes", refuse)
+        book, out = tmp_path / "b.json", tmp_path / "o.json"
+        book.write_text(json.dumps(_book_doc()))
+        argv = {
+            "build": ["codebook", "build", "--t", "2", "--delta", "0.3", "--output", str(out)],
+            "verify": ["codebook", "verify", "--input", str(book)],
+        }[action]
+        assert main(argv + [flag, value]) == 2
+        captured = capsys.readouterr()
+        message = {"build": "stop_streak must be in [1, 10^7]", "verify": "probes must be in [1, 10^8]"}
+        assert message[action] in captured.err and "Traceback" not in captured.err
+        assert captured.out == "" and not out.exists()
+
     def test_missing_config_file_is_2(self, tmp_path, capsys):
         assert main(["sweep", "--config", str(tmp_path / "missing.json")]) == 2
 
@@ -509,6 +553,17 @@ def _sweep_on_book(tmp_path, book):
     return ["sweep", "--config", write_config(tmp_path, doc)]
 
 
+def _csv_with_power(tmp_path, power):
+    """A four-row bf-full sweep CSV whose first row has P_linear = power;
+    with power nan, the fit once ran on the other three and exited 0."""
+    path = tmp_path / "power.csv"
+    rows = [",".join(estimate.CSV_COLUMNS)]
+    for P, ser in ((power, "1e-4"), ("10000", "1e-6"), ("100000", "1e-8"), ("1000000", "1e-10")):
+        rows.append(f"bf-full,0,{P},{ser},0,0,0,1000,7")
+    path.write_text("\n".join(rows) + "\n")
+    return path
+
+
 def _csv_without_schema(tmp_path):
     path = tmp_path / "other.csv"
     path.write_text("a,b\n1,2\n")
@@ -536,6 +591,8 @@ _BAD_FILES = [
     ("sweep-nan-codeword", lambda p: _sweep_on_book(p, _nan_book(p)), 3),
     ("fit-missing-csv", lambda p: ["fit", "--input", str(p / "missing.csv")], 2),
     ("fit-csv-without-schema", lambda p: ["fit", "--input", str(_csv_without_schema(p))], 2),
+    *[(f"fit-power-{power}", lambda p, power=power: [
+        "fit", "--input", str(_csv_with_power(p, power))], 2) for power in ("0", "nan", "-5", "inf")],
     ("sweep-schedule-below-range", lambda p: [
         "sweep", "--config", write_config(p, base_config(
             strategy="bf-vlq", t=2, samples=1000, schedule=_LOGP,

@@ -17,7 +17,6 @@ from vlqsim.codebook import (
     build_covering_codebook,
     fit_c0,
     load_codebook,
-    precoding_codebook,
     save_codebook,
     verify_covering,
 )
@@ -145,22 +144,6 @@ class TestCorrelationKernel:
         # the same kernel on rows lifted one block at a time; a one-column
         # block may sum in another order
         np.testing.assert_allclose(book.max_correlation_sq(h), c_max, rtol=0.0, atol=1e-15)
-
-
-class TestPrecoding:
-    def test_matrices_shape_and_norms(self, book02):
-        pc = precoding_codebook(book02)
-        assert pc.t == 2
-        assert len(pc) == len(book02) + 1
-        assert pc.index_of_identity == 0
-        assert np.allclose(pc.matrices[0], np.eye(2) / math.sqrt(2))
-        spectral = np.linalg.norm(pc.matrices, ord=2, axis=(1, 2))
-        assert np.max(spectral) <= 1.0 + 1e-12
-
-    def test_rank_one_members_project_onto_codewords(self, book02):
-        pc = precoding_codebook(book02)
-        for i, x in enumerate(book02.vectors):
-            assert np.allclose(pc.matrices[i + 1] @ x, x)
 
 
 class TestFitC0:

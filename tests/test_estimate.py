@@ -13,12 +13,7 @@ from numpy.polynomial.chebyshev import chebval
 
 from vlqsim import estimate
 from vlqsim.channel import RngStream, sample_channels, sample_directions
-from vlqsim.codebook import (
-    BeamformingCodebook,
-    _lift,
-    build_covering_codebook,
-    precoding_codebook,
-)
+from vlqsim.codebook import BeamformingCodebook, _lift, build_covering_codebook
 from vlqsim.estimate import (
     _BookStats,
     _CHUNK,
@@ -52,7 +47,7 @@ def all_specs(book):
         VariableLengthBeamforming(VlqBeamformingSpec(book)),
         FullCsitPrecoding(2),
         OpenLoopPrecoding(2),
-        VariableLengthPrecoding(VlqPrecodingSpec(precoding_codebook(book))),
+        VariableLengthPrecoding(VlqPrecodingSpec(book)),
     ]
 
 
@@ -141,7 +136,7 @@ class TestSweepUnbiasedness:
         # per-draw SNR is at most the full-CSIT value and at least the
         # open-loop value on both branches, so the average is sandwiched;
         # the error floor also keeps the full diversity order
-        spec = VariableLengthPrecoding(VlqPrecodingSpec(precoding_codebook(book)))
+        spec = VariableLengthPrecoding(VlqPrecodingSpec(book))
         recs = ser_rate_sweep([spec], [1e4, 1e5], 50000, RngStream(36))
         for rec in recs:
             assert ser_full_analytic(2, rec.P) <= rec.ser <= ser_full_analytic(2, rec.P / 2.0)
@@ -198,6 +193,20 @@ class TestSweepInvariants:
             SweepRecord("x", 1.0, 0.7, 0.0, 0.0, 0.0, 1, 0)
         with pytest.raises(ValueError):
             SweepRecord("x", 1.0, 0.1, -1.0, 0.0, 0.0, 1, 0)
+
+    @pytest.mark.parametrize("P", [0.0, -5.0, math.nan, math.inf])
+    def test_record_rejects_power_not_finite_and_positive(self, P):
+        with pytest.raises(ValueError, match="P .* must be finite and > 0"):
+            SweepRecord("x", P, 0.1, 0.0, 1.0, 0.0, 1, 0)
+
+    @pytest.mark.parametrize("field", [3, 4, 5])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_record_rejects_non_finite_stderr_and_rate(self, field, value):
+        # NaN passes an "is negative" test, so finiteness is checked apart
+        args = ["x", 1.0, 0.1, 0.0, 1.0, 0.0, 1, 0]
+        args[field] = value
+        with pytest.raises(ValueError, match="must be finite"):
+            SweepRecord(*args)
 
 
 class TestDeterminism:
@@ -264,7 +273,7 @@ class TestSharedCorrelation:
         return [
             FixedLengthBeamforming(book),
             VariableLengthBeamforming(VlqBeamformingSpec(book)),
-            VariableLengthPrecoding(VlqPrecodingSpec(precoding_codebook(book))),
+            VariableLengthPrecoding(VlqPrecodingSpec(book)),
         ]
 
     @pytest.mark.parametrize("workers", [1, 3])
@@ -394,7 +403,7 @@ class TestDirectionSampler:
     def test_shared_stats_change_no_bit(self, book, monkeypatch):
         half = Fraction(1, 2)
         specs = TestSharedCorrelation.coded_specs(book) + [
-            VariableLengthPrecoding(VlqPrecodingSpec(precoding_codebook(book), r=half))
+            VariableLengthPrecoding(VlqPrecodingSpec(book, r=half))
         ]
         n = 5000
         _, stats = estimate._draws(specs, RngStream(73), 0, n, "radial")
@@ -439,7 +448,7 @@ class TestPrecodingKernel:
     def test_table_matches_kernel_on_covered_draws(self):
         for t, delta in ((2, 0.2), (2, 0.9), (4, 0.3)):
             book = build_covering_codebook(t, delta, RngStream(42, 7), stop_streak=400)
-            spec = VariableLengthPrecoding(VlqPrecodingSpec(precoding_codebook(book)))
+            spec = VariableLengthPrecoding(VlqPrecodingSpec(book))
             H = sample_channels(RngStream(61), t, 4000)
             Hbar = H / np.linalg.norm(H, axis=1, keepdims=True)
             stats = _BookStats(book, _lift(Hbar))
@@ -465,7 +474,7 @@ class TestPrecodingKernel:
         paths = []
         for workers in (1, 3):
             pc = [
-                VariableLengthPrecoding(VlqPrecodingSpec(precoding_codebook(book), r=r))
+                VariableLengthPrecoding(VlqPrecodingSpec(book, r=r))
                 for r in (Fraction(1), Fraction(1, 2))
             ]
             specs = TestSharedCorrelation.coded_specs(book)[:2] + pc
@@ -492,7 +501,7 @@ class TestPrecodingKernel:
         paths = []
         for workers in (1, 6):
             pc = [
-                VariableLengthPrecoding(VlqPrecodingSpec(precoding_codebook(book), r=r))
+                VariableLengthPrecoding(VlqPrecodingSpec(book, r=r))
                 for r in (Fraction(1), Fraction(1, 2))
             ]
             specs = TestSharedCorrelation.coded_specs(book)[:2] + pc
@@ -525,7 +534,7 @@ class TestPrecodingKernel:
         # delta = 0.9 leaves I ~ F, so SER << I and every coefficient counts;
         # at the benchmark's books the trailing ones are below what the SER sees
         book = build_covering_codebook(t, delta, RngStream(*seed), stop_streak=400)
-        spec = VariableLengthPrecoding(VlqPrecodingSpec(precoding_codebook(book)))
+        spec = VariableLengthPrecoding(VlqPrecodingSpec(book))
         fits = []
         fit = estimate.chebfit
 
@@ -558,7 +567,7 @@ class TestPrecodingKernel:
         # a delta-cover with codewords removed leaves directions whose best
         # correlation is below 1 - delta; clipping it up would be optimistic
         holed = BeamformingCodebook(vectors=book.vectors[:3], delta=book.delta)
-        spec = VariableLengthPrecoding(VlqPrecodingSpec(precoding_codebook(holed)))
+        spec = VariableLengthPrecoding(VlqPrecodingSpec(holed))
         H = sample_channels(RngStream(62), 2, 4000)
         Hbar = H / np.linalg.norm(H, axis=1, keepdims=True)
         c_max = holed.max_correlation_sq(Hbar)
@@ -753,7 +762,7 @@ class TestCoveredLossBounds:
         # achievable-region check: degraded-full SER plus the outage term,
         # and the 1/P^t rate overhead
         delta = book.delta
-        spec = VariableLengthPrecoding(VlqPrecodingSpec(precoding_codebook(book)))
+        spec = VariableLengthPrecoding(VlqPrecodingSpec(book))
         for P in (10.0, 100.0):
             (rec,) = ser_rate_sweep([spec], [P], 200000, RngStream(47))
             full = ser_full_analytic(2, P)

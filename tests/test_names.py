@@ -1,6 +1,6 @@
-"""Names that other code looks up: the traced benchmark's targets, the
-keyword arguments the benchmark passes, every module's ``__all__``, and
-the names each module imports."""
+"""Names that other code looks up: the benchmark's scheme chain, the
+traced benchmark's targets, the keyword arguments the benchmark passes,
+every module's ``__all__``, and the names each module imports."""
 
 import ast
 import importlib
@@ -15,16 +15,43 @@ from vlqsim import codebook, estimate
 from vlqsim.channel import RngStream
 
 ROOT = Path(__file__).resolve().parent.parent
-SPANS = ROOT / "perfbench" / "spans.py"
+PERFBENCH = ROOT / "perfbench"
 MODULES = ("bounds", "channel", "cli", "codebook", "estimate", "numerics", "quantizer", "stbc")
+
+
+def _load_perfbench(name: str):
+    """perfbench/<name>.py as a module, with perfbench/ on sys.path only
+    while it loads (bench.py imports its sibling ``checks``)."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(PERFBENCH))
+        sys.modules.pop("checks", None)
+    return module
+
+
+def test_benchmark_scheme_chain_builds():
+    # perfbench/bench.py builds its three schemes through these names; one
+    # chunk of its radial-t2 sweep on the stored book must still run, and
+    # pc-vlq must quantize with that very book so the chunk stats are shared
+    bench = _load_perfbench("bench")
+    sweep = bench.Sweep("radial-t2")
+    sweep.book = codebook.load_codebook(PERFBENCH / "reference" / "book-t2.json")
+    specs = sweep.specs()
+    records = estimate.ser_rate_sweep(
+        specs, [100.0], estimate._CHUNK, RngStream(0), workers=1, conditioning="radial"
+    )
+    assert [r.quantizer_id for r in records] == ["bf-flq", "bf-vlq", "pc-vlq"]
+    assert specs[2].quantizer_id == "pc-vlq" and specs[2].codebook is sweep.book
 
 
 def test_traced_benchmark_targets_exist():
     # perfbench/spans.py patches these with setattr; a missing one would
     # crash the traced run instead of failing here
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans = _load_perfbench("spans")
     assert spans.TARGETS
     for owner, attr, _, _ in spans.TARGETS:
         assert hasattr(owner, attr), f"{owner.__name__}.{attr}"

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vlqsim.channel import RngStream, sample_channels
-from vlqsim.codebook import _lift, build_covering_codebook, precoding_codebook
+from vlqsim.codebook import _lift, build_covering_codebook
 from vlqsim.estimate import (
     FeedbackFree,
     FixedLengthBeamforming,
@@ -54,7 +54,7 @@ def bf_spec(book):
 
 @pytest.fixture(scope="module")
 def pc_spec(book):
-    return VlqPrecodingSpec(precoding_codebook(book))
+    return VlqPrecodingSpec(book)
 
 
 class TestPrefixCode:
@@ -217,7 +217,7 @@ class TestVlqPrecoding:
         assert 0 < np.count_nonzero(short) < len(H)
         assert np.all(bits[short] == 1.0)
         assert np.allclose(snr[short], n2[short] * P / 2.0, rtol=1e-12, atol=0.0)
-        corr = brute_corr(pc_spec.codebook.beamforming, H[~short])
+        corr = brute_corr(pc_spec.codebook, H[~short])
         assert np.all(bits[~short] == 1.0 + pc_spec.index_bits)
         assert np.allclose(snr[~short], np.max(corr, axis=1) * P, rtol=1e-12, atol=0.0)
 
@@ -232,11 +232,11 @@ class TestVlqPrecoding:
         assert bits[0] == 1.0 + pc_spec.index_bits
 
     def test_rate_fraction_scales_snr(self, book, snr_bits):
-        spec34 = VlqPrecodingSpec(precoding_codebook(book), r=Fraction(3, 4))
+        spec34 = VlqPrecodingSpec(book, r=Fraction(3, 4))
         H = sample_channels(RngStream(6), 2, 400)
         P = 5.0
         snr1, bits1 = snr_bits(
-            VariableLengthPrecoding(VlqPrecodingSpec(precoding_codebook(book))), H, P
+            VariableLengthPrecoding(VlqPrecodingSpec(book)), H, P
         )
         snr34, bits34 = snr_bits(VariableLengthPrecoding(spec34), H, P)
         assert np.array_equal(bits1, bits34)
@@ -250,4 +250,4 @@ class TestVlqPrecoding:
 
     def test_invalid_rate_rejected(self, book):
         with pytest.raises(ValueError):
-            VlqPrecodingSpec(precoding_codebook(book), r=Fraction(5, 4))
+            VlqPrecodingSpec(book, r=Fraction(5, 4))
