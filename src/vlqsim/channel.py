@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -72,6 +73,14 @@ def sample_magnitudes(stream: RngStream, t: int, n: int) -> np.ndarray:
     return norm2
 
 
+@lru_cache(maxsize=None)
+def _pairs(t: int) -> tuple:
+    """The pairs (k, l), k < l, of the lift's off-diagonal rows, in
+    ``np.triu_indices(t, 1)`` order, as Python ints; built once per t."""
+    k, l = np.triu_indices(t, 1)
+    return tuple(zip(k.tolist(), l.tolist()))
+
+
 def sample_directions(stream: RngStream, t: int, n: int) -> np.ndarray:
     """The real (t^2, n) lift of n directions h / ||h|| of h ~ CN(0, I_t),
     up to a common phase, in the row layout of ``codebook._lift``: |h_k|^2
@@ -111,8 +120,8 @@ def sample_directions(stream: RngStream, t: int, n: int) -> np.ndarray:
         np.subtract(1.0, keep, out=mag[j])
         mag[j] *= mag[t - 1]
         mag[t - 1] *= keep
-    k, l = np.triu_indices(t, 1)
-    re, im = lifted[t : t + len(k)], lifted[t + len(k) :]
+    pairs = _pairs(t)
+    re, im = lifted[t : t + len(pairs)], lifted[t + len(pairs) :]
     # the pairs (0, b) come first; their rows take the unit phasors
     for b in range(1, t):
         gen.random(out=u)
@@ -120,16 +129,17 @@ def sample_directions(stream: RngStream, t: int, n: int) -> np.ndarray:
         np.cos(u, out=re[b - 1])
         np.sin(u, out=im[b - 1])
     # h_a conj(h_b) / sqrt(m_a m_b) = e^(i (phi_b - phi_a)) for a >= 1
-    for p in range(t - 1, len(k)):
-        ca, sa = re[k[p] - 1], im[k[p] - 1]
-        cb, sb = re[l[p] - 1], im[l[p] - 1]
+    for p in range(t - 1, len(pairs)):
+        a, b = pairs[p]
+        ca, sa = re[a - 1], im[a - 1]
+        cb, sb = re[b - 1], im[b - 1]
         np.multiply(ca, cb, out=re[p])
         np.multiply(sa, sb, out=u)
         re[p] += u
         np.multiply(ca, sb, out=im[p])
         np.multiply(sa, cb, out=u)
         im[p] -= u
-    for p, (a, b) in enumerate(zip(k, l)):
+    for p, (a, b) in enumerate(pairs):
         np.multiply(mag[a], mag[b], out=u)
         np.sqrt(u, out=u)
         re[p] *= u

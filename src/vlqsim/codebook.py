@@ -104,8 +104,9 @@ class BeamformingCodebook:
             hi = min(lo + width, n)
             corr = buf[: len(self) * (hi - lo)].reshape(len(self), hi - lo)
             np.matmul(self._lifted, block(lo, hi), out=corr)
-            np.max(corr, axis=0, out=c_max[lo:hi])
-            np.min(corr, axis=0, out=c_min[lo:hi])
+            # the ufuncs' own reduce: np.max and np.min without their wrappers
+            np.maximum.reduce(corr, axis=0, out=c_max[lo:hi])
+            np.minimum.reduce(corr, axis=0, out=c_min[lo:hi])
             c_first[lo:hi] = corr[0]
         # |.|^2 >= 0; rounding in the lifted sum can leave -1e-17
         for out in (c_max, c_min, c_first):

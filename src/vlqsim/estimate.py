@@ -21,7 +21,9 @@ sees the same draws, and the chunk partition is fixed, so outputs do not
 depend on the worker count and a grid point's records equal a one-point
 sweep at that P.  Records at different P in one sweep are therefore
 correlated; each record's mean and stderr are unchanged in distribution.
-Chunks of _CHUNK draws run on one thread per usable CPU by default.
+Chunks of _CHUNK draws run on one thread per usable CPU by default, on
+threads that persist across sweeps; a single worker runs on such a thread
+too, not on the caller's.
 ``paired_compare`` runs the same chunk loop and reduces each chunk to the
 moments of the per-draw gap between two specs.
 
@@ -43,6 +45,11 @@ are one ``FeedbackFree`` class that differs only in its SNR divisor;
 bf-flq, bf-vlq and pc-vlq each have a class.  Plain mode evaluates each
 branch rule per draw in ``snr_bits``; radial mode integrates the magnitude
 out in ``conditioned``.
+
+Values that depend on P alone are computed once per spec and P, not once
+per chunk: bf-vlq's threshold beta and its gap bound Q(sqrt(2 beta)), and
+the precoding VLQ's table below.  The first chunk that needs them computes
+them under the spec's lock, and the other chunks and threads read them.
 
 No adaptive quadrature runs in a sweep.  The precoding VLQ's radial SER
 needs the truncated Rayleigh-Q integral I(s, x0); ``prepare(P)`` evaluates
@@ -67,7 +74,6 @@ import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -198,39 +204,70 @@ class FixedLengthBeamforming:
         return stats.mrc_ser(P), float(self.bits), 0.0
 
 
-class VariableLengthBeamforming:
+class _PerPower:
+    """A scheme whose direction-free values at power P, ``prepare(P)``, are
+    computed once per P for every chunk on every thread: the first chunk
+    to need them computes them under the lock and the rest read them."""
+
+    def __init__(self):
+        self._tables = {}
+        self._tables_lock = threading.Lock()
+
+    def _prepared(self, P: float):
+        with self._tables_lock:
+            if P not in self._tables:
+                self._tables[P] = self.prepare(P)
+            return self._tables[P]
+
+
+class VariableLengthBeamforming(_PerPower):
     """Short codeword "0" when every codeword clears beta = (t+1) ln P.
 
     In radial mode the conditional SER is reported as the fixed-length value
     plus half the rigorous gap bracket: the vlq differs from the flq only on
     the short branch, where both SNRs exceed beta, so the per-direction gap
     lies in [0, Q(sqrt(2 beta)) Pr(short | hbar)].  The half-width
-    Q(sqrt(2 beta))/2 <= P^{-(t+1)}/4 is folded into the stderr.
+    Q(sqrt(2 beta))/2 <= P^{-(t+1)}/4 is folded into the stderr.  beta and
+    the gap depend on P alone, so ``prepare(P)`` computes them once per P
+    of a sweep, not once per chunk.
     """
 
     def __init__(self, spec: VlqBeamformingSpec):
+        super().__init__()
         self.spec = spec
         self.codebook = spec.codebook
         self.t = spec.codebook.t
+        self.bits = spec.index_bits
         self.quantizer_id = "bf-vlq"
 
     def snr_bits(self, norm2: np.ndarray, stats, P: float):
         gain = norm2 * P
         short = stats.c_min * gain >= self.spec.beta(P)
         snr = np.where(short, stats.c_first, stats.c_max) * gain
-        bits = np.where(short, 1.0, 1.0 + self.spec.index_bits)
+        bits = np.where(short, 1.0, 1.0 + self.bits)
         return snr, bits
 
-    def conditioned(self, n: int, stats, P: float):
+    def prepare(self, P: float):
+        """(beta, half the gap bound Q(sqrt(2 beta)) / 2) for power P."""
         beta = self.spec.beta(P)
-        p_short = gamma_tail(self.t, beta / (np.maximum(stats.c_min, 1e-300) * P))
-        gap = q_function(math.sqrt(2.0 * beta))
-        ser = stats.mrc_ser(P) + 0.5 * gap * p_short
-        rate = 1.0 + self.spec.index_bits * (1.0 - p_short)
-        return ser, rate, 0.5 * gap
+        return beta, 0.5 * q_function(math.sqrt(2.0 * beta))
+
+    def conditioned(self, n: int, stats, P: float):
+        beta, half_gap = self._prepared(P)
+        # Pr(short | hbar) = Gammabar(t, beta / (c_min P)), its argument
+        # formed in one buffer
+        arg = np.maximum(stats.c_min, 1e-300)
+        arg *= P
+        p_short = gamma_tail(self.t, np.divide(beta, arg, out=arg))
+        ser = np.multiply(half_gap, p_short)
+        ser += stats.mrc_ser(P)
+        rate = np.subtract(1.0, p_short, out=arg)
+        rate *= self.bits
+        rate += 1.0
+        return ser, rate, half_gap
 
 
-class VariableLengthPrecoding:
+class VariableLengthPrecoding(_PerPower):
     """Identity precoder when ||h||^2 P >= t/delta, else x x^H for the best
     codeword x of ``codebook``, the beamforming cover that bf-flq and bf-vlq
     on the same book hold too, so each chunk is correlated with it once.
@@ -258,13 +295,12 @@ class VariableLengthPrecoding:
     """
 
     def __init__(self, spec: VlqPrecodingSpec):
+        super().__init__()
         self.spec = spec
         self.codebook = spec.codebook
         self.t = spec.codebook.t
         self.r = float(spec.r)
         self.quantizer_id = "pc-vlq"
-        self._tables = {}
-        self._tables_lock = threading.Lock()
 
     def snr_bits(self, norm2: np.ndarray, stats, P: float):
         gain = norm2 * P
@@ -293,11 +329,9 @@ class VariableLengthPrecoding:
         return coef[:keep], tail_short, rate
 
     def conditioned(self, n: int, stats, P: float):
-        with self._tables_lock:
-            if P not in self._tables:
-                self._tables[P] = self.prepare(P)
-        coef, tail_short, rate = self._tables[P]
-        tail = np.exp(_chebval(stats.cheb_x, coef))
+        coef, tail_short, rate = self._prepared(P)
+        tail = _chebval(stats.cheb_x, coef)
+        np.exp(tail, out=tail)
         if stats.uncovered.size:
             s = stats.c_max[stats.uncovered] * P / self.r
             tail[stats.uncovered] = gamma_weighted_q_tail(self.t, s, self.spec.threshold / P)
@@ -310,19 +344,25 @@ class VariableLengthPrecoding:
 def _chebval(x: np.ndarray, coef: np.ndarray) -> np.ndarray:
     """``chebval(x, coef)`` for len(coef) >= 2, bit for bit.
 
-    The same Clenshaw recurrence in the same order, but into three
-    preallocated buffers instead of three new arrays per term.
+    The same Clenshaw recurrence in the same order, but into preallocated
+    buffers instead of three new arrays per term, and with the first step,
+    where c0 and c1 are the scalars c[-2] and c[-1], on scalars.
     """
+    if len(coef) == 2:
+        return np.add(coef[0], np.multiply(coef[1], x))
     x2 = 2.0 * x
-    c0 = np.full_like(x, coef[-2])
-    c1 = np.full_like(x, coef[-1])
+    # each step is (c0, c1) <- (c - c1, c0 + c1 x2); after the first, c0 is
+    # the scalar c[-3] - c[-1] and c1 the array c[-2] + c[-1] x2
+    c0 = coef[-3] - coef[-1]
+    c1 = np.multiply(coef[-1], x2)
+    c1 += coef[-2]
     nxt = np.empty_like(x)
-    for c in coef[-3::-1]:
-        # (c0, c1) <- (c - c1, c0 + c1 x2)
+    for c in coef[-4::-1]:
         np.subtract(c, c1, out=nxt)
         np.multiply(c1, x2, out=c1)
         np.add(c0, c1, out=c1)
-        c0, nxt = nxt, c0
+        # the old c0's buffer takes the next c - c1; the scalar has none
+        c0, nxt = nxt, c0 if isinstance(c0, np.ndarray) else np.empty_like(x)
     np.multiply(c1, x, out=c1)
     return np.add(c0, c1, out=c1)
 
@@ -346,31 +386,44 @@ class _BookStats:
     latest P only, one array per r: bf-flq, bf-vlq and pc-vlq at r = 1 read
     the same array, and since x / 1.0 == x each reads what it would compute
     alone.  Readers must not write into it.
+
+    ``cheb_x`` and ``uncovered`` are computed on first read.  A stats object
+    belongs to one chunk on one thread, so they are plain attributes: a
+    ``functools.cached_property`` holds, up to Python 3.11, one lock per
+    class while it computes, and the workers would take turns.
     """
 
     def __init__(self, book: BeamformingCodebook, lifted: np.ndarray):
         self.t, self.delta = book.t, book.delta
         self.c_max, self.c_min, self.c_first = book.lifted_stats(lifted)
         self._P, self._mrc = None, {}
+        self._cheb_x = self._uncovered = None
 
-    @cached_property
+    @property
     def cheb_x(self) -> np.ndarray:
         """The precoding VLQ's table abscissa 1 - 2 ln c_max / ln(1 - delta),
         clipped to [-1, 1]; P- and r-free, so every pc-vlq spec reads it at
         every P."""
-        x = 1.0 - 2.0 * np.log(self.c_max) / math.log(1.0 - self.delta)
-        return np.clip(x, -1.0, 1.0)
+        if self._cheb_x is None:
+            x = 1.0 - 2.0 * np.log(self.c_max) / math.log(1.0 - self.delta)
+            self._cheb_x = np.clip(x, -1.0, 1.0)
+        return self._cheb_x
 
-    @cached_property
+    @property
     def uncovered(self) -> np.ndarray:
         """Indices of the draws the codebook does not cover, c_max < 1 - delta."""
-        return np.flatnonzero(self.c_max < 1.0 - self.delta)
+        if self._uncovered is None:
+            self._uncovered = np.flatnonzero(self.c_max < 1.0 - self.delta)
+        return self._uncovered
 
     def mrc_ser(self, P: float, r: float = 1.0) -> np.ndarray:
         if P != self._P:
             self._P, self._mrc = P, {}
         if r not in self._mrc:
-            self._mrc[r] = bpsk_mrc_ser(self.t, self.c_max * P / r)
+            snr = self.c_max * P
+            if r != 1.0:
+                snr /= r
+            self._mrc[r] = bpsk_mrc_ser(self.t, snr)
         return self._mrc[r]
 
 
@@ -402,16 +455,20 @@ def _conditional_ser(specs, n, norm2, stats, P):
 def _spec_moments(values):
     """Per-chunk moments of one spec's (ser, rate, half-width) at one P."""
     ser_v, rate_v, hw = values
-    if np.ndim(rate_v) == 0:
+    if not isinstance(rate_v, np.ndarray):
         # a constant rate: closed-form moments, free of rounding noise
         return _moments(ser_v), (len(ser_v), len(ser_v) * rate_v, 0.0), hw
     return _moments(ser_v), _moments(rate_v), hw
 
 
 def _moments(v: np.ndarray):
-    """(count, sum, sum of squared deviations from the mean) of one chunk."""
-    total = float(np.sum(v))
-    return len(v), total, float(np.sum((v - total / len(v)) ** 2))
+    """(count, sum, sum of squared deviations from the mean) of one chunk:
+    ``np.sum(v)`` and ``np.sum((v - mean) ** 2)``, bit for bit, with the
+    ufunc's own reduce and the square in place."""
+    total = float(np.add.reduce(v, axis=None))
+    dev = np.subtract(v, total / len(v))
+    np.square(dev, out=dev)
+    return len(v), total, float(np.add.reduce(dev, axis=None))
 
 
 def _mean_stderr(parts):
@@ -481,9 +538,10 @@ def _chunk_loop(specs, P_grid, samples, stream, workers, conditioning, reduce):
         norm2, stats = _draws(specs, stream, c_idx, n, conditioning)
         return [reduce(_conditional_ser(specs, n, norm2, stats, P)) for P in P_grid]
 
-    if workers > 1:
-        return P_grid, list(_pool(workers).map(task, range(len(sizes))))
-    return P_grid, [task(c_idx) for c_idx in range(len(sizes))]
+    # one worker runs on the pool too: on the main thread, glibc trims the
+    # main heap's top after every chunk, which costs a page fault per page
+    # when the next chunk grows it again
+    return P_grid, list(_pool(workers).map(task, range(len(sizes))))
 
 
 def ser_rate_sweep(

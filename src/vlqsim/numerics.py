@@ -118,24 +118,27 @@ def gamma_tail(t: int, x):
     t >= 1; vectorized in x."""
     if t < 1 or t != int(t):
         raise ValueError("t must be a positive integer")
+    t = int(t)
     a = np.asarray(x, dtype=float)
     scalar = a.ndim == 0
-    a = np.atleast_1d(a)
+    if scalar:
+        a = a.reshape(1)
     pos = np.clip(a, 0.0, 700.0)
-    # acc = sum_{k < t} pos^k / k!, each term from the last, in place
-    term = np.ones_like(pos)
-    acc = np.ones_like(pos)
-    for k in range(1, int(t)):
-        term *= pos
-        term /= k
-        acc += term
+    # acc = sum_{k < t} pos^k / k!, each term from the last, in place; the
+    # sum starts at 1 + pos, since the k = 1 term 1 * pos / 1 is pos itself
+    acc = np.add(pos, 1.0) if t > 1 else 1.0
+    if t > 2:
+        term = pos.copy()
+        for k in range(2, t):
+            term *= pos
+            term /= k
+            acc += term
+    # a <= 0 needs no fix-up: pos is 0 there and exp(-0) * 1 is 1
     out = np.negative(pos, out=pos)
     with np.errstate(under="ignore"):
         np.exp(out, out=out)
         out *= acc
-    low, high = a <= 0.0, a >= 700.0
-    if np.any(low) or np.any(high):
-        out = np.where(low, 1.0, np.where(high, 0.0, out))
+    out[a >= 700.0] = 0.0
     return float(out[0]) if scalar else out
 
 
@@ -369,8 +372,10 @@ def bpsk_mrc_ser(t: int, snr):
     t = int(t)
     a = np.asarray(snr, dtype=float)
     scalar = a.ndim == 0
-    a = np.atleast_1d(a)
-    if np.any(a < 0.0):
+    if scalar:
+        a = a.reshape(1)
+    # fmin skips NaN, which is accepted; an empty snr has no minimum
+    if a.size and np.fmin.reduce(a, axis=None) < 0.0:
         raise ValueError("snr must be >= 0")
     # mu = sqrt(a / (1 + a)); 0.5 (1 - mu) is formed without the
     # cancellation at high SNR as lo = 0.5 / ((1 + a)(1 + mu)), since
@@ -382,13 +387,18 @@ def bpsk_mrc_ser(t: int, snr):
     lo *= hi
     np.divide(0.5, lo, out=lo)
     hi *= 0.5
-    # res = lo^t sum_{k < t} C(t-1+k, k) hi^k, the powers as ``**`` forms them
-    acc = np.ones_like(a)
-    term = np.empty_like(a)
-    for k in range(1, t):
-        np.multiply(math.comb(t - 1 + k, k), _power(hi, k, term), out=term)
-        acc += term
-    res = np.multiply(_power(lo, t, lo), acc, out=acc)
+    # res = lo^t sum_{k < t} C(t-1+k, k) hi^k, the powers as ``**`` forms
+    # them; the sum starts at 1 + C(t, 1) hi, since hi^1 is hi itself, and
+    # at t = 1 it is 1, which leaves res = lo
+    res = lo
+    if t > 1:
+        acc = np.multiply(t, hi)
+        acc += 1.0
+        term = np.empty_like(a) if t > 2 else None
+        for k in range(2, t):
+            np.multiply(math.comb(t - 1 + k, k), _power(hi, k, term), out=term)
+            acc += term
+        res = np.multiply(_power(lo, t, lo), acc, out=acc)
     return float(res[0]) if scalar else res
 
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from vlqsim import channel
 from vlqsim.channel import RngStream, sample_channels, sample_directions, sample_magnitudes
 from vlqsim.codebook import _lift
 from vlqsim.numerics import gamma_tail
@@ -131,6 +132,20 @@ class TestDirections:
             assert np.max(np.abs(np.sum(m, axis=0) - 1.0)) <= 1e-15
             k, l = np.triu_indices(t, 1)
             re, im = L[t : t + len(k)], L[t + len(k) :]
+            assert np.max(np.abs((re**2 + im**2) / (m[k] * m[l]) - 1.0)) <= 1e-15
+
+    def test_pair_table_is_built_once_per_t(self, monkeypatch):
+        # np.triu_indices costs microseconds of Python; a sweep draws one
+        # lift per chunk
+        calls = []
+        triu = np.triu_indices
+        monkeypatch.setattr(np, "triu_indices", lambda *a, **k: calls.append(a) or triu(*a, **k))
+        channel._pairs.cache_clear()
+        lifts = [sample_directions(RngStream(38, i), 4, 64) for i in range(5)]
+        assert calls == [(4, 1)]
+        k, l = triu(4, 1)
+        for L in lifts:
+            m, re, im = L[:4], L[4:10], L[10:]
             assert np.max(np.abs((re**2 + im**2) / (m[k] * m[l]) - 1.0)) <= 1e-15
 
     def test_first_power_and_relative_phases(self):

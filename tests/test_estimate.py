@@ -243,6 +243,31 @@ class TestDeterminism:
         ser_rate_sweep(all_specs, [3.0], 4 * _CHUNK, RngStream(43), workers=2)
         assert set(threads) <= first and threading.current_thread().name not in first
 
+    def test_one_worker_runs_off_the_main_thread(self, all_specs, monkeypatch):
+        # on the main thread glibc trims the heap top after every chunk, and
+        # the next chunk faults those pages back in
+        threads = []
+        sample = estimate.sample_directions
+
+        def recorded(stream, t, n):
+            threads.append(threading.current_thread())
+            return sample(stream, t, n)
+
+        monkeypatch.setattr(estimate, "sample_directions", recorded)
+        grid, samples = [3.0, 300.0], 2 * _CHUNK + 7  # three chunks
+        pooled = ser_rate_sweep(all_specs, grid, samples, RngStream(44), workers=1)
+        assert len(threads) == 3 and len(set(threads)) == 1
+        assert threads[0] is not threading.main_thread()
+
+        class InTurn:  # the chunks one after another on the calling thread
+            map = staticmethod(map)
+
+        threads.clear()
+        monkeypatch.setattr(estimate, "_pool", lambda workers: InTurn)
+        in_turn = ser_rate_sweep(all_specs, grid, samples, RngStream(44), workers=1)
+        assert set(threads) == {threading.main_thread()}
+        assert pooled == in_turn
+
     def test_csv_bytes_stable(self, tmp_path, all_specs):
         recs = ser_rate_sweep(all_specs, [3.0], 50000, RngStream(41), workers=2)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -428,6 +453,78 @@ class TestDirectionSampler:
             assert not np.array_equal(shared[2][0], shared[3][0])
         # one array per (P, r): r = 1 for bf-flq, bf-vlq and pc-vlq, and r = 1/2
         assert calls == [n] * 2 * len(grid)
+
+
+class TestChunkState:
+    """What a chunk computes once, and how: per P for the whole sweep, per
+    t for every chunk, and per stats object without a lock."""
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_bf_vlq_gap_once_per_power(self, book, monkeypatch, workers):
+        # beta and Q(sqrt(2 beta)) depend on P alone; three chunks would
+        # evaluate the gap three times per P
+        calls = []
+        original = estimate.q_function
+
+        def counted(x):
+            calls.append(x)
+            return original(x)
+
+        monkeypatch.setattr(estimate, "q_function", counted)
+        grid = [10.0, 1e3, 1e5]
+        vlq = VariableLengthBeamforming(VlqBeamformingSpec(book))
+        ser_rate_sweep([vlq], grid, 2 * _CHUNK + 9, RngStream(67), workers=workers)
+        assert sorted(calls) == sorted(math.sqrt(2.0 * vlq.spec.beta(P)) for P in grid)
+
+    def test_stats_compute_their_abscissae_concurrently(self, book):
+        # up to Python 3.11 a functools.cached_property holds one lock per
+        # class while it computes, so two workers' chunks would take turns:
+        # the first would wait at the barrier for a second that cannot enter
+        barrier = threading.Barrier(2, timeout=5.0)
+
+        class Meeting(float):
+            # 1 - delta is formed inside the computation of cheb_x
+            def __rsub__(self, other):
+                barrier.wait()
+                return float(other) - float(self)
+
+        lifted = sample_directions(RngStream(74), 2, 100)
+        stats = [_BookStats(book, lifted) for _ in range(2)]
+        for one in stats:
+            one.delta = Meeting(book.delta)
+        results, errors = [None, None], []
+
+        def compute(i):
+            try:
+                results[i] = stats[i].cheb_x
+            except threading.BrokenBarrierError as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=compute, args=(i,)) for i in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30.0)
+        assert errors == []
+        expected = _BookStats(book, lifted).cheb_x
+        assert all(np.array_equal(x, expected) for x in results)
+
+    def test_moments_bit_for_bit(self):
+        # the ufunc's reduce and an in-place square keep the arithmetic of
+        # the allocating formula below
+        def formula(v):
+            total = float(np.sum(v))
+            return len(v), total, float(np.sum((v - total / len(v)) ** 2))
+
+        gen = np.random.default_rng(82)
+        for n in (1, 2, 7, 64, 129, 4097, _CHUNK):
+            for v in (
+                gen.uniform(size=n),
+                10.0 ** gen.uniform(-300.0, 0.0, n),
+                np.full(n, 0.1),
+                gen.normal(size=n) * 1e-3,
+            ):
+                assert estimate._moments(v) == formula(v)
 
 
 class TestPrecodingKernel:
@@ -678,7 +775,8 @@ class TestPairedCompare:
                     for a, b in ((vlq, flq), (pc, full))
                 ]
             )
-        assert pools == [3, 3]
+        # one CPU runs its one worker on the pool as well
+        assert pools == [1, 1, 3, 3]
         assert results[0] == results[1]
 
 
