@@ -478,6 +478,17 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a finite fraction: {text!r}") from None
 
 
+def _seed(text: str) -> int:
+    """An argparse type: an integer in [0, 2^64), as a config's seed."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if not 0 <= seed < 2**64:
+        raise argparse.ArgumentTypeError(f"not an integer in [0, 2^64): {text!r}")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vlqsim",
@@ -490,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_build = cb_sub.add_parser("build")
     p_build.add_argument("--t", type=int, required=True)
     p_build.add_argument("--delta", type=float, required=True)
-    p_build.add_argument("--seed", type=int, default=0)
+    p_build.add_argument("--seed", type=_seed, default=0)
     p_build.add_argument(
         "--stop-streak", type=int, default=_STOP_STREAK,
         help="probes in a row that add no codeword before the build stops, "
@@ -504,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--probes", type=int, default=20000,
         help="uniform probes to draw, in [1, 10^8]; outside it, exit 2",
     )
-    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--seed", type=_seed, default=0)
 
     p_sweep = sub.add_parser("sweep", help="run a configured SER/rate sweep")
     p_sweep.add_argument("--config", required=True)
@@ -529,7 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument("--delta", type=float, default=0.35)
 
     p_self = sub.add_parser("selftest", help="run the reduced invariant suite")
-    p_self.add_argument("--seed", type=int, default=0)
+    p_self.add_argument("--seed", type=_seed, default=0)
     return parser
 
 

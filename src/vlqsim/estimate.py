@@ -9,12 +9,13 @@ directions, up to a common phase, with ``channel.sample_directions`` from
 correlation reads:
 
 * "none": ``channel.sample_magnitudes`` adds each draw's ||h||^2 from t
-  more uniforms, and ``snr_bits(norm2, stats, P)`` gives its conditional
-  SER; this supports exact pathwise comparisons.
-* "radial": ``conditioned(n, stats, P)`` integrates the magnitude out
-  analytically per direction, which removes the dominant variance
-  component and keeps relative standard errors bounded as P grows (per
-  draw they grow like P^t/sqrt(N), and deep-SNR points are unusable).
+  more uniforms, and ``snr_bits(norm2, stats, P, prepared)`` gives its
+  conditional SER; this supports exact pathwise comparisons.
+* "radial": ``conditioned(n, stats, P, prepared)`` integrates the
+  magnitude out analytically per direction, which removes the dominant
+  variance component and keeps relative standard errors bounded as P
+  grows (per draw they grow like P^t/sqrt(N), and deep-SNR points are
+  unusable).
 
 Common random numbers: every quantizer at every grid point of one sweep
 sees the same draws, and the chunk partition is fixed, so outputs do not
@@ -46,10 +47,10 @@ bf-flq, bf-vlq and pc-vlq each have a class.  Plain mode evaluates each
 branch rule per draw in ``snr_bits``; radial mode integrates the magnitude
 out in ``conditioned``.
 
-Values that depend on P alone are computed once per spec and P, not once
-per chunk: bf-vlq's threshold beta and its gap bound Q(sqrt(2 beta)), and
-the precoding VLQ's table below.  The first chunk that needs them computes
-them under the spec's lock, and the other chunks and threads read them.
+Values that depend on P alone, ``prepare(P)``, are computed once per spec
+and P before the first draw, and every chunk reads them as ``prepared``:
+the feedback-free SER, bf-flq's rate, bf-vlq's beta and gap bound
+Q(sqrt(2 beta)), and the precoding VLQ's table below.
 
 No adaptive quadrature runs in a sweep.  The precoding VLQ's radial SER
 needs the truncated Rayleigh-Q integral I(s, x0); ``prepare(P)`` evaluates
@@ -169,11 +170,15 @@ class FeedbackFree:
         self.quantizer_id = quantizer_id
         self.codebook = None
 
-    def snr_bits(self, norm2: np.ndarray, stats, P: float):
+    def prepare(self, P: float):
+        """The SER at power P, the same for every direction."""
+        return bpsk_mrc_ser(self.t, P / self.divisor)
+
+    def snr_bits(self, norm2: np.ndarray, stats, P: float, prepared):
         return norm2 * P / self.divisor, np.zeros(len(norm2))
 
-    def conditioned(self, n: int, stats, P: float):
-        return np.full(n, bpsk_mrc_ser(self.t, P / self.divisor)), 0.0, 0.0
+    def conditioned(self, n: int, stats, P: float, prepared):
+        return np.full(n, prepared), 0.0, 0.0
 
 
 def FullCsitBeamforming(t: int) -> FeedbackFree:
@@ -197,30 +202,18 @@ class FixedLengthBeamforming:
         self.bits = index_bits(len(book))
         self.quantizer_id = "bf-flq"
 
-    def snr_bits(self, norm2: np.ndarray, stats, P: float):
-        return stats.c_max * (norm2 * P), np.full(len(norm2), float(self.bits))
+    def prepare(self, P: float):
+        """The feedback rate, the same at every P."""
+        return float(self.bits)
 
-    def conditioned(self, n: int, stats, P: float):
-        return stats.mrc_ser(P), float(self.bits), 0.0
+    def snr_bits(self, norm2: np.ndarray, stats, P: float, prepared):
+        return stats.c_max * (norm2 * P), np.full(len(norm2), prepared)
 
-
-class _PerPower:
-    """A scheme whose direction-free values at power P, ``prepare(P)``, are
-    computed once per P for every chunk on every thread: the first chunk
-    to need them computes them under the lock and the rest read them."""
-
-    def __init__(self):
-        self._tables = {}
-        self._tables_lock = threading.Lock()
-
-    def _prepared(self, P: float):
-        with self._tables_lock:
-            if P not in self._tables:
-                self._tables[P] = self.prepare(P)
-            return self._tables[P]
+    def conditioned(self, n: int, stats, P: float, prepared):
+        return stats.mrc_ser(P), prepared, 0.0
 
 
-class VariableLengthBeamforming(_PerPower):
+class VariableLengthBeamforming:
     """Short codeword "0" when every codeword clears beta = (t+1) ln P.
 
     In radial mode the conditional SER is reported as the fixed-length value
@@ -228,21 +221,20 @@ class VariableLengthBeamforming(_PerPower):
     the short branch, where both SNRs exceed beta, so the per-direction gap
     lies in [0, Q(sqrt(2 beta)) Pr(short | hbar)].  The half-width
     Q(sqrt(2 beta))/2 <= P^{-(t+1)}/4 is folded into the stderr.  beta and
-    the gap depend on P alone, so ``prepare(P)`` computes them once per P
-    of a sweep, not once per chunk.
+    the gap depend on P alone: ``prepare(P)`` computes them, and a sweep
+    calls it once per P, not once per chunk.
     """
 
     def __init__(self, spec: VlqBeamformingSpec):
-        super().__init__()
         self.spec = spec
         self.codebook = spec.codebook
         self.t = spec.codebook.t
         self.bits = spec.index_bits
         self.quantizer_id = "bf-vlq"
 
-    def snr_bits(self, norm2: np.ndarray, stats, P: float):
+    def snr_bits(self, norm2: np.ndarray, stats, P: float, prepared):
         gain = norm2 * P
-        short = stats.c_min * gain >= self.spec.beta(P)
+        short = stats.c_min * gain >= prepared[0]
         snr = np.where(short, stats.c_first, stats.c_max) * gain
         bits = np.where(short, 1.0, 1.0 + self.bits)
         return snr, bits
@@ -252,8 +244,8 @@ class VariableLengthBeamforming(_PerPower):
         beta = self.spec.beta(P)
         return beta, 0.5 * q_function(math.sqrt(2.0 * beta))
 
-    def conditioned(self, n: int, stats, P: float):
-        beta, half_gap = self._prepared(P)
+    def conditioned(self, n: int, stats, P: float, prepared):
+        beta, half_gap = prepared
         # Pr(short | hbar) = Gammabar(t, beta / (c_min P)), its argument
         # formed in one buffer
         arg = np.maximum(stats.c_min, 1e-300)
@@ -267,7 +259,7 @@ class VariableLengthBeamforming(_PerPower):
         return ser, rate, half_gap
 
 
-class VariableLengthPrecoding(_PerPower):
+class VariableLengthPrecoding:
     """Identity precoder when ||h||^2 P >= t/delta, else x x^H for the best
     codeword x of ``codebook``, the beamforming cover that bf-flq and bf-vlq
     on the same book hold too, so each chunk is correlated with it once.
@@ -284,8 +276,8 @@ class VariableLengthPrecoding(_PerPower):
     in [-1, 1], which depends on neither P nor r: each chunk's ``_BookStats``
     computes x once for every pc-vlq spec at every P.  ``prepare(P)``
     evaluates I at the _TABLE_NODES Chebyshev nodes in x and fits the
-    Chebyshev interpolant of log I; each spec keeps one table per P, so a
-    sweep builds it once per grid point, not once per chunk.  The series is
+    Chebyshev interpolant of log I; a sweep calls it once per grid point,
+    not once per chunk, and hands the table to every chunk.  The series is
     then cut to what the SER can see: trailing coefficients are dropped
     while their absolute sum, which bounds the change in log I, stays below
     eps times the smallest SER / I over the nodes.  At t=2, delta=0.2 it
@@ -295,14 +287,13 @@ class VariableLengthPrecoding(_PerPower):
     """
 
     def __init__(self, spec: VlqPrecodingSpec):
-        super().__init__()
         self.spec = spec
         self.codebook = spec.codebook
         self.t = spec.codebook.t
         self.r = float(spec.r)
         self.quantizer_id = "pc-vlq"
 
-    def snr_bits(self, norm2: np.ndarray, stats, P: float):
+    def snr_bits(self, norm2: np.ndarray, stats, P: float, prepared):
         gain = norm2 * P
         short = gain >= self.spec.threshold
         snr = np.where(short, gain / (self.t * self.r), stats.c_max * gain / self.r)
@@ -328,8 +319,8 @@ class VariableLengthPrecoding(_PerPower):
         rate = 1.0 + self.spec.index_bits * (1.0 - gamma_tail(t, x0))
         return coef[:keep], tail_short, rate
 
-    def conditioned(self, n: int, stats, P: float):
-        coef, tail_short, rate = self._prepared(P)
+    def conditioned(self, n: int, stats, P: float, prepared):
+        coef, tail_short, rate = prepared
         tail = _chebval(stats.cheb_x, coef)
         np.exp(tail, out=tail)
         if stats.uncovered.size:
@@ -440,15 +431,15 @@ def _draws(specs, stream, c_idx, n, conditioning):
     return norm2, stats
 
 
-def _conditional_ser(specs, n, norm2, stats, P):
-    """Per-draw (ser, rate, half-width) of each spec at power P, one spec
-    at a time: per direction in radial mode (norm2 None), else per draw."""
-    for spec in specs:
+def _conditional_ser(specs, n, norm2, stats, P, prepared):
+    """Per-draw (ser, rate, half-width) of each spec at power P, given its
+    ``prepare(P)``: per direction in radial mode (norm2 None), else per draw."""
+    for spec, values in zip(specs, prepared):
         book_stats = None if spec.codebook is None else stats[id(spec.codebook)]
         if norm2 is None:
-            yield spec.conditioned(n, book_stats, P)
+            yield spec.conditioned(n, book_stats, P, values)
         else:
-            snr, bits = spec.snr_bits(norm2, book_stats, P)
+            snr, bits = spec.snr_bits(norm2, book_stats, P, values)
             yield q_function(np.sqrt(2.0 * snr)), bits, 0.0
 
 
@@ -515,9 +506,10 @@ def _chunk_loop(specs, P_grid, samples, stream, workers, conditioning, reduce):
     """The chunk loop of ``ser_rate_sweep`` and ``paired_compare``: checks
     the arguments and returns (the grid as floats, results), where
     results[c][p] is ``reduce`` of the specs' per-draw values at the p-th
-    grid point on chunk c, which ``reduce`` must not keep.  Each chunk is
-    drawn and correlated once for the whole grid, on ``workers`` threads,
-    by default one per usable CPU, never more than there are chunks.
+    grid point on chunk c, which ``reduce`` must not keep.  Each spec is
+    prepared once per grid point before any draw, and each chunk is drawn
+    and correlated once for the whole grid, on ``workers`` threads, by
+    default one per usable CPU, never more than there are chunks.
     """
     P_grid = [float(P) for P in P_grid]
     if not P_grid or min(P_grid) <= 0.0:
@@ -532,16 +524,20 @@ def _chunk_loop(specs, P_grid, samples, stream, workers, conditioning, reduce):
         raise ValueError("workers must be >= 1")
     sizes = [min(_CHUNK, samples - lo) for lo in range(0, samples, _CHUNK)]
     workers = min(workers or _usable_cpus(), len(sizes))
+    pool = _pool(workers)
+    # prepared on the pool too: on the calling thread, pc-vlq's fit raised a
+    # radial-t2 benchmark run's peak RSS by about 0.5 MB (2-vCPU VM)
+    points = list(pool.map(lambda P: (P, [spec.prepare(P) for spec in specs]), P_grid))
 
     def task(c_idx):
         n = sizes[c_idx]
         norm2, stats = _draws(specs, stream, c_idx, n, conditioning)
-        return [reduce(_conditional_ser(specs, n, norm2, stats, P)) for P in P_grid]
+        return [reduce(_conditional_ser(specs, n, norm2, stats, *point)) for point in points]
 
     # one worker runs on the pool too: on the main thread, glibc trims the
     # main heap's top after every chunk, which costs a page fault per page
     # when the next chunk grows it again
-    return P_grid, list(_pool(workers).map(task, range(len(sizes))))
+    return P_grid, list(pool.map(task, range(len(sizes))))
 
 
 def ser_rate_sweep(

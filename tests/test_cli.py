@@ -514,6 +514,28 @@ class TestMainExitCodes:
         assert not (tmp_path / "b.json").exists()
 
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    @pytest.mark.parametrize("command", ["build", "verify", "selftest"])
+    def test_seed_outside_64_bits_is_2(self, tmp_path, capsys, monkeypatch, command, seed):
+        # a config's seed is in [0, 2^64); so is every --seed, checked by
+        # argparse before any build, probe or check runs
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started")
+
+        for name in ("build_covering_codebook", "verify_covering", "selftest"):
+            monkeypatch.setattr(cli, name, refuse)
+        book, out = tmp_path / "b.json", tmp_path / "o.json"
+        book.write_text(json.dumps(_book_doc()))
+        argv = {
+            "build": ["codebook", "build", "--t", "2", "--delta", "0.3", "--output", str(out)],
+            "verify": ["codebook", "verify", "--input", str(book)],
+            "selftest": ["selftest"],
+        }[command]
+        assert _exit_code(argv + ["--seed", seed]) == 2
+        captured = capsys.readouterr()
+        assert "argument --seed: not an integer in [0, 2^64)" in captured.err
+        assert captured.out == "" and not out.exists()
+
 def _exit_code(argv) -> int:
     """main's return value, or the status of the SystemExit that argparse
     raises on a flag it rejects."""

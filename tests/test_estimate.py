@@ -2,7 +2,7 @@
 
 import math
 import os
-import sys
+import pickle
 import threading
 import tracemalloc
 from fractions import Fraction
@@ -181,12 +181,21 @@ class TestSweepInvariants:
             with pytest.raises(ValueError, match="workers"):
                 ser_rate_sweep(all_specs, [1.0], 10, RngStream(1), workers=workers)
 
-    def test_bf_vlq_needs_power_above_one(self, book):
+    def test_bf_vlq_needs_power_above_one(self, book, monkeypatch):
+        # beta needs P > 1 in both modes; a sweep or compare says so before
+        # it draws, not from a worker thread mid-sweep
+        def refuse(*args):
+            raise AssertionError("drew before the grid was checked")
+
+        monkeypatch.setattr(estimate, "sample_directions", refuse)
         vlq = VariableLengthBeamforming(VlqBeamformingSpec(book))
+        flq = FixedLengthBeamforming(book)
         for conditioning in ("radial", "none"):
             for P in (0.5, 1.0):
                 with pytest.raises(ValueError, match="P must be > 1"):
                     ser_rate_sweep([vlq], [P], 10, RngStream(1), conditioning=conditioning)
+                with pytest.raises(ValueError, match="P must be > 1"):
+                    paired_compare(vlq, flq, [10.0, P], 10, RngStream(1), conditioning=conditioning)
 
     def test_record_validation(self):
         with pytest.raises(ValueError):
@@ -442,9 +451,16 @@ class TestDirectionSampler:
 
         grid = [10.0, 1e3]
         for P in grid:
-            alone = [spec.conditioned(n, _BookStats(book, lifted), P) for spec in specs]
+            prepared = [spec.prepare(P) for spec in specs]
+            alone = [
+                spec.conditioned(n, _BookStats(book, lifted), P, values)
+                for spec, values in zip(specs, prepared)
+            ]
             monkeypatch.setattr(estimate, "bpsk_mrc_ser", counted)
-            shared = [spec.conditioned(n, stats[id(book)], P) for spec in specs]
+            shared = [
+                spec.conditioned(n, stats[id(book)], P, values)
+                for spec, values in zip(specs, prepared)
+            ]
             monkeypatch.setattr(estimate, "bpsk_mrc_ser", original)
             for (ser_a, rate_a, hw_a), (ser_s, rate_s, hw_s) in zip(alone, shared):
                 assert np.array_equal(ser_a, ser_s) and np.array_equal(rate_a, rate_s)
@@ -475,6 +491,68 @@ class TestChunkState:
         vlq = VariableLengthBeamforming(VlqBeamformingSpec(book))
         ser_rate_sweep([vlq], grid, 2 * _CHUNK + 9, RngStream(67), workers=workers)
         assert sorted(calls) == sorted(math.sqrt(2.0 * vlq.spec.beta(P)) for P in grid)
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_feedback_free_ser_once_per_power(self, monkeypatch, workers):
+        # the full-CSIT and open-loop SER depends on P alone; three chunks
+        # would evaluate it three times per (spec, P)
+        calls = []
+        original = estimate.bpsk_mrc_ser
+
+        def counted(t, snr):
+            calls.append(snr)
+            return original(t, snr)
+
+        monkeypatch.setattr(estimate, "bpsk_mrc_ser", counted)
+        specs = [FullCsitBeamforming(2), FullCsitPrecoding(2), OpenLoopPrecoding(2)]
+        grid = [10.0, 1e3, 1e5]
+        ser_rate_sweep(specs, grid, 2 * _CHUNK + 5, RngStream(68), workers=workers)
+        assert sorted(calls) == sorted(P / spec.divisor for spec in specs for P in grid)
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_every_scheme_is_prepared_once_before_any_draw(
+        self, all_specs, monkeypatch, workers
+    ):
+        events = []
+        for cls in {type(spec) for spec in all_specs}:
+
+            def counted(spec, P, original=cls.prepare):
+                events.append((id(spec), P))
+                return original(spec, P)
+
+            monkeypatch.setattr(cls, "prepare", counted)
+        draw = estimate.sample_directions
+        monkeypatch.setattr(
+            estimate, "sample_directions", lambda *args: events.append("draw") or draw(*args)
+        )
+        grid = [10.0, 1e3]
+        runs = [
+            (all_specs, lambda: ser_rate_sweep(
+                all_specs, grid, 2 * _CHUNK + 5, RngStream(76), workers=workers)),
+            (all_specs[1:3], lambda: paired_compare(
+                *all_specs[1:3], grid, 2 * _CHUNK + 5, RngStream(76))),
+        ]
+        for specs, run in runs:
+            events.clear()
+            run()
+            # one per (spec, P), then the three chunks' draws
+            prepared = events[: len(specs) * len(grid)]
+            assert sorted(prepared) == sorted((id(spec), P) for spec in specs for P in grid)
+            assert events[len(prepared):] == ["draw"] * 3
+
+    @pytest.mark.parametrize("conditioning", ["radial", "none"])
+    def test_sweep_leaves_the_schemes_unchanged(self, all_specs, conditioning):
+        # a scheme holds no per-P state: no attribute is added, rebound or
+        # changed in place by a sweep on several threads
+        before = [(dict(vars(spec)), pickle.dumps(vars(spec))) for spec in all_specs]
+        ser_rate_sweep(
+            all_specs, [3.0, 300.0], 2 * _CHUNK + 5, RngStream(78), workers=3,
+            conditioning=conditioning,
+        )
+        for spec, (attrs, state) in zip(all_specs, before):
+            assert vars(spec).keys() == attrs.keys(), spec.quantizer_id
+            assert all(vars(spec)[key] is value for key, value in attrs.items())
+            assert pickle.dumps(vars(spec)) == state, spec.quantizer_id
 
     def test_stats_compute_their_abscissae_concurrently(self, book):
         # up to Python 3.11 a functools.cached_property holds one lock per
@@ -550,7 +628,7 @@ class TestPrecodingKernel:
             Hbar = H / np.linalg.norm(H, axis=1, keepdims=True)
             stats = _BookStats(book, _lift(Hbar))
             for P in (10.0, 1e3, 1e5, 1e7):
-                ser, _, _ = spec.conditioned(len(Hbar), stats, P)
+                ser, _, _ = spec.conditioned(len(Hbar), stats, P, spec.prepare(P))
                 s = book.max_correlation_sq(Hbar) * P
                 x0 = spec.spec.threshold / P
                 want = np.maximum(bpsk_mrc_ser(t, s) - gamma_weighted_q_tail(t, s, x0), 0.0)
@@ -583,45 +661,6 @@ class TestPrecodingKernel:
             write_records_csv(recs, paths[-1])
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
-    def test_shared_state_under_more_workers_than_cores(self, book, monkeypatch, tmp_path):
-        # six chunks on six threads switching every microsecond: a lost
-        # update of a spec's table dict would build a table twice
-        calls = []
-        original = VariableLengthPrecoding.prepare
-
-        def counted(spec, P):
-            calls.append((id(spec), P))
-            return original(spec, P)
-
-        monkeypatch.setattr(VariableLengthPrecoding, "prepare", counted)
-        grid = [10.0, 1e3, 1e5]
-        paths = []
-        for workers in (1, 6):
-            pc = [
-                VariableLengthPrecoding(VlqPrecodingSpec(book, r=r))
-                for r in (Fraction(1), Fraction(1, 2))
-            ]
-            specs = TestSharedCorrelation.coded_specs(book)[:2] + pc
-            calls.clear()
-            done = []
-
-            def sweep(specs=specs, workers=workers, done=done):
-                done.append(ser_rate_sweep(specs, grid, 6 * _CHUNK, RngStream(66), workers=workers))
-
-            interval = sys.getswitchinterval()
-            sys.setswitchinterval(1e-6)
-            try:
-                runner = threading.Thread(target=sweep, daemon=True)
-                runner.start()
-                runner.join(timeout=120.0)
-            finally:
-                sys.setswitchinterval(interval)
-            assert not runner.is_alive() and len(done) == 1
-            assert sorted(calls) == sorted((id(spec), P) for spec in pc for P in grid)
-            paths.append(tmp_path / f"w{workers}.csv")
-            write_records_csv(done[0], paths[-1])
-        assert paths[0].read_bytes() == paths[1].read_bytes()
-
     @pytest.mark.parametrize(
         "t, delta, seed, kept",
         [(2, 0.9, (42, 7), range(24, 25)), (2, 0.2, (0, 101), range(2, 12)),
@@ -647,10 +686,8 @@ class TestPrecodingKernel:
             full = fits[-1]
             assert len(full) == 24 and np.array_equal(cut, full[: len(cut)])
             assert len(cut) in kept
-            spec._tables[P] = (cut, short, rate)
-            ser_cut, _, _ = spec.conditioned(20000, corr, P)
-            spec._tables[P] = (full, short, rate)
-            ser_full, _, _ = spec.conditioned(20000, corr, P)
+            ser_cut, _, _ = spec.conditioned(20000, corr, P, (cut, short, rate))
+            ser_full, _, _ = spec.conditioned(20000, corr, P, (full, short, rate))
             assert np.max(np.abs(ser_cut / ser_full - 1.0)) <= 4.0 * np.finfo(float).eps
 
     def test_clenshaw_is_chebval_bit_for_bit(self):
@@ -672,7 +709,8 @@ class TestPrecodingKernel:
         assert 100 <= np.count_nonzero(low) < len(Hbar)
         P = 100.0
         x0 = spec.spec.threshold / P
-        ser, _, _ = spec.conditioned(len(Hbar), _BookStats(holed, _lift(Hbar)), P)
+        stats = _BookStats(holed, _lift(Hbar))
+        ser, _, _ = spec.conditioned(len(Hbar), stats, P, spec.prepare(P))
         short = gamma_weighted_q_tail(2, P / 2.0, x0)
         s = c_max[low] * P
         exact = bpsk_mrc_ser(2, s) - gamma_weighted_q_tail(2, s, x0) + short

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vlqsim.channel import RngStream, sample_channels
-from vlqsim.codebook import _lift, build_covering_codebook
+from vlqsim.codebook import build_covering_codebook
 from vlqsim.estimate import (
     FeedbackFree,
     FixedLengthBeamforming,
@@ -25,7 +25,6 @@ from vlqsim.estimate import (
     OpenLoopPrecoding,
     VariableLengthBeamforming,
     VariableLengthPrecoding,
-    _BookStats,
 )
 from vlqsim.numerics import bpsk_mrc_ser
 from vlqsim.quantizer import (
@@ -125,7 +124,7 @@ class TestFullCsit:
             assert isinstance(spec, FeedbackFree)
             assert spec.quantizer_id == qid and spec.codebook is None
             assert spec.divisor == divisor
-            ser, rate, hw = spec.conditioned(len(Hbar), None, 30.0)
+            ser, rate, hw = spec.conditioned(len(Hbar), None, 30.0, spec.prepare(30.0))
             assert ser.shape == (len(Hbar),)
             assert np.all(ser == bpsk_mrc_ser(4, 30.0 / divisor))
             assert np.all(rate == 0.0) and hw == 0.0
@@ -182,19 +181,17 @@ class TestVlqBeamforming:
         below = SimpleNamespace(
             c_max=at.c_max, c_min=np.nextafter(at.c_min, 0.0), c_first=at.c_first
         )
-        snr, bits = vlq.snr_bits(norm2, at, P)
+        snr, bits = vlq.snr_bits(norm2, at, P, vlq.prepare(P))
         assert bits[0] == 1.0 and snr[0] == 0.5 * P
-        snr, bits = vlq.snr_bits(norm2, below, P)
+        snr, bits = vlq.snr_bits(norm2, below, P, vlq.prepare(P))
         assert bits[0] == 1.0 + bf_spec.index_bits and snr[0] == 0.9 * P
 
-    def test_rejects_unit_power(self, bf_spec, snr_bits):
+    def test_rejects_unit_power(self, bf_spec):
+        # both modes read beta from prepare, which a sweep calls before any draw
         vlq = VariableLengthBeamforming(bf_spec)
-        H = np.array([[1.0, 0.0]], dtype=complex)
         for P in (1.0, 0.5):
-            with pytest.raises(ValueError):
-                snr_bits(vlq, H, P)
-            with pytest.raises(ValueError):
-                vlq.conditioned(len(H), _BookStats(bf_spec.codebook, _lift(H)), P)
+            with pytest.raises(ValueError, match="P must be > 1"):
+                vlq.prepare(P)
 
     def test_short_branch_probability_union_bound(self, bf_spec, snr_bits):
         # Pr[long] <= |B| (1 - exp(-beta/P)) for the all-codewords threshold
