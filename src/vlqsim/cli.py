@@ -131,8 +131,8 @@ class SimulationConfig:
             raise ConfigError("P-grid-dB must be strictly ascending")
         _check_grid(strategy, grid)
         samples = _integer(doc["samples"], "samples")
-        if samples < 1:
-            raise ConfigError("samples must be a positive integer")
+        if not 1 <= samples <= est.MAX_SAMPLES:
+            raise ConfigError("samples must be an integer in [1, 10^10]")
         seed = _integer(doc["seed"], "seed")
         if not 0 <= seed < 2**64:
             raise ConfigError("seed must be a 64-bit unsigned integer")
@@ -209,6 +209,17 @@ def _load_book(path) -> BeamformingCodebook:
         raise CoveringError(f"codebook file {path} failed validation: {exc}") from exc
 
 
+def _writable(path) -> Path:
+    """path as a Path; a ConfigError unless a file can be written there,
+    checked before any draw or build rather than after."""
+    out = Path(path)
+    if out.is_dir() or not (out.parent.is_dir() and os.access(out.parent, os.W_OK)):
+        raise ConfigError(
+            f"cannot write {out}: it is a directory, or its directory is missing or read-only"
+        )
+    return out
+
+
 def _codebook(config: SimulationConfig, delta: float) -> BeamformingCodebook:
     """The config's codebook-path file, else a book built at delta."""
     if config.codebook_path is not None:
@@ -266,14 +277,9 @@ def run_config(
     summary's "gains" is null, with the reason in "gains-reason", when the
     top decades admit no fit.
     """
-    if workers is not None and workers < 1:
-        raise ConfigError("workers must be >= 1")
-    out = Path(output if output is not None else config.output_path)
-    # fail before any draw, not after, on an output that cannot be written
-    if out.is_dir() or not (out.parent.is_dir() and os.access(out.parent, os.W_OK)):
-        raise ConfigError(
-            f"cannot write {out}: it is a directory, or its directory is missing or read-only"
-        )
+    if workers is not None and not 1 <= workers <= est.MAX_WORKERS:
+        raise ConfigError("workers must be in [1, 1024]")
+    out = _writable(output if output is not None else config.output_path)
     stream = RngStream(config.seed)
     records = []
     for grid, (spec,) in _grid_schemes(config, [config.strategy]):
@@ -399,6 +405,7 @@ def _cmd_codebook(args) -> int:
     if args.action == "build":
         if not 1 <= args.t <= 8:
             raise ConfigError("t must be an integer in [1, 8]")
+        _writable(args.output)
         book = build_covering_codebook(
             args.t, args.delta, RngStream(args.seed, 101), stop_streak=args.stop_streak
         )
@@ -519,7 +526,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="run a configured SER/rate sweep")
     p_sweep.add_argument("--config", required=True)
-    p_sweep.add_argument("--workers", type=int, default=None)
+    p_sweep.add_argument(
+        "--workers", type=int, default=None,
+        help="threads, by default one per usable CPU, in [1, 1024]; outside it, exit 2",
+    )
     p_sweep.add_argument("--output", default=None)
 
     p_fit = sub.add_parser("fit", help="diversity/array-gain fit on a sweep CSV")

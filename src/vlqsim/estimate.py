@@ -110,11 +110,18 @@ __all__ = [
     "write_records_csv",
     "read_records_csv",
     "CSV_COLUMNS",
+    "MAX_SAMPLES",
+    "MAX_WORKERS",
     # re-exported for perfbench/spans.py, which traces it; no sweep calls it
     "sample_channels",
 ]
 
 _CHUNK = 1 << 15
+# input caps: a sweep keeps every chunk's moments until it ends, about
+# 3.15 KB per chunk for 3 schemes at 3 P, so 10^10 draws (305 176 chunks)
+# hold about 1 GB; each worker is an OS thread
+MAX_SAMPLES = 10**10
+MAX_WORKERS = 1024
 
 # Header of the sweep CSV that write_records_csv writes and read_records_csv reads.
 CSV_COLUMNS = (
@@ -514,14 +521,14 @@ def _chunk_loop(specs, P_grid, samples, stream, workers, conditioning, reduce):
     P_grid = [float(P) for P in P_grid]
     if not P_grid or min(P_grid) <= 0.0:
         raise ValueError("P grid must be nonempty and positive")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    if not 1 <= samples <= MAX_SAMPLES:
+        raise ValueError("samples must be in [1, 10^10]")
     if conditioning not in ("none", "radial"):
         raise ValueError("conditioning must be 'none' or 'radial'")
     if len({s.t for s in specs}) != 1:
         raise ValueError("all specs must share the antenna count")
-    if workers is not None and workers < 1:
-        raise ValueError("workers must be >= 1")
+    if workers is not None and not 1 <= workers <= MAX_WORKERS:
+        raise ValueError("workers must be in [1, 1024]")
     sizes = [min(_CHUNK, samples - lo) for lo in range(0, samples, _CHUNK)]
     workers = min(workers or _usable_cpus(), len(sizes))
     pool = _pool(workers)
@@ -557,6 +564,8 @@ def ser_rate_sweep(
     next spec is evaluated, and the moments are combined with compensated
     summation in chunk order, so the result is bit-identical for any worker
     count, and a grid point's records equal a one-point sweep at that P.
+    ``samples`` outside [1, 10^10] or ``workers`` outside [1, 1024] raises
+    ValueError before any spec is prepared or any draw is made.
     """
     specs = list(specs)
     P_grid, results = _chunk_loop(
@@ -622,7 +631,8 @@ def paired_compare(
     max-violation is the most negative gap observed (0.0 when A dominates
     everywhere).  Runs on ``ser_rate_sweep``'s chunk loop, with its checks
     and default threads, so a grid point's result equals a one-point call
-    and does not depend on the worker count.
+    and does not depend on the worker count; like the sweep, it rejects
+    ``samples`` outside [1, 10^10] before any spec is prepared.
     """
     _, results = _chunk_loop(
         (spec_a, spec_b), P_grid, samples, stream, None, conditioning, _gap_stats

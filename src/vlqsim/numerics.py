@@ -1,8 +1,8 @@
 """Self-contained numeric kernel.
 
 Gaussian tail function, gamma-weighted quadrature, the truncated
-Rayleigh-Q integral, log-log regression and 1-D minimization.  Everything
-here is pure and reentrant.
+Rayleigh-Q integral, the closed-form MRC error rate and log-log
+regression.  Everything here is pure and reentrant.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ __all__ = [
     "integrate_gamma_weighted",
     "gamma_weighted_q_tail",
     "fit_loglog",
-    "minimize_1d",
     "bpsk_mrc_ser",
 ]
 
@@ -79,30 +78,18 @@ def _erfc_nonneg(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _erfc_scalar_nonneg(z: float) -> float:
-    if z < _ERF_SWITCH:
-        u = z * z
-        acc = 0.0
-        for c in _ERF_COEF:
-            acc = acc * u + c
-        return 1.0 - 2.0 * _INV_SQRT_PI * z * acc
-    f = z
-    for n in range(_CF_DEPTH, 0, -1):
-        f = z + (0.5 * n) / f
-    return math.exp(-z * z) * _INV_SQRT_PI / f if z < 26.5 else 0.0
-
-
 def q_function(x):
     """Gaussian tail probability P(N(0,1) > x).
 
-    Accepts scalars or arrays; absolute error <= 1e-12 on [-8, 8] and
-    graceful underflow to 0.0 for very large x.
+    One evaluation path for every input: a Python float or int, an
+    ``np.float64`` or a 0-d array comes back as a float with the bits of
+    the same x in a 1-element array.  Against mpmath at 40 digits:
+    absolute error <= 2e-15 on [-8, 8]; for x >= 0 relative error
+    <= 1.1e-11 (largest just below the series/continued-fraction switch at
+    x = 2.5 sqrt(2)) while Q is a normal double, up to x ~ 37.52 where
+    Q ~ 2.2e-308; below that, absolute error <= 1e-320 in the subnormals,
+    and 0.0 from x ~ 38.48 (mpmath's value rounds to 0.0 from 38.49).
     """
-    if isinstance(x, (float, int)):
-        if not math.isfinite(x):
-            raise ValueError("q_function requires finite input")
-        tail = 0.5 * _erfc_scalar_nonneg(abs(x) * _INV_SQRT2)
-        return tail if x >= 0.0 else 1.0 - tail
     arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValueError("q_function requires finite input")
@@ -335,30 +322,6 @@ def fit_loglog(points: Sequence) -> LogLogFit:
         max_abs_residual=float(np.max(np.abs(resid))),
         p_range=(float(P[0]), float(P[-1])),
     )
-
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def minimize_1d(f: Callable[[float], float], lo: float, hi: float, tol: float = 1e-10):
-    """Golden-section search on [lo, hi]; returns (argmin, min)."""
-    if not lo < hi:
-        raise ValueError("invalid bracket: lo must be < hi")
-    a, b = float(lo), float(hi)
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
 
 
 def bpsk_mrc_ser(t: int, snr):

@@ -47,6 +47,22 @@ class TestC1:
         assert c1 == pytest.approx(0.393, abs=5e-4)
         assert x_star == pytest.approx(0.62, abs=0.01)
 
+    def test_root_and_infimum_against_mpmath(self):
+        # x* solves 2x Q(x) = phi(x); c1 = Q(x*) e^{x*^2}, at 50 digits
+        with mpmath.workdps(50):
+            def q(x):
+                return mpmath.erfc(x / mpmath.sqrt(2)) / 2
+
+            root = mpmath.findroot(lambda x: 2 * x * q(x) - mpmath.npdf(x), 0.6)
+            infimum = q(root) * mpmath.exp(root**2)
+            assert mpmath.nstr(root, 17) == "0.61200318096248076"
+            assert mpmath.nstr(infimum, 20) == "0.39305962220348074652"
+            c1, x_star = derive_c1()
+            assert abs(x_star - float(root)) <= 1e-12
+            assert abs(mpmath.mpf(c1) - infimum) <= np.spacing(c1)
+            # read exactly, c1 must not exceed the infimum it bounds
+            assert mpmath.mpf(c1) <= infimum
+
 
 class TestProp1:
     def test_reference_arithmetic(self):

@@ -592,55 +592,134 @@ def _csv_without_schema(tmp_path):
     return path
 
 
-# (name, argv builder, exit code): bad paths, files and configs that once
-# raised or sampled before failing
+def _csv_with_powers(tmp_path, *powers):
+    """A bf-full sweep CSV with one row per P_linear in powers."""
+    path = tmp_path / "powers.csv"
+    rows = [",".join(estimate.CSV_COLUMNS)]
+    rows += [f"bf-full,0,{P},{0.1 * P**-2.0!r},0,0,0,1000,7" for P in powers]
+    path.write_text("\n".join(rows) + "\n")
+    return path
+
+
+def _book_with(tmp_path, **fields):
+    """A codebook file: _book_doc with fields replaced."""
+    path = tmp_path / "book.json"
+    path.write_text(json.dumps({**_book_doc(), **fields}))
+    return path
+
+
+def _sweep_with(p, **overrides):
+    """`vlqsim sweep` on base_config with overrides, written to o.csv."""
+    doc = base_config(samples=1000, **{"output-path": str(p / "o.csv")})
+    doc.update(overrides)
+    return ["sweep", "--config", write_config(p, doc)]
+
+
+def _not_json(p):
+    path = p / "cfg.json"
+    path.write_text('{"t": 2,')
+    return ["sweep", "--config", str(path)]
+
+
+# (name, argv builder, exit code, part of the message): bad paths, files
+# and configs that once raised, sampled or built before failing, or that
+# no other test reaches
+_UNWRITABLE = "it is a directory, or its directory is missing or read-only"
 _BAD_FILES = [
     ("sweep-unwritable-output", lambda p: [
         "sweep", "--config", write_config(p, base_config(samples=1000)),
-        "--output", str(p / "missing" / "x.csv")], 2),
+        "--output", str(p / "missing" / "x.csv")], 2, _UNWRITABLE),
     ("sweep-output-is-a-directory", lambda p: [
-        "sweep", "--config", write_config(p, base_config(samples=1000)), "--output", str(p)], 2),
+        "sweep", "--config", write_config(p, base_config(samples=1000)), "--output", str(p)],
+     2, _UNWRITABLE),
     ("build-unwritable-output", lambda p: [
         "codebook", "build", "--t", "2", "--delta", "0.4",
-        "--output", str(p / "missing" / "b.json")], 2),
+        "--output", str(p / "missing" / "b.json")], 2, _UNWRITABLE),
     ("verify-missing-input", lambda p: [
-        "codebook", "verify", "--input", str(p / "missing.json")], 2),
+        "codebook", "verify", "--input", str(p / "missing.json")], 2, "No such file"),
     ("verify-no-vectors", lambda p: [
-        "codebook", "verify", "--input", str(_book_without_vectors(p))], 3),
+        "codebook", "verify", "--input", str(_book_without_vectors(p))], 3, "lacks ['vectors']"),
     ("verify-nan-codeword", lambda p: [
-        "codebook", "verify", "--input", str(_nan_book(p))], 3),
-    ("sweep-no-vectors", lambda p: _sweep_on_book(p, _book_without_vectors(p)), 3),
-    ("sweep-nan-codeword", lambda p: _sweep_on_book(p, _nan_book(p)), 3),
-    ("fit-missing-csv", lambda p: ["fit", "--input", str(p / "missing.csv")], 2),
-    ("fit-csv-without-schema", lambda p: ["fit", "--input", str(_csv_without_schema(p))], 2),
+        "codebook", "verify", "--input", str(_nan_book(p))], 3, "codewords must be finite"),
+    ("sweep-no-vectors", lambda p: _sweep_on_book(p, _book_without_vectors(p)), 3,
+     "lacks ['vectors']"),
+    ("sweep-nan-codeword", lambda p: _sweep_on_book(p, _nan_book(p)), 3,
+     "codewords must be finite"),
+    ("fit-missing-csv", lambda p: ["fit", "--input", str(p / "missing.csv")], 2, "No such file"),
+    ("fit-csv-without-schema", lambda p: ["fit", "--input", str(_csv_without_schema(p))], 2,
+     "lacks the sweep CSV columns"),
     *[(f"fit-power-{power}", lambda p, power=power: [
-        "fit", "--input", str(_csv_with_power(p, power))], 2) for power in ("0", "nan", "-5", "inf")],
+        "fit", "--input", str(_csv_with_power(p, power))], 2, "must be finite and > 0")
+      for power in ("0", "nan", "-5", "inf")],
     ("sweep-schedule-below-range", lambda p: [
         "sweep", "--config", write_config(p, base_config(
             strategy="bf-vlq", t=2, samples=1000, schedule=_LOGP,
-            **{"P-grid-dB": [10.0, 20.0, 30.0], "output-path": str(p / "o.csv")}))], 2),
+            **{"P-grid-dB": [10.0, 20.0, 30.0], "output-path": str(p / "o.csv")}))], 2,
+     "outside the invertible range"),
     ("sweep-workers-below-one", lambda p: [
-        "sweep", "--config", write_config(p, base_config(samples=1000)), "--workers", "-3"], 2),
+        "sweep", "--config", write_config(p, base_config(samples=1000)), "--workers", "-3"], 2,
+     "workers must be in [1, 1024]"),
+    ("sweep-workers-above-cap", lambda p: _sweep_with(p) + ["--workers", "1025"], 2,
+     "workers must be in [1, 1024]"),
+    ("sweep-samples-above-cap", lambda p: _sweep_with(p, samples=10**10 + 1), 2,
+     "samples must be an integer in [1, 10^10]"),
+    ("sweep-samples-zero", lambda p: _sweep_with(p, samples=0), 2,
+     "samples must be an integer in [1, 10^10]"),
+    ("sweep-seed-negative", lambda p: _sweep_with(p, seed=-1), 2,
+     "seed must be a 64-bit unsigned integer"),
+    ("sweep-seed-2-64", lambda p: _sweep_with(p, seed=2**64), 2,
+     "seed must be a 64-bit unsigned integer"),
+    ("sweep-delta-zero", lambda p: _sweep_with(p, strategy="bf-flq", t=2, delta=0), 2,
+     "delta must be in (0, 1)"),
+    ("sweep-delta-one", lambda p: _sweep_with(p, strategy="bf-flq", t=2, delta=1), 2,
+     "delta must be in (0, 1)"),
+    ("sweep-codebook-path-not-a-string", lambda p: _sweep_with(
+        p, strategy="bf-flq", t=2, **{"codebook-path": 3}), 2, "codebook-path must be a string"),
+    ("sweep-schedule-third-key", lambda p: _sweep_with(
+        p, strategy="bf-vlq", t=2, schedule={**_LOGP, "g": 1}), 2,
+     'schedule must have exactly keys {"f", "c0"}'),
+    ("sweep-schedule-c0-zero", lambda p: _sweep_with(
+        p, strategy="bf-vlq", t=2, schedule={"f": "logP", "c0": 0}), 2,
+     "schedule c0 must be positive"),
+    ("sweep-config-not-json", _not_json, 2, "config is not valid JSON"),
+    ("fit-header-only", lambda p: ["fit", "--input", str(_csv_with_powers(p))], 2,
+     "no records in"),
+    ("fit-two-rows", lambda p: ["fit", "--input", str(_csv_with_powers(p, 10, 1000))], 2,
+     "need at least 3 records"),
+    ("fit-top-decades-thin", lambda p: [
+        "fit", "--input", str(_csv_with_powers(p, 1, 1.5, 2, 1000))], 2,
+     "fewer than 3 records in the top decades"),
+    ("verify-non-numeric-entry", lambda p: ["codebook", "verify", "--input", str(_book_with(
+        p, vectors=[[["one", 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]))], 3,
+     "malformed codebook entries"),
+    ("verify-vectors-not-t-long", lambda p: [
+        "codebook", "verify", "--input", str(_book_with(p, t=3))], 3,
+     "vector length inconsistent with t"),
 ]
 
 
 @pytest.mark.parametrize(
-    "argv, code", [case[1:] for case in _BAD_FILES], ids=[case[0] for case in _BAD_FILES]
+    "argv, code, message", [case[1:] for case in _BAD_FILES], ids=[case[0] for case in _BAD_FILES]
 )
-def test_bad_files_get_exit_codes_not_tracebacks(tmp_path, capsys, monkeypatch, argv, code):
+def test_bad_files_get_exit_codes_not_tracebacks(
+    tmp_path, capsys, monkeypatch, argv, code, message
+):
     argv = argv(tmp_path)
     (tmp_path / "o.csv").write_text("an earlier sweep\n")
     before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
-    sweeps = []
-    sweep = estimate.ser_rate_sweep
-    monkeypatch.setattr(
-        estimate, "ser_rate_sweep", lambda *a, **k: sweeps.append(a) or sweep(*a, **k)
-    )
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started")
+
+    # bad input starts no build, sweep, thread pool or draw
+    monkeypatch.setattr(cli, "build_covering_codebook", refuse)
+    monkeypatch.setattr(estimate, "ser_rate_sweep", refuse)
+    monkeypatch.setattr(estimate, "_pool", refuse)
+    monkeypatch.setattr(estimate, "sample_directions", refuse)
     assert main(argv) == code
     err = capsys.readouterr().err
-    assert err and "Traceback" not in err
-    # bad input costs no draw, and writes, truncates or leaves no file
-    assert sweeps == []
+    assert message in err and "Traceback" not in err
+    # and writes, truncates or leaves no file
     assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
 
 

@@ -166,19 +166,26 @@ class TestSweepInvariants:
             sers = [r.ser for r in sorted(rs, key=lambda r: r.P)]
             assert sers[0] > sers[1] > sers[2]
 
-    def test_rejects_bad_arguments(self, all_specs):
+    def test_rejects_bad_arguments(self, all_specs, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("work started")
+
+        # every check runs before any prepare, thread pool or draw
+        monkeypatch.setattr(estimate, "_pool", refuse)
+        monkeypatch.setattr(estimate, "sample_directions", refuse)
         with pytest.raises(ValueError):
             ser_rate_sweep(all_specs, [], 10, RngStream(1))
-        with pytest.raises(ValueError):
-            ser_rate_sweep(all_specs, [1.0], 0, RngStream(1))
+        for samples in (0, 10**10 + 1):
+            with pytest.raises(ValueError, match=r"samples must be in \[1, 10\^10\]"):
+                ser_rate_sweep(all_specs, [1.0], samples, RngStream(1))
         with pytest.raises(ValueError):
             ser_rate_sweep(all_specs, [1.0], 10, RngStream(1), conditioning="x")
         with pytest.raises(ValueError):
             ser_rate_sweep(
                 [FullCsitBeamforming(2), FullCsitBeamforming(3)], [1.0], 10, RngStream(1)
             )
-        for workers in (0, -3):
-            with pytest.raises(ValueError, match="workers"):
+        for workers in (0, -3, 1025):
+            with pytest.raises(ValueError, match=r"workers must be in \[1, 1024\]"):
                 ser_rate_sweep(all_specs, [1.0], 10, RngStream(1), workers=workers)
 
     def test_bf_vlq_needs_power_above_one(self, book, monkeypatch):
@@ -768,11 +775,20 @@ class TestPairedCompare:
             ([-1.0], 10, "none", "P grid"),
             ([10.0, -1.0], 10, "radial", "P grid"),
             ([], 10, "none", "P grid"),
+            ([10.0], 10**10 + 1, "radial", "samples"),
         ],
     )
-    def test_rejects_bad_arguments(self, book, grid, samples, conditioning, match):
-        # the sweep's checks, before any draw: a misspelt mode no longer runs
-        # plain mode, and no zero division or sqrt warning gets through
+    def test_rejects_bad_arguments(
+        self, book, monkeypatch, grid, samples, conditioning, match
+    ):
+        # the sweep's checks, before any prepare, thread pool or draw: a
+        # misspelt mode no longer runs plain mode, and no zero division or
+        # sqrt warning gets through
+        def refuse(*args):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(estimate, "_pool", refuse)
+        monkeypatch.setattr(estimate, "sample_directions", refuse)
         flq = FixedLengthBeamforming(book)
         with pytest.raises(ValueError, match=match):
             paired_compare(

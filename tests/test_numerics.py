@@ -14,7 +14,6 @@ from vlqsim.numerics import (
     gamma_tail,
     gamma_weighted_q_tail,
     integrate_gamma_weighted,
-    minimize_1d,
     q_function,
 )
 
@@ -33,8 +32,17 @@ class TestQFunction:
         assert np.max(np.abs(got - want)) <= 1e-12
 
     def test_scalar_path_matches_vector_path(self):
-        for x in (-7.3, -1.0, 0.0, 0.5, 2.49, 2.51, 6.0):
-            assert q_function(x) == float(q_function(np.array([x]))[0])
+        # a Python float, an np.float64 and a 0-d array come back as a
+        # float with the bits of a 1-element array, over the whole range
+        # and both sides of the series/continued-fraction switch
+        xs = np.random.default_rng(20261018).uniform(-40.0, 40.0, 10000)
+        xs = np.concatenate([xs, [-7.3, -1.0, 0.0, 0.5, 2.49, 2.51, 6.0, 37.5]])
+        for x in xs:
+            want = q_function(np.array([x]))[0].tobytes()
+            for form in (float(x), np.float64(x), np.array(x)):
+                got = q_function(form)
+                assert np.float64(got).tobytes() == want, (form, got)
+                assert type(got) is float
 
     def test_known_values(self):
         assert q_function(0.0) == pytest.approx(0.5, abs=1e-15)
@@ -53,6 +61,8 @@ class TestQFunction:
         assert np.all(np.diff(q) < 0.0)
 
     def test_deep_tail_underflow_is_graceful(self):
+        # Q(37.5) ~ 4.6e-308 is still a normal double
+        assert q_function(37.5) == pytest.approx(q_oracle(37.5), rel=1e-12, abs=0.0)
         assert q_function(50.0) >= 0.0
         assert q_function(1e6) == 0.0
 
@@ -214,29 +224,6 @@ class TestFitLogLog:
         P = [10.0, 50.0, 250.0, 1250.0]
         fit = fit_loglog([(p, 1.0 / (g * p**d)) for p in P])
         assert fit.slope == pytest.approx(-d, abs=1e-9)
-
-
-class TestMinimize1d:
-    def test_quadratic(self):
-        x, v = minimize_1d(lambda x: (x - 1.7) ** 2 + 3.0, 0.0, 5.0)
-        assert x == pytest.approx(1.7, abs=1e-6)
-        assert v == pytest.approx(3.0, abs=1e-12)
-
-    def test_gaussian_ratio_minimum(self):
-        # oracle: dense grid scan of Q(x) e^{x^2} at high precision
-        grid = [mpmath.mpf(k) / 2000 for k in range(0, 4001)]
-        vals = [0.5 * mpmath.erfc(x / mpmath.sqrt(2)) * mpmath.e ** (x * x) for x in grid]
-        k = min(range(len(vals)), key=lambda i: vals[i])
-        x, v = minimize_1d(lambda x: q_function(x) * math.exp(x * x), 0.0, 5.0)
-        assert x == pytest.approx(float(grid[k]), abs=1e-3)
-        assert v == pytest.approx(float(vals[k]), rel=1e-6)
-        # frozen values from the scan
-        assert v == pytest.approx(0.3930596, abs=1e-6)
-        assert x == pytest.approx(0.612, abs=1e-3)
-
-    def test_rejects_bad_bracket(self):
-        with pytest.raises(ValueError):
-            minimize_1d(lambda x: x, 1.0, 1.0)
 
 
 class TestBpskMrcSer:
