@@ -62,8 +62,8 @@ codebook's stats.  Per-chunk moments are centred and combined in chunk
 order, so the standard error of a per-draw value that varies only by
 rounding is rounding-sized; a scheme whose rate is constant per direction
 returns it as a scalar, whose moments are exact and whose stderr is 0.
-``ser_full_analytic`` keeps the adaptive quadrature as an independent
-oracle.
+``ser_full_analytic`` keeps the double-exponential quadrature
+``integrate_gamma_weighted`` as an independent oracle.
 """
 
 from __future__ import annotations
