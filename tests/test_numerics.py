@@ -32,12 +32,23 @@ class TestQFunction:
         want = np.array([q_oracle(x) for x in xs])
         assert np.max(np.abs(got - want)) <= 1e-12
 
+    def test_relative_accuracy_against_mpmath(self):
+        # relative, so the deep tail counts: near the series/continued-
+        # fraction switch 1 - erf once lost 5e4 ulp (5.8e-12 at x = 3.535);
+        # what remains is the rounding of x / sqrt(2) read through Q's slope
+        xs = np.arange(0.0, 37.5 + 1e-9, 0.01)
+        want = np.array([q_oracle(x) for x in xs])
+        assert np.max(np.abs(q_function(xs) / want - 1.0)) <= 5e-13
+
     def test_scalar_path_matches_vector_path(self):
         # a Python float, an np.float64 and a 0-d array come back as a
         # float with the bits of a 1-element array, over the whole range
-        # and both sides of the series/continued-fraction switch
+        # and both sides of the series/continued-fraction switch (at
+        # z = x / sqrt(2) = 1.8, x = 2.5456)
         xs = np.random.default_rng(20261018).uniform(-40.0, 40.0, 10000)
-        xs = np.concatenate([xs, [-7.3, -1.0, 0.0, 0.5, 2.49, 2.51, 6.0, 37.5]])
+        xs = np.concatenate(
+            [xs, [-7.3, -1.0, 0.0, 0.5, 1.79, 1.81, 2.49, 2.51, 2.545, 2.546, 6.0, 37.5]]
+        )
         for x in xs:
             want = q_function(np.array([x]))[0].tobytes()
             for form in (float(x), np.float64(x), np.array(x)):
