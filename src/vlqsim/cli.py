@@ -537,7 +537,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--input", required=True,
         help="sweep CSV; a P_linear that is not finite and > 0 exits 2",
     )
-    p_fit.add_argument("--top-decades", type=int, default=2)
+    p_fit.add_argument(
+        "--top-decades", type=int, default=2,
+        help="decades of P, counted down from the largest, that the fit uses; below 1, exit 2",
+    )
 
     p_cmp = sub.add_parser("compare", help="pathwise comparison against a baseline")
     p_cmp.add_argument("--config", required=True)

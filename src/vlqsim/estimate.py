@@ -591,9 +591,12 @@ def estimate_gains(records, top_decades: int = 2) -> GainEstimate:
 
     Fits ln SER against ln P; diversity is minus the slope and the array
     gain is 1/(SER * P^diversity) at the largest grid point, computed in
-    the log domain.  A top-decade SER of 0 (the draws saw no error there)
-    or a gain beyond the float range raises ValueError.
+    the log domain.  A top-decade SER of 0 (the draws saw no error there),
+    a gain beyond the float range or ``top_decades`` below 1 raises
+    ValueError.
     """
+    if top_decades < 1:
+        raise ValueError(f"top decades must be >= 1, got {top_decades}")
     recs = sorted(records, key=lambda r: r.P)
     if len(recs) < 3:
         raise ValueError("need at least 3 records")
@@ -601,7 +604,7 @@ def estimate_gains(records, top_decades: int = 2) -> GainEstimate:
     span = math.log10(p_max / recs[0].P)
     if span < top_decades:
         raise ValueError(f"grid spans {span:.2f} decades < requested {top_decades}")
-    cut = p_max / 10.0**top_decades
+    cut = p_max * 10.0**-top_decades
     top = [r for r in recs if r.P >= cut * (1.0 - 1e-12)]
     if len(top) < 3:
         raise ValueError("fewer than 3 records in the top decades")

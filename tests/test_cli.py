@@ -689,6 +689,9 @@ _BAD_FILES = [
     ("fit-top-decades-thin", lambda p: [
         "fit", "--input", str(_csv_with_powers(p, 1, 1.5, 2, 1000))], 2,
      "fewer than 3 records in the top decades"),
+    *[(f"fit-top-decades-{decades}", lambda p, decades=decades: [
+        "fit", "--input", str(_csv_with_powers(p, 1, 10, 100, 1000)), "--top-decades", decades],
+       2, "top decades must be >= 1") for decades in ("0", "-1", "-400")],
     ("verify-non-numeric-entry", lambda p: ["codebook", "verify", "--input", str(_book_with(
         p, vectors=[[["one", 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]))], 3,
      "malformed codebook entries"),

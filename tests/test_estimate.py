@@ -976,6 +976,21 @@ class TestGains:
         with pytest.raises(ValueError, match="float range"):
             estimate_gains(recs, top_decades=2)
 
+    def test_top_decades_below_one_rejected(self):
+        # 10^-400 once underflowed to 0 and divided by it
+        recs = [SweepRecord("x", P, 0.1 / P, 0, 0, 0, 1, 0) for P in (1.0, 10.0, 100.0, 1e3)]
+        for top_decades in (0, -1, -400):
+            with pytest.raises(ValueError, match="top decades must be >= 1"):
+                estimate_gains(recs, top_decades=top_decades)
+
+    def test_top_decades_beyond_the_float_exponent(self):
+        # 10^309 overflows a float; the cut is p_max 10^-309 = 1e-299
+        grid = (1e-300, 1e-200, 1e-100, 1.0, 1e10)
+        recs = [SweepRecord("x", P, 0.1, 0, 0, 0, 1, 0) for P in grid]
+        g = estimate_gains(recs, top_decades=309)
+        assert g.fit.p_range == (1e-200, 1e10)
+        assert g.diversity == pytest.approx(0.0, abs=1e-12)
+
     def test_insufficient_span_rejected(self):
         recs = [SweepRecord("x", P, 0.1 / P, 0, 0, 0, 1, 0) for P in (1.0, 2.0, 4.0)]
         with pytest.raises(ValueError):
