@@ -1,9 +1,8 @@
 """Self-contained numeric kernel.
 
-Gaussian tail function, the gamma-weighted double-exponential quadrature
-that serves as the SER oracle, the truncated Rayleigh-Q integral, the
-closed-form MRC error rate and log-log regression.  Everything here is
-pure and reentrant.
+Gaussian tail function, gamma-weighted quadrature (the SER oracle), the
+truncated Rayleigh-Q integral, the closed-form MRC error rate and log-log
+regression.  Everything here is pure and reentrant.
 """
 
 from __future__ import annotations
@@ -50,8 +49,7 @@ _CRAIG_XI, _CRAIG_W = np.polynomial.legendre.leggauss(64)
 _CRAIG_SIN2 = np.sin(0.25 * math.pi * (_CRAIG_XI + 1.0)) ** 2
 _CRAIG_WEIGHTS = 0.25 * _CRAIG_W
 
-# integrate_gamma_weighted's exp-sinh rule: the range of u and how many
-# times the trapezoid step h = 1/2 is halved before it gives up.
+# integrate_gamma_weighted's range of u and most halvings of h = 1/2.
 _DE_LO, _DE_HI = -5.0, 4.0
 _DE_HALVINGS = 10
 
