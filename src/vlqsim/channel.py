@@ -73,6 +73,11 @@ def sample_magnitudes(stream: RngStream, t: int, n: int) -> np.ndarray:
     return norm2
 
 
+# doubles of padding after each row of a lift, so that its row stride is
+# not a multiple of a large power of two
+_LIFT_PAD = 8
+
+
 @lru_cache(maxsize=None)
 def _pairs(t: int) -> tuple:
     """The pairs (k, l), k < l, of the lift's off-diagonal rows, in
@@ -99,9 +104,15 @@ def sample_directions(stream: RngStream, t: int, n: int) -> np.ndarray:
     into rows 0..t-1, the phasors cos and sin phi_l into the rows of the
     pairs (0, l), the pairs (k >= 1, l) are built from those rows, and the
     amplitudes sqrt(m_k m_l) are applied last.
+
+    The lift is a (t^2, n) view of a (t^2, n + _LIFT_PAD) array.  With an
+    unpadded row stride of n = 2^15 doubles, the t^2 rows a GEMM block of
+    ``BeamformingCodebook.lifted_stats`` reads map to the same cache sets;
+    the pad breaks that alignment, and the GEMM's result does not depend
+    on the row stride.
     """
     _check_sizes(t, n)
-    lifted = np.empty((t * t, n))
+    lifted = np.empty((t * t, n + _LIFT_PAD))[:, :n]
     if t == 1:
         lifted.fill(1.0)
         return lifted

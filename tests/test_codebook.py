@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from vlqsim.channel import RngStream
+from vlqsim.channel import RngStream, sample_directions
 from vlqsim.codebook import (
     BeamformingCodebook,
     CoveringError,
@@ -144,6 +144,19 @@ class TestCorrelationKernel:
         # the same kernel on rows lifted one block at a time; a one-column
         # block may sum in another order
         np.testing.assert_allclose(book.max_correlation_sq(h), c_max, rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("t, size", [(2, 12), (3, 40), (4, 239), (8, 100)])
+    def test_row_stride_of_the_lift_changes_no_bit(self, t, size):
+        # sample_directions pads the lift's rows; the GEMM blocks read that
+        # lift in place, and n is no multiple of the block width
+        gen = np.random.default_rng(t)
+        v = gen.standard_normal((size, t)) + 1j * gen.standard_normal((size, t))
+        book = BeamformingCodebook(v / np.linalg.norm(v, axis=1, keepdims=True), 0.5)
+        lifted = sample_directions(RngStream(39, t), t, 9001)
+        assert not lifted.flags.c_contiguous
+        packed = np.ascontiguousarray(lifted)
+        for got, want in zip(book.lifted_stats(lifted), book.lifted_stats(packed)):
+            assert np.array_equal(got, want)
 
 
 class TestFitC0:
