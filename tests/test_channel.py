@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -188,6 +189,109 @@ class TestDirections:
         assert np.array_equal(a, sample_directions(s.child(0, 3), 2, 100))
         b = sample_directions(s.child(0, 4), 2, 100)
         assert not np.any(a == b)
+
+
+def two_sum(a, b):
+    """(s, e) with s + e = a + b exactly (Knuth)."""
+    s = a + b
+    v = s - a
+    return s, (a - (s - v)) + (b - v)
+
+
+def two_prod(a, b):
+    """(p, e) with p + e = a b exactly (Dekker's split into 26-bit halves)."""
+    p = a * b
+    halves = []
+    for x in (a, b):
+        c = 134217729.0 * x
+        hi = c - (c - x)
+        halves.append((hi, x - hi))
+    (ah, al), (bh, bl) = halves
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def dd_add(x, y):
+    s, e = two_sum(x[0], y[0])
+    return two_sum(s, e + (x[1] + y[1]))
+
+
+def dd_mul(x, y):
+    p, e = two_prod(x[0], y[0])
+    return two_sum(p, e + (x[0] * y[1] + x[1] * y[0]))
+
+
+def dd(x):
+    """An mpmath number as a double-double (hi, lo)."""
+    hi = float(x)
+    return hi, float(x - hi)
+
+
+def phasor_reference(u):
+    """cos and sin of 2 pi u as double-doubles, to about 1e-21: mpmath's
+    values at the node 2 pi j / M nearest to 2 pi u, rotated by the rest
+    a = 2 pi (M u - j) / M, |a| <= pi / M, in double-double arithmetic."""
+    M = channel._NODES
+    with mpmath.workprec(200):
+        step = dd(2 * mpmath.pi / M)
+        angles = [mpmath.mpf(2 * j) / M for j in range(M + 1)]
+        c_hi, c_lo = np.array([dd(mpmath.cospi(x)) for x in angles]).T
+        s_hi, s_lo = np.array([dd(mpmath.sinpi(x)) for x in angles]).T
+    j = np.rint(M * u).astype(int)
+    zero = np.zeros_like(u)
+    a = dd_mul((zero + step[0], zero + step[1]), (M * u - j, zero))
+    a2 = a[0] * a[0]
+    cos_a_m1 = (a2 * (-0.5 + a2 * (1.0 / 24.0 - a2 / 720.0)), zero)
+    sin_a = dd_add(a, (a[0] * a2 * (-1.0 / 6.0 + a2 * (1.0 / 120.0 - a2 / 5040.0)), zero))
+    c, s = (c_hi[j], c_lo[j]), (s_hi[j], s_lo[j])
+    cos = dd_add(dd_add(c, dd_mul(c, cos_a_m1)), dd_mul((-s[0], -s[1]), sin_a))
+    sin = dd_add(dd_add(s, dd_mul(s, cos_a_m1)), dd_mul(c, sin_a))
+    return cos, sin
+
+
+def ulp_error(got, ref):
+    """|got - ref| in units of the spacing of floats at ref (hi, lo)."""
+    hi, lo = ref
+    return np.abs((got - hi) - lo) / np.spacing(np.abs(hi))
+
+
+class TestPhasor:
+    """``sample_directions`` takes cos and sin of 2 pi u from a table of
+    _NODES + 1 nodes, rotated by a short series."""
+
+    def test_table_is_correctly_rounded(self):
+        M = channel._NODES
+        cos_t, sin_t = channel._phasor_table()
+        assert cos_t.shape == sin_t.shape == (M + 1,)
+        with mpmath.workprec(200):
+            for j in range(M + 1):
+                for got, f in ((cos_t[j], mpmath.cospi), (sin_t[j], mpmath.sinpi)):
+                    want = f(mpmath.mpf(2 * j) / M)
+                    if want == 0:
+                        assert got == 0.0 and not math.copysign(1.0, got) < 0.0
+                    else:
+                        assert abs(got - want) <= 0.5 * np.spacing(abs(float(want))), (j, f)
+
+    def test_within_two_ulp(self):
+        # seeded uniforms, then 0, 1 - 2^-53 and the midpoints between nodes,
+        # where |a| = pi / M is largest
+        M = channel._NODES
+        mid = (np.arange(M) + 0.5) / M
+        edge = np.concatenate(([0.0, 1.0 - 2.0**-53], mid))
+        u = np.concatenate((np.random.default_rng(40).random(1 << 20), edge))
+        cos, sin, y, z, w = (np.empty_like(u) for _ in range(5))
+        channel._phasor(u.copy(), cos, sin, y, z, w)
+        ref = phasor_reference(u)
+        assert np.max(ulp_error(cos, ref[0])) <= 2.0
+        assert np.max(ulp_error(sin, ref[1])) <= 2.0
+        # the reference itself is mpmath's to a thousandth of an ulp
+        k = len(u) - len(edge)
+        with mpmath.workprec(200):
+            for i, x in enumerate(edge):
+                for r, f in ((ref[0], mpmath.cospi), (ref[1], mpmath.sinpi)):
+                    want = f(2 * mpmath.mpf(x))
+                    assert abs(r[0][k + i] + mpmath.mpf(r[1][k + i]) - want) <= 1e-3 * np.spacing(
+                        abs(float(want))
+                    )
 
 
 class TestMagnitudes:
