@@ -2,12 +2,14 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from vlqsim import codebook
 from vlqsim.channel import RngStream, sample_directions
 from vlqsim.codebook import (
     BeamformingCodebook,
@@ -20,6 +22,29 @@ from vlqsim.codebook import (
     save_codebook,
     verify_covering,
 )
+
+
+REFERENCE_BOOKS = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
+
+
+def per_probe_greedy(t, delta, stream, stop_streak):
+    """The greedy build's (codewords, probes) from one exact test per
+    probe, in order, against the book as it stands."""
+    gen = stream.generator(0)
+    threshold = 1.0 - (1.0 - codebook._BUILD_MARGIN) * delta
+    vectors, mat, streak, probes = [], np.zeros((1, t)), 0, 0
+    while streak < stop_streak:
+        for p in codebook._unit_probes(gen, t, codebook._PROBE_BATCH):
+            probes += 1
+            if float(np.max(np.abs(mat @ p.conj()) ** 2)) < threshold:
+                vectors.append(p / np.linalg.norm(p))
+                mat = np.asarray(vectors)
+                streak = 0
+            else:
+                streak += 1
+            if streak >= stop_streak:
+                break
+    return np.asarray(vectors), probes
 
 
 @pytest.fixture(scope="module")
@@ -82,6 +107,29 @@ class TestBuild:
         a = build_covering_codebook(2, 0.4, RngStream(5, 1), stop_streak=200)
         b = build_covering_codebook(2, 0.4, RngStream(5, 1), stop_streak=200)
         assert np.array_equal(a.vectors, b.vectors)
+
+    @pytest.mark.parametrize(
+        "t, delta", [(1, 0.3), (2, 0.1), (2, 0.4), (3, 0.2), (3, 0.5), (4, 0.3), (4, 0.6)]
+    )
+    def test_batched_greedy_matches_the_per_probe_loop(self, t, delta):
+        # a batch's covered probes skip the exact test; streaks that end
+        # inside a batch, after a candidate and on a batch boundary
+        threshold = 1.0 - (1.0 - codebook._BUILD_MARGIN) * delta
+        for seed in range(2):
+            for stop_streak in (1, 37, 512, 1300):
+                stream = RngStream(seed, 11)
+                want, want_probes = per_probe_greedy(t, delta, stream, stop_streak)
+                got, probes = codebook._greedy_cover(t, threshold, stream.generator(0), stop_streak)
+                assert probes == want_probes, (seed, stop_streak)
+                assert np.array_equal(np.asarray(got), want), (seed, stop_streak)
+
+    @pytest.mark.parametrize("t, delta", [(2, 0.2), (4, 0.3)])
+    def test_benchmark_books_are_unchanged(self, t, delta):
+        # the sweep books built the way `vlqsim sweep` builds them
+        stored = load_codebook(REFERENCE_BOOKS / f"book-t{t}.json")
+        book = build_covering_codebook(t, delta, RngStream(0, 101), stop_streak=400)
+        assert np.array_equal(book.vectors, stored.vectors)
+        assert book.metadata["probes_during_build"] == stored.metadata["probes_during_build"]
 
     def test_single_antenna_is_trivial(self):
         book = build_covering_codebook(1, 0.3, RngStream(3), stop_streak=50)
