@@ -38,7 +38,16 @@ from .stbc import ostbc_generator
 
 __all__ = ["SimulationConfig", "ConfigError", "run_config", "selftest", "main"]
 
-_STRATEGIES = ("bf-full", "bf-flq", "bf-vlq", "pc-full", "pc-vlq", "open-loop")
+# strategy name -> (t, codebook) -> scheme
+_SCHEMES = {
+    "bf-full": lambda t, book: est.FullCsitBeamforming(t),
+    "bf-flq": lambda t, book: est.FixedLengthBeamforming(book),
+    "bf-vlq": lambda t, book: est.VariableLengthBeamforming(VlqBeamformingSpec(book)),
+    "pc-full": lambda t, book: est.FullCsitPrecoding(t),
+    "pc-vlq": lambda t, book: est.VariableLengthPrecoding(VlqPrecodingSpec(book)),
+    "open-loop": lambda t, book: est.OpenLoopPrecoding(t),
+}
+_STRATEGIES = tuple(_SCHEMES)
 _CODED = ("bf-flq", "bf-vlq", "pc-vlq")
 # config key -> SimulationConfig field, in the order to_dict writes them
 _FIELDS = {
@@ -240,17 +249,7 @@ def _codebook(config: SimulationConfig, delta: float) -> BeamformingCodebook:
 
 def _spec(strategy: str, t: int, book: BeamformingCodebook | None):
     """The scheme a strategy names; the coded ones quantize with `book`."""
-    if strategy == "bf-full":
-        return est.FullCsitBeamforming(t)
-    if strategy == "pc-full":
-        return est.FullCsitPrecoding(t)
-    if strategy == "open-loop":
-        return est.OpenLoopPrecoding(t)
-    if strategy == "bf-flq":
-        return est.FixedLengthBeamforming(book)
-    if strategy == "bf-vlq":
-        return est.VariableLengthBeamforming(VlqBeamformingSpec(book))
-    return est.VariableLengthPrecoding(VlqPrecodingSpec(book))
+    return _SCHEMES[strategy](t, book)
 
 
 def _grid_schemes(config: SimulationConfig, strategies) -> list:

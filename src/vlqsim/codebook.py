@@ -196,7 +196,7 @@ def build_covering_codebook(
     threshold = 1.0 - (1.0 - _BUILD_MARGIN) * delta
     vectors, probes = _greedy_cover(t, threshold, stream.generator(0), stop_streak)
     book = BeamformingCodebook(
-        vectors=np.asarray(vectors),
+        vectors=vectors,
         delta=delta,
         metadata={
             "master_seed": stream.master_seed,
@@ -222,58 +222,43 @@ def _greedy_cover(t: int, threshold: float, gen: np.random.Generator, stop_strea
 
     Each probe, in order, whose best codeword correlation^2 falls below the
     threshold becomes a codeword; the build stops once stop_streak probes
-    in a row did not.  Each batch of probes is first correlated with the
-    book as it stood before the batch, by real products of the lifts of
-    _BATCH_ENTRIES pairs each; a probe that clears the threshold there by
-    _BATCH_GUARD clears it against the grown book too, so only the other
-    probes take the exact per-probe test, and the covered ones in between
-    just count towards the streak.  Codewords and probe count are those of
-    the exact test on every probe.
+    in a row did not.  So it draws exactly last + stop_streak probes, where
+    last counts the probes up to and including the last codeword, and the
+    probe at index i of a batch drawn after ``drawn`` others ends the build
+    once drawn + i - last reaches stop_streak.  The book starts as one zero
+    row, whose correlation with any probe is 0, and drops it on return.
+    Each batch of probes is first correlated with the book as it stood
+    before the batch, by real products of the lifts of _BATCH_ENTRIES pairs
+    each; a probe that clears the threshold there by _BATCH_GUARD clears it
+    against the grown book too, so only the other probes take the exact
+    per-probe test.  Codewords and probe count are those of the exact test
+    on every probe.
     """
-    vectors: list[np.ndarray] = []
-    streak = probes = 0
-    while streak < stop_streak:
+    mat = np.zeros((1, t))
+    drawn = last = 0
+    while drawn - last < stop_streak:
         batch = _unit_probes(gen, t, _PROBE_BATCH)
-        if vectors:
-            mat = np.asarray(vectors)
-            weights, rows = _lifted_codewords(mat), max(1, _BATCH_ENTRIES // len(mat))
-            batch_best = np.concatenate(
-                [
-                    np.max(weights @ _lift(batch[lo : lo + rows]), axis=0)
-                    for lo in range(0, _PROBE_BATCH, rows)
-                ]
-            )
-            candidates = np.flatnonzero(batch_best < threshold + _BATCH_GUARD).tolist()
-        else:
-            mat, candidates = None, range(_PROBE_BATCH)
-        last = -1
-        for i in (*candidates, _PROBE_BATCH):
-            covered = i - last - 1  # the probes between two candidates
-            if streak + covered >= stop_streak:
-                probes += stop_streak - streak
-                streak = stop_streak
+        weights, rows = _lifted_codewords(mat), max(1, _BATCH_ENTRIES // len(mat))
+        batch_best = np.concatenate(
+            [
+                np.max(weights @ _lift(batch[lo : lo + rows]), axis=0)
+                for lo in range(0, _PROBE_BATCH, rows)
+            ]
+        )
+        for i in np.flatnonzero(batch_best < threshold + _BATCH_GUARD).tolist():
+            if drawn + i - last >= stop_streak:
                 break
-            streak += covered
-            probes += covered
-            if i == _PROBE_BATCH:
-                break
-            probes += 1
             p = batch[i]
-            best = 0.0 if mat is None else float(np.max(np.abs(mat @ p.conj()) ** 2))
-            if best < threshold:
-                vectors.append(p / np.linalg.norm(p))
-                mat = np.asarray(vectors)
-                streak = 0
-            else:
-                streak += 1
-            if streak >= stop_streak:
-                break
-            last = i
-    return vectors, probes
+            if np.max(np.abs(mat @ p.conj()) ** 2) < threshold:
+                mat = np.vstack((mat, p / np.linalg.norm(p)))
+                last = drawn + i + 1
+        drawn += _PROBE_BATCH
+    return mat[1:], last + stop_streak
 
 
-def _refine_worst(book: BeamformingCodebook, probe: np.ndarray, steps: int) -> np.ndarray:
-    """Local descent pushing a probe away from the codebook on the sphere."""
+def _refine_worst(book: BeamformingCodebook, probe: np.ndarray, steps: int):
+    """Local descent pushing a probe away from the codebook on the sphere:
+    the point it reaches and that point's max correlation^2."""
     h = probe / np.linalg.norm(probe)
     eta = 0.5
     val = float(book.max_correlation_sq(h)[0])
@@ -290,7 +275,7 @@ def _refine_worst(book: BeamformingCodebook, probe: np.ndarray, steps: int) -> n
             eta *= 0.5
             if eta < 1e-12:
                 break
-    return h
+    return h, val
 
 
 def verify_covering(
@@ -312,18 +297,14 @@ def verify_covering(
     gen = stream.generator(0)
     worst_val = math.inf
     worst_probe = None
-    remaining = probes
-    while remaining > 0:
-        n = min(remaining, 1 << 15)
-        remaining -= n
-        batch = _unit_probes(gen, book.t, n)
+    for lo in range(0, probes, 1 << 15):
+        batch = _unit_probes(gen, book.t, min(probes - lo, 1 << 15))
         vals = book.max_correlation_sq(batch)
         i = int(np.argmin(vals))
         if vals[i] < worst_val:
             worst_val = float(vals[i])
             worst_probe = batch[i]
-    refined = _refine_worst(book, worst_probe, _REFINE_STEPS)
-    refined_val = float(book.max_correlation_sq(refined)[0])
+    refined, refined_val = _refine_worst(book, worst_probe, _REFINE_STEPS)
     if refined_val < worst_val:
         worst_val, worst_probe = refined_val, refined
     return CoveringReport(

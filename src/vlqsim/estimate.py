@@ -10,7 +10,8 @@ correlation reads:
 
 * "none": ``channel.sample_magnitudes`` adds each draw's ||h||^2 from t
   more uniforms, and ``snr_bits(norm2, stats, P, prepared)`` gives its
-  conditional SER; this supports exact pathwise comparisons.
+  conditional SER and feedback bits, the bits as a scalar where every
+  draw sends the same number; this supports exact pathwise comparisons.
 * "radial": ``conditioned(n, stats, P, prepared)`` integrates the
   magnitude out analytically per direction, which removes the dominant
   variance component and keeps relative standard errors bounded as P
@@ -182,7 +183,7 @@ class FeedbackFree:
         return bpsk_mrc_ser(self.t, P / self.divisor)
 
     def snr_bits(self, norm2: np.ndarray, stats, P: float, prepared):
-        return norm2 * P / self.divisor, np.zeros(len(norm2))
+        return norm2 * P / self.divisor, 0.0
 
     def conditioned(self, n: int, stats, P: float, prepared):
         return np.full(n, prepared), 0.0, 0.0
@@ -214,7 +215,7 @@ class FixedLengthBeamforming:
         return float(self.bits)
 
     def snr_bits(self, norm2: np.ndarray, stats, P: float, prepared):
-        return stats.c_max * (norm2 * P), np.full(len(norm2), prepared)
+        return stats.c_max * (norm2 * P), prepared
 
     def conditioned(self, n: int, stats, P: float, prepared):
         return stats.mrc_ser(P), prepared, 0.0

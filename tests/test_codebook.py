@@ -113,10 +113,12 @@ class TestBuild:
     )
     def test_batched_greedy_matches_the_per_probe_loop(self, t, delta):
         # a batch's covered probes skip the exact test; streaks that end
-        # inside a batch, after a candidate and on a batch boundary
+        # inside a batch, after a candidate, on a batch boundary, on a
+        # batch's last probe, on the next batch's first probe and after two
+        # whole batches
         threshold = 1.0 - (1.0 - codebook._BUILD_MARGIN) * delta
-        for seed in range(2):
-            for stop_streak in (1, 37, 512, 1300):
+        for seed in range(3):
+            for stop_streak in (1, 37, 511, 512, 513, 1024, 1300):
                 stream = RngStream(seed, 11)
                 want, want_probes = per_probe_greedy(t, delta, stream, stop_streak)
                 got, probes = codebook._greedy_cover(t, threshold, stream.generator(0), stop_streak)
@@ -125,11 +127,15 @@ class TestBuild:
 
     @pytest.mark.parametrize("t, delta", [(2, 0.2), (4, 0.3)])
     def test_benchmark_books_are_unchanged(self, t, delta):
-        # the sweep books built the way `vlqsim sweep` builds them
+        # the sweep books built the way `vlqsim sweep` builds them; the
+        # certificate value is the build's own, as the stored files' metadata
+        # predates the current verification
         stored = load_codebook(REFERENCE_BOOKS / f"book-t{t}.json")
         book = build_covering_codebook(t, delta, RngStream(0, 101), stop_streak=400)
         assert np.array_equal(book.vectors, stored.vectors)
         assert book.metadata["probes_during_build"] == stored.metadata["probes_during_build"]
+        worst = {2: 0.8472729004533468, 4: 0.7178447562304952}[t]
+        assert book.metadata["verified_worst_correlation_sq"] == worst
 
     def test_single_antenna_is_trivial(self):
         book = build_covering_codebook(1, 0.3, RngStream(3), stop_streak=50)
