@@ -85,6 +85,7 @@ from .channel import RngStream, sample_channels, sample_directions, sample_magni
 from .codebook import BeamformingCodebook
 from .numerics import (
     LogLogFit,
+    _chebval,
     bpsk_mrc_ser,
     fit_loglog,
     gamma_tail,
@@ -338,32 +339,6 @@ class VariableLengthPrecoding:
         np.maximum(ser, 0.0, out=ser)
         ser += tail_short
         return ser, rate, 0.0
-
-
-def _chebval(x: np.ndarray, coef: np.ndarray) -> np.ndarray:
-    """``chebval(x, coef)`` for len(coef) >= 2, bit for bit.
-
-    The same Clenshaw recurrence in the same order, but into preallocated
-    buffers instead of three new arrays per term, and with the first step,
-    where c0 and c1 are the scalars c[-2] and c[-1], on scalars.
-    """
-    if len(coef) == 2:
-        return np.add(coef[0], np.multiply(coef[1], x))
-    x2 = 2.0 * x
-    # each step is (c0, c1) <- (c - c1, c0 + c1 x2); after the first, c0 is
-    # the scalar c[-3] - c[-1] and c1 the array c[-2] + c[-1] x2
-    c0 = coef[-3] - coef[-1]
-    c1 = np.multiply(coef[-1], x2)
-    c1 += coef[-2]
-    nxt = np.empty_like(x)
-    for c in coef[-4::-1]:
-        np.subtract(c, c1, out=nxt)
-        np.multiply(c1, x2, out=c1)
-        np.add(c0, c1, out=c1)
-        # the old c0's buffer takes the next c - c1; the scalar has none
-        c0, nxt = nxt, c0 if isinstance(c0, np.ndarray) else np.empty_like(x)
-    np.multiply(c1, x, out=c1)
-    return np.add(c0, c1, out=c1)
 
 
 def ser_full_analytic(t: int, P: float, r: Fraction | float = 1) -> float:

@@ -9,7 +9,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from numpy.polynomial.chebyshev import chebval
 
 from vlqsim import estimate
 from vlqsim.channel import RngStream, sample_channels, sample_directions
@@ -696,13 +695,6 @@ class TestPrecodingKernel:
             ser_cut, _, _ = spec.conditioned(20000, corr, P, (cut, short, rate))
             ser_full, _, _ = spec.conditioned(20000, corr, P, (full, short, rate))
             assert np.max(np.abs(ser_cut / ser_full - 1.0)) <= 4.0 * np.finfo(float).eps
-
-    def test_clenshaw_is_chebval_bit_for_bit(self):
-        gen = np.random.default_rng(65)
-        x = np.append(gen.uniform(-1.0, 1.0, 5000), [-1.0, 0.0, 1.0])
-        for _ in range(50):
-            coef = gen.normal(size=24) * 10.0 ** gen.uniform(-12.0, 2.0, size=24)
-            assert np.array_equal(estimate._chebval(x, coef), chebval(x, coef))
 
     def test_uncovered_draws_are_exact_not_clipped(self, book):
         # a delta-cover with codewords removed leaves directions whose best

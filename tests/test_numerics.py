@@ -5,9 +5,11 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from numpy.polynomial.chebyshev import chebval
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vlqsim import numerics
 from vlqsim.numerics import (
     QuadratureError,
     bpsk_mrc_ser,
@@ -30,21 +32,20 @@ class TestQFunction:
         xs = np.arange(-8.0, 8.0 + 1e-9, 0.01)
         got = q_function(xs)
         want = np.array([q_oracle(x) for x in xs])
-        assert np.max(np.abs(got - want)) <= 1e-12
+        assert np.max(np.abs(got - want)) <= 5e-16
 
     def test_relative_accuracy_against_mpmath(self):
-        # relative, so the deep tail counts: near the series/continued-
-        # fraction switch 1 - erf once lost 5e4 ulp (5.8e-12 at x = 3.535);
-        # what remains is the rounding of x / sqrt(2) read through Q's slope
+        # relative, so the deep tail counts; what is left there is the
+        # rounding of x / sqrt(2) read through Q's slope, which grows like x^2
         xs = np.arange(0.0, 37.5 + 1e-9, 0.01)
         want = np.array([q_oracle(x) for x in xs])
-        assert np.max(np.abs(q_function(xs) / want - 1.0)) <= 5e-13
+        rel = np.abs(q_function(xs) / want - 1.0)
+        assert np.max(rel[xs <= 15.0]) <= 5e-14
+        assert np.max(rel) <= 5e-13
 
     def test_scalar_path_matches_vector_path(self):
         # a Python float, an np.float64 and a 0-d array come back as a
         # float with the bits of a 1-element array, over the whole range
-        # and both sides of the series/continued-fraction switch (at
-        # z = x / sqrt(2) = 1.8, x = 2.5456)
         xs = np.random.default_rng(20261018).uniform(-40.0, 40.0, 10000)
         xs = np.concatenate(
             [xs, [-7.3, -1.0, 0.0, 0.5, 1.79, 1.81, 2.49, 2.51, 2.545, 2.546, 6.0, 37.5]]
@@ -89,6 +90,39 @@ class TestQFunction:
     def test_range_property(self, x):
         q = q_function(x)
         assert 0.0 < q < 1.0
+
+
+class TestErfcSeries:
+    def test_coefficients_regenerate(self):
+        # S(y) = (1 + 2z) exp(z^2) erfc(z), z = K (1 + y)/(1 - y), projected
+        # on 80 first-kind Chebyshev nodes at 50 digits, each coefficient
+        # rounded once; the stored series stops where the dropped tail's
+        # absolute sum is below eps/64
+        n, k = 80, mpmath.mpf(numerics._ERFC_K)
+        with mpmath.workdps(50):
+            theta = [mpmath.pi * (j + mpmath.mpf(1) / 2) / n for j in range(n)]
+            z = [k * (1 + mpmath.cos(a)) / (1 - mpmath.cos(a)) for a in theta]
+            f = [(1 + 2 * v) * mpmath.exp(v * v) * mpmath.erfc(v) for v in z]
+            dct = [mpmath.fsum(fj * mpmath.cos(m * a) for fj, a in zip(f, theta)) for m in range(n)]
+            coef = [c * (1 if m == 0 else 2) / n for m, c in enumerate(dct)]
+            stored = numerics._ERFC_CHEB
+            assert np.array_equal(stored, [float(c) for c in coef[: len(stored)]])
+            assert len(stored) == 26
+            assert mpmath.fsum(abs(c) for c in coef[len(stored) :]) < np.finfo(float).eps / 64
+
+
+class TestChebval:
+    def test_clenshaw_is_chebval_bit_for_bit(self):
+        gen = np.random.default_rng(65)
+        x = np.append(gen.uniform(-1.0, 1.0, 5000), [-1.0, 0.0, 1.0])
+        for _ in range(50):
+            coef = gen.normal(size=24) * 10.0 ** gen.uniform(-12.0, 2.0, size=24)
+            assert np.array_equal(numerics._chebval(x, coef), chebval(x, coef))
+        # the Gaussian tail's longer series, with magnitudes down to 1e-18
+        y = x[x < 1.0]
+        assert np.array_equal(
+            numerics._chebval(y, numerics._ERFC_CHEB), chebval(y, numerics._ERFC_CHEB)
+        )
 
 
 class TestGammaTail:
