@@ -8,7 +8,9 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["RngStream", "sample_channels", "sample_directions", "sample_magnitudes"]
+__all__ = [
+    "RngStream", "direction_blocks", "sample_channels", "sample_directions", "sample_magnitudes"
+]
 
 
 @dataclass(frozen=True)
@@ -77,6 +79,9 @@ def sample_magnitudes(stream: RngStream, t: int, n: int) -> np.ndarray:
 # doubles of padding after each row of a lift, so that its row stride is
 # not a multiple of a large power of two
 _LIFT_PAD = 8
+# bytes of one block of a lift that ``direction_blocks`` yields: a sweep
+# worker holds one block at a time, not its whole chunk's lift
+_LIFT_BYTES = 1 << 21
 
 
 # nodes of the phasor table: 2 pi u is rotated to the nearest multiple of
@@ -176,10 +181,17 @@ def _pairs(t: int) -> tuple:
     return tuple(zip(k.tolist(), l.tolist()))
 
 
-def sample_directions(stream: RngStream, t: int, n: int) -> np.ndarray:
-    """The real (t^2, n) lift of n directions h / ||h|| of h ~ CN(0, I_t),
-    up to a common phase, in the row layout of ``codebook._lift``: |h_k|^2
-    in rows 0..t-1, then Re and Im of h_k conj(h_l) for each pair k < l.
+def _block_width(t: int) -> int:
+    """The most columns of one block of ``direction_blocks``: the largest
+    power of two whose (t^2, width) lift fits in _LIFT_BYTES."""
+    return 1 << ((_LIFT_BYTES // (8 * t * t)).bit_length() - 1)
+
+
+def direction_blocks(stream: RngStream, t: int, n: int):
+    """Yield (lo, lifted): the real (t^2, hi - lo) lifts of draws lo..hi of
+    n directions h / ||h|| of h ~ CN(0, I_t), up to a common phase, in the
+    row layout of ``codebook._lift``: |h_k|^2 in rows 0..t-1, then Re and
+    Im of h_k conj(h_l) for each pair k < l.
 
     Exact in law, with no rejection and no norm, from 2t - 2 uniforms per
     draw: the squared magnitudes m_k of a uniform unit vector in C^t are
@@ -190,31 +202,50 @@ def sample_directions(stream: RngStream, t: int, n: int) -> np.ndarray:
     only on |<x, h>|^2 have the same law as on normalised ``sample_channels``
     draws.
 
-    The lift is filled in place with two n-buffers of scratch: the
-    phasors cos and sin phi_l go into the rows of the pairs (0, l), the
+    Blocks are ``_block_width(t)`` columns wide (the last one, or a whole
+    n below that, narrower), so that no lift holds more than _LIFT_BYTES
+    (2 MiB): a whole 32 768-draw sweep chunk at t <= 2, 16 384 draws at
+    t = 3 and 4, 4 096 at t = 8.  Every block is written into one
+    (t^2, width + _LIFT_PAD) buffer, so a block is valid only until the
+    next one is drawn.  All blocks come from the one generator of
+    ``stream``, each as t - 1 rows of uniforms for its phases and then
+    t - 1 for its magnitudes, one row of the block's width at a time; so a
+    block as wide as n draws the uniforms in the order of one whole lift.
+
+    The buffer's rows are padded by _LIFT_PAD doubles.  With an unpadded
+    row stride of 2^14 or 2^15 doubles, the t^2 rows a GEMM block of
+    ``BeamformingCodebook.lifted_stats`` reads map to the same cache sets;
+    the pad breaks that alignment, and the GEMM's result does not depend
+    on the row stride.
+    """
+    _check_sizes(t, n)
+    width = min(n, _block_width(t))
+    lifted = np.empty((t * t, width + _LIFT_PAD))
+    gen = stream.generator()
+    for lo in range(0, n, width):
+        block = lifted[:, : min(width, n - lo)]
+        _fill_directions(gen, t, block)
+        yield lo, block
+
+
+def _fill_directions(gen: np.random.Generator, t: int, lifted: np.ndarray) -> None:
+    """Fill the (t^2, w) lift of w directions from 2t - 2 rows of w
+    uniforms of ``gen``, in place, with two w-buffers of scratch (at t = 1,
+    with ones and no uniforms).
+
+    The phasors cos and sin phi_l go into the rows of the pairs (0, l), the
     m_k into rows 0..t-1, the pairs (k >= 1, l) are built from the phasor
     rows, and the amplitudes sqrt(m_k m_l) are applied last.  The phasors
     of phi = 2 pi u come from ``_phasor``, a table of 1025 nodes rotated
     by a short series, within 2 ulp of the exact values and about 3 times
     as fast as libm's cos and sin over [0, 2 pi); its other scratch is the
     magnitude rows, filled after it.
-
-    The lift is a (t^2, n) view of a (t^2, n + _LIFT_PAD) array.  With an
-    unpadded row stride of n = 2^15 doubles, the t^2 rows a GEMM block of
-    ``BeamformingCodebook.lifted_stats`` reads map to the same cache sets;
-    the pad breaks that alignment, and the GEMM's result does not depend
-    on the row stride.
     """
-    _check_sizes(t, n)
-    lifted = np.empty((t * t, n + _LIFT_PAD))[:, :n]
-    if t == 1:
-        lifted.fill(1.0)
-        return lifted
-    gen = stream.generator()
-    u, keep = np.empty(n), np.empty(n)
+    w = lifted.shape[1]
+    u, keep = np.empty(w), np.empty(w)
     pairs = _pairs(t)
     mag, re, im = lifted[:t], lifted[t : t + len(pairs)], lifted[t + len(pairs) :]
-    # one row of n uniforms at a time: t - 1 for the phases, then t - 1 for
+    # one row of w uniforms at a time: t - 1 for the phases, then t - 1 for
     # the magnitudes.  The pairs (0, b) come first; their rows take the unit
     # phasors, with keep and the magnitude rows, not yet filled, as scratch
     for b in range(1, t):
@@ -247,4 +278,15 @@ def sample_directions(stream: RngStream, t: int, n: int) -> np.ndarray:
         np.sqrt(u, out=u)
         re[p] *= u
         im[p] *= u
+
+
+def sample_directions(stream: RngStream, t: int, n: int) -> np.ndarray:
+    """The real (t^2, n) lift of the n directions that ``direction_blocks``
+    yields, its blocks side by side: the directions a sweep chunk of n
+    draws on ``stream`` sees.  A (t^2, n) view of a (t^2, n + _LIFT_PAD)
+    array, padded like the blocks."""
+    _check_sizes(t, n)
+    lifted = np.empty((t * t, n + _LIFT_PAD))[:, :n]
+    for lo, block in direction_blocks(stream, t, n):
+        lifted[:, lo : lo + block.shape[1]] = block
     return lifted

@@ -85,15 +85,17 @@ class BeamformingCodebook:
     def __len__(self) -> int:
         return len(self.vectors)
 
-    def lifted_stats(self, lifted: np.ndarray):
+    def lifted_stats(self, lifted: np.ndarray, out=None):
         """Per draw: (max_i, min_i, i = 0) of |<x_i, h>|^2, for draws given
         as their real (t^2, n) lift in ``_lift``'s row layout, as
-        ``channel.sample_directions`` returns them."""
-        return self._reduce(lifted.shape[1], lambda lo, hi: lifted[:, lo:hi])
+        ``channel.direction_blocks`` yields them; into ``out``, three
+        n-arrays, when given (a sweep passes slices of its chunk's arrays)."""
+        return self._reduce(lifted.shape[1], lambda lo, hi: lifted[:, lo:hi], out)
 
-    def _reduce(self, n: int, block):
+    def _reduce(self, n: int, block, out=None):
         """(max, min, first) over the codebook of n draws whose lifted
-        columns lo:hi ``block(lo, hi)`` returns.
+        columns lo:hi ``block(lo, hi)`` returns, into the three n-arrays
+        ``out`` or new ones.
 
         Uses |x^H h|^2 = <lift(h), lift(x)> with the codeword side's
         off-diagonal terms doubled, so each block of columns is one real
@@ -104,12 +106,16 @@ class BeamformingCodebook:
 
         A block is a strided (t^2, width) view of the lift, read in place.
         Its row stride changes the time of the product but not its bits;
-        ``channel.sample_directions`` pads its rows so that the t^2 rows do
-        not share cache sets (at t = 4, |B| = 239, one 32 768-draw lift:
+        ``channel.direction_blocks`` pads its rows so that the t^2 rows do
+        not share cache sets (at t = 4, |B| = 239, a 32 768-draw lift:
         about 17 ms padded against 21 ms at a row stride of 2^15 doubles).
+        Which columns share a product can change a column's bits (a
+        one-column product runs as a matrix-vector product), so a lift
+        reduced in parts gives the whole lift's bits when every part but
+        the last is a multiple of the block width.
         """
         width = min(4096, max(64, _CORR_ENTRIES // len(self) // 64 * 64))
-        c_max, c_min, c_first = np.empty(n), np.empty(n), np.empty(n)
+        c_max, c_min, c_first = out or (np.empty(n), np.empty(n), np.empty(n))
         buf = np.empty(len(self) * min(n, width))
         for lo in range(0, n, width):
             hi = min(lo + width, n)
@@ -120,8 +126,8 @@ class BeamformingCodebook:
             np.minimum.reduce(corr, axis=0, out=c_min[lo:hi])
             c_first[lo:hi] = corr[0]
         # |.|^2 >= 0; rounding in the lifted sum can leave -1e-17
-        for out in (c_max, c_min, c_first):
-            np.maximum(out, 0.0, out=out)
+        for stat in (c_max, c_min, c_first):
+            np.maximum(stat, 0.0, out=stat)
         return c_max, c_min, c_first
 
     def max_correlation_sq(self, h: np.ndarray) -> np.ndarray:

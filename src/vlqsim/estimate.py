@@ -4,9 +4,9 @@ The primary estimator averages the conditional BPSK error rate
 Q(sqrt(2 snr(h))) over h ~ CN(0, I_t).  Every snr reads only ||h||^2 and
 the codeword correlations of the direction hbar = h / ||h||, and
 h = a hbar with a^2 ~ Gamma(t,1) independent of hbar.  So both modes draw
-directions, up to a common phase, with ``channel.sample_directions`` from
-2t - 2 uniforms per draw, straight into the real (t^2, n) lift that the
-correlation reads:
+directions, up to a common phase, with ``channel.direction_blocks`` from
+2t - 2 uniforms per draw, straight into blocks of the real (t^2, n) lift
+that the correlation reads:
 
 * "none": ``channel.sample_magnitudes`` adds each draw's ||h||^2 from t
   more uniforms, and ``snr_bits(norm2, stats, P, prepared)`` gives its
@@ -35,11 +35,14 @@ for full CSIT and open loop); per chunk, the correlation runs once per
 distinct codebook for the whole P grid, and every spec using it receives
 the same ``_BookStats``: per-draw (max, min, column-0) of
 |<x_i, hbar>|^2.  The kernel itself is one blocked real GEMM on the lift
-(see ``BeamformingCodebook.lifted_stats``), and the lift is freed once its
-stats exist.  In radial mode the stats also hold the MRC SER
-``bpsk_mrc_ser(t, c_max P / r)`` for the current P, one array per r, so
-bf-flq, bf-vlq and pc-vlq at r = 1 evaluate it once per chunk and P
-instead of once each, with the same bits.  Each spec's per-draw values
+(see ``BeamformingCodebook.lifted_stats``).  A chunk's lift is drawn in
+blocks of at most 2 MiB (a whole chunk at t <= 2, 16 384 draws at t = 3
+and 4, 4 096 at t = 8), one buffer per chunk, and each block's stats are
+written into the chunk's arrays before the next block is drawn, so no
+worker holds a whole chunk's lift.  In radial mode the stats also hold
+the MRC SER ``bpsk_mrc_ser(t, c_max P / r)`` for the current P, one array
+per r, so bf-flq, bf-vlq and pc-vlq at r = 1 evaluate it once per chunk
+and P instead of once each, with the same bits.  Each spec's per-draw values
 are reduced to chunk moments before the next spec is evaluated.
 
 Schemes: full-CSIT beamforming and precoding and the open-loop precoder
@@ -81,7 +84,7 @@ from fractions import Fraction
 import numpy as np
 from numpy.polynomial.chebyshev import chebfit, chebpts1
 
-from .channel import RngStream, sample_channels, sample_directions, sample_magnitudes
+from .channel import RngStream, direction_blocks, sample_channels, sample_magnitudes
 from .codebook import BeamformingCodebook
 from .numerics import (
     LogLogFit,
@@ -367,9 +370,11 @@ class _BookStats:
     class while it computes, and the workers would take turns.
     """
 
-    def __init__(self, book: BeamformingCodebook, lifted: np.ndarray):
+    def __init__(self, book: BeamformingCodebook, lifted: np.ndarray = None, stats=None):
+        """Stats of the lift ``lifted``, or the (c_max, c_min, c_first)
+        arrays ``stats`` that ``book.lifted_stats`` has filled."""
         self.t, self.delta = book.t, book.delta
-        self.c_max, self.c_min, self.c_first = book.lifted_stats(lifted)
+        self.c_max, self.c_min, self.c_first = stats or book.lifted_stats(lifted)
         self._P, self._mrc = None, {}
         self._cheb_x = self._uncovered = None
 
@@ -404,12 +409,18 @@ class _BookStats:
 def _draws(specs, stream, c_idx, n, conditioning):
     """P-free half of chunk c_idx: (norm2, stats).  stats maps each distinct
     codebook's id to its ``_BookStats`` on n directions from substream
-    (0, c_idx).  norm2 holds each draw's ||h||^2 from substream (1, c_idx)
-    in plain mode; it is None in radial mode, which never reads (1, c_idx)."""
+    (0, c_idx), correlated one block of ``direction_blocks`` at a time into
+    the chunk's stats arrays.  norm2 holds each draw's ||h||^2 from
+    substream (1, c_idx) in plain mode; it is None in radial mode, which
+    never reads (1, c_idx)."""
     t = specs[0].t
-    lifted = sample_directions(stream.child(0, c_idx), t, n)
     books = {id(s.codebook): s.codebook for s in specs if s.codebook is not None}
-    stats = {key: _BookStats(book, lifted) for key, book in books.items()}
+    arrays = {key: (np.empty(n), np.empty(n), np.empty(n)) for key in books}
+    for lo, lifted in direction_blocks(stream.child(0, c_idx), t, n):
+        hi = lo + lifted.shape[1]
+        for key, book in books.items():
+            book.lifted_stats(lifted, [a[lo:hi] for a in arrays[key]])
+    stats = {key: _BookStats(book, stats=arrays[key]) for key, book in books.items()}
     norm2 = None if conditioning == "radial" else sample_magnitudes(stream.child(1, c_idx), t, n)
     return norm2, stats
 

@@ -98,7 +98,9 @@ def _erfc_nonneg(z: np.ndarray) -> np.ndarray:
     """erfc on z >= 0 as exp(-z^2) S(y) / (1 + 2z), with S the Chebyshev
     series of (1 + 2z) exp(z^2) erfc(z) in y = (z - 3.75)/(z + 3.75)."""
     y = (z - _ERFC_K) / (z + _ERFC_K)
-    with np.errstate(under="ignore"):
+    # z * z and 2 z overflow to inf for z >~ 1.3e154, where exp(-inf) and
+    # the division by inf give the right 0.0
+    with np.errstate(under="ignore", over="ignore"):
         return np.exp(-z * z) * (_chebval(y, _ERFC_CHEB) / (1.0 + 2.0 * z))
 
 

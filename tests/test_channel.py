@@ -112,7 +112,8 @@ def unlift(lifted: np.ndarray, t: int) -> np.ndarray:
 
 
 class TestDirections:
-    """``sample_directions`` returns the real (t^2, n) lift of the draws."""
+    """``sample_directions`` returns the real (t^2, n) lift of the draws
+    that ``direction_blocks`` yields one block at a time."""
 
     def test_unit_rows_with_real_first_entry(self):
         # the lift is that of one unit vector per draw, with h_0 real >= 0
@@ -178,10 +179,28 @@ class TestDirections:
         assert L.shape == (1, 10) and np.all(L == 1.0)
 
     def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            sample_directions(RngStream(1), 0, 10)
-        with pytest.raises(ValueError):
-            sample_directions(RngStream(1), 2, 0)
+        for t, n in ((0, 10), (2, 0)):
+            with pytest.raises(ValueError):
+                sample_directions(RngStream(1), t, n)
+            with pytest.raises(ValueError):
+                next(channel.direction_blocks(RngStream(1), t, n))
+
+    @pytest.mark.parametrize(
+        "t, width", [(1, 1 << 18), (2, 1 << 16), (3, 1 << 14), (4, 1 << 14), (8, 1 << 12)]
+    )
+    def test_blocks_of_a_chunk(self, t, width):
+        # a sweep chunk's lift in blocks of at most 2 MiB, each written over
+        # the last; side by side they are the lift sample_directions returns
+        n = (1 << 15) + 5
+        whole = sample_directions(RngStream(39, t), t, n)
+        starts, first = [], None
+        for lo, block in channel.direction_blocks(RngStream(39, t), t, n):
+            first = block if first is None else first
+            assert block.shape == (t * t, min(width, n - lo))
+            assert block.nbytes <= 1 << 21 and np.shares_memory(block, first)
+            assert np.array_equal(block, whole[:, lo : lo + width])
+            starts.append(lo)
+        assert starts == list(range(0, n, width))
 
     def test_deterministic_per_substream(self):
         s = RngStream(34)

@@ -718,7 +718,7 @@ def test_bad_files_get_exit_codes_not_tracebacks(
     monkeypatch.setattr(cli, "build_covering_codebook", refuse)
     monkeypatch.setattr(estimate, "ser_rate_sweep", refuse)
     monkeypatch.setattr(estimate, "_pool", refuse)
-    monkeypatch.setattr(estimate, "sample_directions", refuse)
+    monkeypatch.setattr(estimate, "direction_blocks", refuse)
     assert main(argv) == code
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err

@@ -1,5 +1,6 @@
 """Semi-analytic estimator: unbiasedness, bounds, determinism, comparisons."""
 
+import hashlib
 import math
 import os
 import pickle
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from vlqsim import estimate
-from vlqsim.channel import RngStream, sample_channels, sample_directions
+from vlqsim.channel import RngStream, _block_width, sample_channels, sample_directions
 from vlqsim.codebook import BeamformingCodebook, _lift, build_covering_codebook
 from vlqsim.estimate import (
     _BookStats,
@@ -31,6 +32,13 @@ from vlqsim.estimate import (
 )
 from vlqsim.numerics import bpsk_mrc_ser, gamma_tail, gamma_weighted_q_tail, q_function
 from vlqsim.quantizer import VlqBeamformingSpec, VlqPrecodingSpec
+
+
+def random_book(t, size, delta):
+    """``size`` random unit-norm codewords in C^t, seeded by t."""
+    gen = np.random.default_rng(t)
+    v = gen.standard_normal((size, t)) + 1j * gen.standard_normal((size, t))
+    return BeamformingCodebook(v / np.linalg.norm(v, axis=1, keepdims=True), delta)
 
 
 @pytest.fixture(scope="module")
@@ -171,7 +179,7 @@ class TestSweepInvariants:
 
         # every check runs before any prepare, thread pool or draw
         monkeypatch.setattr(estimate, "_pool", refuse)
-        monkeypatch.setattr(estimate, "sample_directions", refuse)
+        monkeypatch.setattr(estimate, "direction_blocks", refuse)
         with pytest.raises(ValueError):
             ser_rate_sweep(all_specs, [], 10, RngStream(1))
         for samples in (0, 10**10 + 1):
@@ -193,7 +201,7 @@ class TestSweepInvariants:
         def refuse(*args):
             raise AssertionError("drew before the grid was checked")
 
-        monkeypatch.setattr(estimate, "sample_directions", refuse)
+        monkeypatch.setattr(estimate, "direction_blocks", refuse)
         vlq = VariableLengthBeamforming(VlqBeamformingSpec(book))
         flq = FixedLengthBeamforming(book)
         for conditioning in ("radial", "none"):
@@ -245,13 +253,13 @@ class TestDeterminism:
     def test_sweeps_reuse_their_threads(self, all_specs, monkeypatch):
         # new threads per sweep took new malloc arenas and made peak RSS vary
         threads = []
-        sample = estimate.sample_directions
+        sample = estimate.direction_blocks
 
         def recorded(stream, t, n):
             threads.append(threading.current_thread().name)
             return sample(stream, t, n)
 
-        monkeypatch.setattr(estimate, "sample_directions", recorded)
+        monkeypatch.setattr(estimate, "direction_blocks", recorded)
         ser_rate_sweep(all_specs, [3.0], 4 * _CHUNK, RngStream(43), workers=2)
         first = set(threads)
         threads.clear()
@@ -262,13 +270,13 @@ class TestDeterminism:
         # on the main thread glibc trims the heap top after every chunk, and
         # the next chunk faults those pages back in
         threads = []
-        sample = estimate.sample_directions
+        sample = estimate.direction_blocks
 
         def recorded(stream, t, n):
             threads.append(threading.current_thread())
             return sample(stream, t, n)
 
-        monkeypatch.setattr(estimate, "sample_directions", recorded)
+        monkeypatch.setattr(estimate, "direction_blocks", recorded)
         grid, samples = [3.0, 300.0], 2 * _CHUNK + 7  # three chunks
         pooled = ser_rate_sweep(all_specs, grid, samples, RngStream(44), workers=1)
         assert len(threads) == 3 and len(set(threads)) == 1
@@ -301,9 +309,9 @@ class TestSharedCorrelation:
         calls = []
         original = BeamformingCodebook._reduce
 
-        def counted(book, n, block):
+        def counted(book, n, block, out=None):
             calls.append(n)
-            return original(book, n, block)
+            return original(book, n, block, out)
 
         monkeypatch.setattr(BeamformingCodebook, "_reduce", counted)
         return calls
@@ -323,7 +331,7 @@ class TestSharedCorrelation:
         # the one direction sampler
         samples = 2 * _CHUNK + 5  # three chunks, the last one short
         P_grid = [10.0, 100.0]
-        original = estimate.sample_directions
+        original = estimate.direction_blocks
         for conditioning in ("radial", "none"):
             sampled = []
 
@@ -331,7 +339,7 @@ class TestSharedCorrelation:
                 sampled.append(n)
                 return original(stream, t, n)
 
-            monkeypatch.setattr(estimate, "sample_directions", counted)
+            monkeypatch.setattr(estimate, "direction_blocks", counted)
             calls.clear()
             ser_rate_sweep(
                 self.coded_specs(book), P_grid, samples, RngStream(48),
@@ -391,30 +399,41 @@ class TestGridSharing:
         many = peak(list(np.geomspace(10.0, 1e6, 9)))
         assert many <= 1.1 * one
 
-    def test_peak_memory_of_a_lifted_sweep(self):
-        # the benchmark's t=4 book (|B| = 239) on two workers: each holds one
-        # chunk's lift (4 MiB) and a cache-sized GEMM block, and frees the
-        # lift once the chunk's stats exist; with 65 536-draw chunks of
-        # complex directions one worker alone peaked at about 14 MB
-        book = build_covering_codebook(4, 0.3, RngStream(0, 101), stop_streak=400)
-        specs = TestSharedCorrelation.coded_specs(book)
+    @staticmethod
+    def sweep_peak(specs, samples, seed):
+        """The tracemalloc peak of a radial sweep on two workers."""
         tracemalloc.start()
         try:
-            ser_rate_sweep(specs, [1e2, 1e3, 1e4], 4 * _CHUNK, RngStream(53), workers=2)
-            peak = tracemalloc.get_traced_memory()[1]
+            ser_rate_sweep(specs, [1e2, 1e3, 1e4], samples, RngStream(seed), workers=2)
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 12e6
+
+    def test_peak_memory_of_a_lifted_sweep(self):
+        # the benchmark's t=4 book (|B| = 239) on two workers: each holds one
+        # 16 384-draw block of its chunk's lift (2 MiB), the chunk's stats
+        # and a cache-sized GEMM block; with whole-chunk lifts (4 MiB each)
+        # the sweep peaked at about 11 MB
+        book = build_covering_codebook(4, 0.3, RngStream(0, 101), stop_streak=400)
+        specs = TestSharedCorrelation.coded_specs(book)
+        assert self.sweep_peak(specs, 4 * _CHUNK, 53) < 7.5e6
+
+    def test_peak_memory_of_a_t8_sweep(self):
+        # at t = 8 a whole chunk's lift is 16.8 MB, and two workers held
+        # about 35 MB; blocks of 4 096 draws are 2 MiB each
+        specs = TestSharedCorrelation.coded_specs(random_book(8, 8, 0.9))
+        assert self.sweep_peak(specs, 2 * _CHUNK, 54) < 8e6
 
 
 class TestDirectionSampler:
-    """Radial sweeps draw directions with ``channel.sample_directions`` and
+    """Radial sweeps draw directions with ``channel.direction_blocks`` and
     share the MRC SER of c_max P / r across specs."""
 
     @staticmethod
     def normalised_channels(stream, t, n):
+        # the whole chunk as one block
         H = sample_channels(stream, t, n)
-        return _lift(H / np.linalg.norm(H, axis=1, keepdims=True))
+        yield 0, _lift(H / np.linalg.norm(H, axis=1, keepdims=True))
 
     @pytest.mark.parametrize("t, delta, samples", [(2, 0.2, 1 << 18), (4, 0.3, 1 << 17)])
     def test_agrees_with_normalised_channels(self, monkeypatch, t, delta, samples):
@@ -424,12 +443,42 @@ class TestDirectionSampler:
         specs = TestSharedCorrelation.coded_specs(book)
         grid = [1e2, 1e3, 1e4]
         new = ser_rate_sweep(specs, grid, samples, RngStream(70))
-        monkeypatch.setattr(estimate, "sample_directions", self.normalised_channels)
+        drawn = []
+
+        def normalised(stream, t, n):
+            drawn.append(n)
+            return self.normalised_channels(stream, t, n)
+
+        monkeypatch.setattr(estimate, "direction_blocks", normalised)
         old = ser_rate_sweep(specs, grid, samples, RngStream(71))
+        assert sum(drawn) == samples
         for a, b in zip(new, old):
             assert (a.quantizer_id, a.P) == (b.quantizer_id, b.P)
             assert abs(a.ser - b.ser) <= 5.0 * math.hypot(a.ser_stderr, b.ser_stderr), (a, b)
             assert abs(a.rate - b.rate) <= 5.0 * math.hypot(a.rate_stderr, b.rate_stderr), (a, b)
+
+    @pytest.mark.parametrize("t, size", [(2, 12), (3, 51), (4, 239)])
+    def test_blocks_change_no_bit(self, t, size):
+        # a chunk correlated one block at a time has the stats of its whole
+        # lift, and sample_directions is that lift
+        book = random_book(t, size, 0.5)
+        n = 2 * _block_width(t) + 5
+        stream = RngStream(78)
+        _, stats = estimate._draws([FixedLengthBeamforming(book)], stream, 3, n, "radial")
+        want = book.lifted_stats(sample_directions(stream.child(0, 3), t, n))
+        got = stats[id(book)]
+        for a, b in zip((got.c_max, got.c_min, got.c_first), want):
+            assert np.array_equal(a, b)
+
+    def test_t2_sweep_bytes_are_pinned(self, book, tmp_path):
+        # at t = 2 a chunk is one block, drawn in the order of the
+        # whole-chunk lift that blocks replaced: that sampler's bytes
+        recs = ser_rate_sweep(
+            TestSharedCorrelation.coded_specs(book), [10.0, 1e3], 2 * _CHUNK + 5, RngStream(80)
+        )
+        write_records_csv(recs, tmp_path / "t2.csv")
+        digest = hashlib.sha256((tmp_path / "t2.csv").read_bytes()).hexdigest()
+        assert digest == "dd66f771ad60f3516e8cc1f99f8fa4d246cb6fd0cb29f3ef652b8fdec355373c"
 
     def test_csv_bytes_do_not_depend_on_workers(self, tmp_path, all_specs):
         samples = 2 * _CHUNK + 11  # three chunks
@@ -527,9 +576,9 @@ class TestChunkState:
                 return original(spec, P)
 
             monkeypatch.setattr(cls, "prepare", counted)
-        draw = estimate.sample_directions
+        draw = estimate.direction_blocks
         monkeypatch.setattr(
-            estimate, "sample_directions", lambda *args: events.append("draw") or draw(*args)
+            estimate, "direction_blocks", lambda *args: events.append("draw") or draw(*args)
         )
         grid = [10.0, 1e3]
         runs = [
@@ -780,7 +829,7 @@ class TestPairedCompare:
             raise AssertionError("work started")
 
         monkeypatch.setattr(estimate, "_pool", refuse)
-        monkeypatch.setattr(estimate, "sample_directions", refuse)
+        monkeypatch.setattr(estimate, "direction_blocks", refuse)
         flq = FixedLengthBeamforming(book)
         with pytest.raises(ValueError, match=match):
             paired_compare(
@@ -849,7 +898,7 @@ class TestPlainDraws:
         assert again == compared
 
     def test_magnitudes_have_their_own_substreams(self, all_specs, monkeypatch):
-        streams = {"sample_directions": [], "sample_magnitudes": []}
+        streams = {"direction_blocks": [], "sample_magnitudes": []}
         for name, record in streams.items():
             original = getattr(estimate, name)
 
@@ -859,7 +908,7 @@ class TestPlainDraws:
 
             monkeypatch.setattr(estimate, name, recorded)
         ser_rate_sweep(all_specs, [10.0], 2 * _CHUNK + 5, RngStream(75), conditioning="none")
-        directions, magnitudes = streams["sample_directions"], streams["sample_magnitudes"]
+        directions, magnitudes = streams["direction_blocks"], streams["sample_magnitudes"]
         assert len(directions) == len(magnitudes) == 3
         assert len(set(magnitudes)) == 3 and not set(magnitudes) & set(directions)
         first = [s.generator().random(4) for s in directions]

@@ -79,6 +79,13 @@ class TestQFunction:
         assert q_function(50.0) >= 0.0
         assert q_function(1e6) == 0.0
 
+    @pytest.mark.parametrize("x, want", [(1e200, 0.0), (-1e200, 1.0), (1.7e308, 0.0)])
+    def test_huge_arguments_do_not_overflow(self, x, want):
+        # z * z and 2 z overflow inside erfc; the suite turns warnings into
+        # errors, so an overflow warning would raise here
+        assert q_function(x) == want
+        assert np.array_equal(q_function(np.array([x])), [want])
+
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             q_function(float("nan"))
