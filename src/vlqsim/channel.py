@@ -80,8 +80,12 @@ def sample_magnitudes(stream: RngStream, t: int, n: int) -> np.ndarray:
 # not a multiple of a large power of two
 _LIFT_PAD = 8
 # bytes of one block of a lift that ``direction_blocks`` yields: a sweep
-# worker holds one block at a time, not its whole chunk's lift
-_LIFT_BYTES = 1 << 21
+# worker holds one block at a time, not its whole chunk's lift; but a block
+# has at least _MIN_BLOCK draws, below which the fill's numpy calls cover
+# too few columns to pay for themselves (a t = 8 sweep of 2^16 draws on two
+# workers: 82-88 ms in 2 048-draw blocks, 59-63 ms in blocks of 4 096)
+_LIFT_BYTES = 1 << 20
+_MIN_BLOCK = 1 << 12
 
 
 # nodes of the phasor table: 2 pi u is rotated to the nearest multiple of
@@ -134,7 +138,9 @@ def _phasor_table() -> tuple:
 
 def _phasor(u: np.ndarray, cos: np.ndarray, sin: np.ndarray, y, z, w) -> None:
     """cos and sin of 2 pi u, u in [0, 1), into ``cos`` and ``sin``, with
-    three n-buffers of scratch y, z and w; u is overwritten.
+    three scratch arrays y, z and w of u's shape; u is overwritten.  The
+    arrays may be strided 2-D views of rows (one pass for several rows of
+    phases), but z's rows must be contiguous.
 
     With j = rint(_NODES u) and a = 2 pi (_NODES u - j) / _NODES, the
     phasor is the table's entry T_j rotated by a: T_j + T_j (cos a - 1) +
@@ -151,9 +157,11 @@ def _phasor(u: np.ndarray, cos: np.ndarray, sin: np.ndarray, y, z, w) -> None:
     np.multiply(u, _STEP_LO, out=y)
     u *= _STEP_HI
     u += y  # a
-    # j is in [0, _NODES]; mode="clip" spares np.take a buffered copy
-    np.take(cos_t, j, out=cos, mode="clip")
-    np.take(sin_t, j, out=sin, mode="clip")
+    # j is in [0, _NODES]; mode="clip" spares np.take a buffered copy, and
+    # a row at a time spares it the copy of a strided index or out array
+    for jr, c, s in zip(np.atleast_2d(j), np.atleast_2d(cos), np.atleast_2d(sin)):
+        np.take(cos_t, jr, out=c, mode="clip")
+        np.take(sin_t, jr, out=s, mode="clip")
     np.multiply(u, u, out=y)  # a^2
     np.multiply(y, 1.0 / 120.0, out=z)
     z -= 1.0 / 6.0
@@ -183,8 +191,9 @@ def _pairs(t: int) -> tuple:
 
 def _block_width(t: int) -> int:
     """The most columns of one block of ``direction_blocks``: the largest
-    power of two whose (t^2, width) lift fits in _LIFT_BYTES."""
-    return 1 << ((_LIFT_BYTES // (8 * t * t)).bit_length() - 1)
+    power of two whose (t^2, width) lift fits in _LIFT_BYTES, and at least
+    _MIN_BLOCK."""
+    return max(_MIN_BLOCK, 1 << ((_LIFT_BYTES // (8 * t * t)).bit_length() - 1))
 
 
 def direction_blocks(stream: RngStream, t: int, n: int):
@@ -203,13 +212,14 @@ def direction_blocks(stream: RngStream, t: int, n: int):
     draws.
 
     Blocks are ``_block_width(t)`` columns wide (the last one, or a whole
-    n below that, narrower), so that no lift holds more than _LIFT_BYTES
-    (2 MiB): a whole 32 768-draw sweep chunk at t <= 2, 16 384 draws at
-    t = 3 and 4, 4 096 at t = 8.  Every block is written into one
-    (t^2, width + _LIFT_PAD) buffer, so a block is valid only until the
-    next one is drawn.  All blocks come from the one generator of
-    ``stream``, each as t - 1 rows of uniforms for its phases and then
-    t - 1 for its magnitudes, one row of the block's width at a time; so a
+    n below that, narrower), so that a lift holds at most _LIFT_BYTES
+    (1 MiB) up to t = 5, and 4 096 draws beyond: a whole 32 768-draw sweep
+    chunk at t <= 2, 8 192 draws at t = 3 and 4, 4 096 at t >= 5.  Every
+    block is written into one (t^2, width + _LIFT_PAD) buffer, so a block
+    is valid only until the next one is drawn.  All blocks come from the
+    one generator of ``stream``, each as t - 1 rows of uniforms for its
+    phases and then t - 1 for its magnitudes, each row as wide as the
+    block (``_fill_directions`` draws each set of rows in one call); so a
     block as wide as n draws the uniforms in the order of one whole lift.
 
     The buffer's rows are padded by _LIFT_PAD doubles.  With an unpadded
@@ -230,54 +240,71 @@ def direction_blocks(stream: RngStream, t: int, n: int):
 
 def _fill_directions(gen: np.random.Generator, t: int, lifted: np.ndarray) -> None:
     """Fill the (t^2, w) lift of w directions from 2t - 2 rows of w
-    uniforms of ``gen``, in place, with two w-buffers of scratch (at t = 1,
-    with ones and no uniforms).
+    uniforms of ``gen``, in place (at t = 1, with ones and no uniforms).
 
-    The phasors cos and sin phi_l go into the rows of the pairs (0, l), the
-    m_k into rows 0..t-1, the pairs (k >= 1, l) are built from the phasor
-    rows, and the amplitudes sqrt(m_k m_l) are applied last.  The phasors
-    of phi = 2 pi u come from ``_phasor``, a table of 1025 nodes rotated
-    by a short series, within 2 ulp of the exact values and about 3 times
-    as fast as libm's cos and sin over [0, 2 pi); its other scratch is the
-    magnitude rows, filled after it.
+    Most numpy calls cover several rows: one ``Generator.random`` draws the
+    t - 1 rows of phase uniforms and one ``_phasor`` pass turns them into
+    the phasors cos and sin phi_b in the rows of the pairs (0, b); one more
+    draws the t - 1 rows of magnitude uniforms, whose stick-breaking takes
+    one call per row for its powers and running products
+    (``np.multiply.accumulate`` over rows loops per column: about 170 us on
+    3 rows of 8 192); then, for each a, the pairs (a, b > a) are built from
+    the phasor rows and scaled by their amplitudes sqrt(m_a m_b), a few
+    calls on their block of rows.  Every value is what one row at a time
+    computes, by the same operations on the same uniforms in the same
+    order, bit for bit.
+
+    Scratch is one contiguous (t - 1, w) array, which holds the phase
+    uniforms, then the magnitude uniforms (``Generator.random`` fills only
+    contiguous arrays), then products of a pair's rows; ``_phasor``'s other
+    scratch is lift rows not yet filled, and at t <= 3, where there are too
+    few, one more (t - 1, w) array.  At t = 2 that is two w-buffers, as
+    one row at a time needs.
     """
-    w = lifted.shape[1]
-    u, keep = np.empty(w), np.empty(w)
-    pairs = _pairs(t)
-    mag, re, im = lifted[:t], lifted[t : t + len(pairs)], lifted[t + len(pairs) :]
-    # one row of w uniforms at a time: t - 1 for the phases, then t - 1 for
-    # the magnitudes.  The pairs (0, b) come first; their rows take the unit
-    # phasors, with keep and the magnitude rows, not yet filled, as scratch
-    for b in range(1, t):
-        gen.random(out=u)
-        _phasor(u, re[b - 1], im[b - 1], keep, mag[0], mag[1])
-    # the squared norm not yet assigned stays in mag[t - 1]
-    mag[t - 1].fill(1.0)
-    for j in range(t - 1):
-        gen.random(out=u)
-        np.subtract(1.0, u, out=keep)
-        if t - 1 - j > 1:
-            np.power(keep, 1.0 / (t - 1 - j), out=keep)
-        # keep = (1 - u)^(1/k) is 1 - Beta(1, k), k = t-1-j
-        np.subtract(1.0, keep, out=mag[j])
-        mag[j] *= mag[t - 1]
-        mag[t - 1] *= keep
+    pairs = len(_pairs(t))
+    mag, re, im = lifted[:t], lifted[t : t + pairs], lifted[t + pairs :]
+    if t == 1:
+        mag.fill(1.0)
+        return
+    u = np.empty((t - 1, lifted.shape[1]))
+    # the phasor's scratch besides the first t - 1 magnitude rows: from
+    # t = 4 on, rows of the pairs (a >= 1, b); below, a second array and
+    # the last magnitude row with, at t = 3, the pair (1, 2), t rows apart
+    if t > 3:
+        z, spare = re[t - 1 : 2 * t - 2], im[t - 1 : 2 * t - 2]
+    else:
+        z, spare = np.empty_like(u), lifted[t - 1 :: t][: t - 1]
+    gen.random(out=u)
+    # the pairs (0, b) take the unit phasors, b = 1..t-1 in row b - 1
+    cos, sin = re[: t - 1], im[: t - 1]
+    _phasor(u, cos, sin, mag[: t - 1], z, spare)
+    gen.random(out=u)
+    np.subtract(1.0, u, out=u)
+    for j in range(t - 2):  # the power 1/k is skipped at k = 1
+        np.power(u[j], 1.0 / (t - 1 - j), out=u[j])
+    # u[j] = (1 - u)^(1/k) is 1 - Beta(1, k), k = t-1-j; m_j is 1 - u[j]
+    # times the squared norm not yet assigned, the product of u[:j]
+    np.subtract(1.0, u, out=mag[: t - 1])
+    for j in range(1, t - 1):
+        u[j] *= u[j - 1]
+    mag[1 : t - 1] *= u[: t - 2]
+    mag[t - 1] = u[t - 2]
+    # the pairs (a, b) from the last a to a = 0, whose rows the others read:
     # h_a conj(h_b) / sqrt(m_a m_b) = e^(i (phi_b - phi_a)) for a >= 1
-    for p in range(t - 1, len(pairs)):
-        a, b = pairs[p]
-        ca, sa = re[a - 1], im[a - 1]
-        cb, sb = re[b - 1], im[b - 1]
-        np.multiply(ca, cb, out=re[p])
-        np.multiply(sa, sb, out=u)
-        re[p] += u
-        np.multiply(ca, sb, out=im[p])
-        np.multiply(sa, cb, out=u)
-        im[p] -= u
-    for p, (a, b) in enumerate(pairs):
-        np.multiply(mag[a], mag[b], out=u)
-        np.sqrt(u, out=u)
-        re[p] *= u
-        im[p] *= u
+    both = lifted[t:].reshape(2, pairs, -1)  # re over im, a view
+    for a in range(t - 2, -1, -1):
+        lo, k = a * (2 * t - a - 1) // 2, t - 1 - a
+        pre, pim, amp = re[lo : lo + k], im[lo : lo + k], u[:k]
+        if a:
+            np.multiply(cos[a - 1], cos[a:], out=pre)
+            np.multiply(sin[a - 1], sin[a:], out=amp)
+            pre += amp
+            np.multiply(cos[a - 1], sin[a:], out=pim)
+            np.multiply(sin[a - 1], cos[a:], out=amp)
+            pim -= amp
+        np.multiply(mag[a], mag[a + 1 :], out=amp)
+        np.sqrt(amp, out=amp)
+        both[:, lo : lo + k] *= amp
 
 
 def sample_directions(stream: RngStream, t: int, n: int) -> np.ndarray:

@@ -47,8 +47,11 @@ _REFINE_STEPS = 30  # descent steps from the worst verification probe
 _MAX_PROBES = 10**8
 _MAX_STOP_STREAK = 10**7
 # entries of one (|B|, block) GEMM result in the correlation kernel: small
-# enough to stay in cache for its three reductions
+# enough to stay in cache for its reductions
 _CORR_ENTRIES = 1 << 16
+# the most multiply-adds m n k of one GEMM of the correlation kernel, the
+# largest that OpenBLAS runs on one thread (see ``_corr_width``)
+_GEMM_MNK = 10**6
 
 
 class CoveringError(RuntimeError):
@@ -89,20 +92,20 @@ class BeamformingCodebook:
         """Per draw: (max_i, min_i, i = 0) of |<x_i, h>|^2, for draws given
         as their real (t^2, n) lift in ``_lift``'s row layout, as
         ``channel.direction_blocks`` yields them; into ``out``, three
-        n-arrays, when given (a sweep passes slices of its chunk's arrays)."""
+        n-arrays, when given (a sweep passes slices of its chunk's arrays,
+        and None for the i = 0 column where it does not read it)."""
         return self._reduce(lifted.shape[1], lambda lo, hi: lifted[:, lo:hi], out)
 
     def _reduce(self, n: int, block, out=None):
         """(max, min, first) over the codebook of n draws whose lifted
         columns lo:hi ``block(lo, hi)`` returns, into the three n-arrays
-        ``out`` or new ones.
+        ``out`` or new ones; an ``out`` whose third slot is None gets no
+        column 0 (a radial sweep never reads it).
 
         Uses |x^H h|^2 = <lift(h), lift(x)> with the codeword side's
         off-diagonal terms doubled, so each block of columns is one real
         GEMM of inner dimension t^2 whose (|B|, block) result is reduced in
-        place.  A block is _CORR_ENTRIES // |B| columns, rounded down to a
-        multiple of 64 and at most 4096: 4096 at |B| = 12, 256 at |B| = 239,
-        where the BLAS then runs each product on one thread.
+        place, ``_corr_width(|B|, t)`` columns at a time.
 
         A block is a strided (t^2, width) view of the lift, read in place.
         Its row stride changes the time of the product but not its bits;
@@ -114,7 +117,7 @@ class BeamformingCodebook:
         reduced in parts gives the whole lift's bits when every part but
         the last is a multiple of the block width.
         """
-        width = min(4096, max(64, _CORR_ENTRIES // len(self) // 64 * 64))
+        width = _corr_width(len(self), self.t)
         c_max, c_min, c_first = out or (np.empty(n), np.empty(n), np.empty(n))
         buf = np.empty(len(self) * min(n, width))
         for lo in range(0, n, width):
@@ -124,10 +127,12 @@ class BeamformingCodebook:
             # the ufuncs' own reduce: np.max and np.min without their wrappers
             np.maximum.reduce(corr, axis=0, out=c_max[lo:hi])
             np.minimum.reduce(corr, axis=0, out=c_min[lo:hi])
-            c_first[lo:hi] = corr[0]
+            if c_first is not None:
+                c_first[lo:hi] = corr[0]
         # |.|^2 >= 0; rounding in the lifted sum can leave -1e-17
         for stat in (c_max, c_min, c_first):
-            np.maximum(stat, 0.0, out=stat)
+            if stat is not None:
+                np.maximum(stat, 0.0, out=stat)
         return c_max, c_min, c_first
 
     def max_correlation_sq(self, h: np.ndarray) -> np.ndarray:
@@ -135,6 +140,25 @@ class BeamformingCodebook:
         and are lifted one block at a time."""
         h = np.atleast_2d(h)
         return self._reduce(len(h), lambda lo, hi: _lift(h[lo:hi]))[0]
+
+
+def _corr_width(size: int, t: int) -> int:
+    """Columns per GEMM of the correlation kernel for a book of ``size``
+    codewords in C^t: _CORR_ENTRIES // size, rounded down to a multiple of
+    64 and at most 4096, and at most _GEMM_MNK // (size t^2), so that no
+    product has more than 10^6 multiply-adds m n k: 4096 at t = 2, |B| = 12,
+    256 at t = 4, |B| = 239 (m n k = 978 944), but 250 at t = 4, |B| = 250.
+
+    OpenBLAS (0.3.31, SkylakeX kernels) runs a GEMM of m n k <= 10^6 on
+    its small-matrix path, on one thread and without packing, and packs and
+    threads a larger one.  On a 2-vCPU Xeon at |B| = 250, t = 4, a product
+    of 256 columns (m n k = 1 024 000) took 115 us against 68 us for 250
+    columns, and a radial sweep of 2^17 draws on two workers 240 ms
+    against 88 ms.  A build without the small-matrix path threads from
+    m n k > 2^18.
+    """
+    width = min(4096, max(64, _CORR_ENTRIES // size // 64 * 64))
+    return max(1, min(width, _GEMM_MNK // (size * t * t)))
 
 
 def _lifted_codewords(vectors: np.ndarray) -> np.ndarray:

@@ -34,16 +34,19 @@ names the beamforming codebook it quantizes with (``spec.codebook``, None
 for full CSIT and open loop); per chunk, the correlation runs once per
 distinct codebook for the whole P grid, and every spec using it receives
 the same ``_BookStats``: per-draw (max, min, column-0) of
-|<x_i, hbar>|^2.  The kernel itself is one blocked real GEMM on the lift
-(see ``BeamformingCodebook.lifted_stats``).  A chunk's lift is drawn in
-blocks of at most 2 MiB (a whole chunk at t <= 2, 16 384 draws at t = 3
-and 4, 4 096 at t = 8), one buffer per chunk, and each block's stats are
-written into the chunk's arrays before the next block is drawn, so no
-worker holds a whole chunk's lift.  In radial mode the stats also hold
-the MRC SER ``bpsk_mrc_ser(t, c_max P / r)`` for the current P, one array
-per r, so bf-flq, bf-vlq and pc-vlq at r = 1 evaluate it once per chunk
-and P instead of once each, with the same bits.  Each spec's per-draw values
-are reduced to chunk moments before the next spec is evaluated.
+|<x_i, hbar>|^2, column 0 only in plain mode, where bf-vlq's short branch
+reads it.  The kernel itself is one blocked real GEMM on the lift (see
+``BeamformingCodebook.lifted_stats``).  A chunk's lift is drawn in blocks
+of at most 1 MiB up to t = 5 and of 4 096 draws beyond (a whole chunk at
+t <= 2, 8 192 draws at t = 3 and 4, 4 096 at t >= 5), one buffer per
+chunk, and each block's stats are written into the chunk's arrays before
+the next block is drawn, so no worker holds a whole chunk's lift.  A sweep
+of only feedback-free schemes draws no direction.  In radial mode the
+stats also hold the MRC SER ``bpsk_mrc_ser(t, c_max P / r)`` for the
+current P, one array per r, so bf-flq, bf-vlq and pc-vlq at r = 1 evaluate
+it once per chunk and P instead of once each, with the same bits.  Each
+spec's per-draw values are reduced to chunk moments before the next spec
+is evaluated.
 
 Schemes: full-CSIT beamforming and precoding and the open-loop precoder
 are one ``FeedbackFree`` class that differs only in its SNR divisor;
@@ -357,7 +360,8 @@ def ser_full_analytic(t: int, P: float, r: Fraction | float = 1) -> float:
 class _BookStats:
     """One codebook's per-draw correlation stats (max, min and column 0 of
     |<x_i, hbar>|^2) on one chunk's lifted directions, shared by every spec
-    that quantizes with it, in either mode.
+    that quantizes with it, in either mode; column 0 is None in a radial
+    sweep, which does not read it.
 
     ``mrc_ser(P, r)`` is ``bpsk_mrc_ser(t, c_max P / r)``, kept for the
     latest P only, one array per r: bf-flq, bf-vlq and pc-vlq at r = 1 read
@@ -410,18 +414,21 @@ def _draws(specs, stream, c_idx, n, conditioning):
     """P-free half of chunk c_idx: (norm2, stats).  stats maps each distinct
     codebook's id to its ``_BookStats`` on n directions from substream
     (0, c_idx), correlated one block of ``direction_blocks`` at a time into
-    the chunk's stats arrays.  norm2 holds each draw's ||h||^2 from
-    substream (1, c_idx) in plain mode; it is None in radial mode, which
-    never reads (1, c_idx)."""
+    the chunk's stats arrays; no direction is drawn when no spec has a
+    codebook, and column 0 (``c_first``) only in plain mode.  norm2 holds
+    each draw's ||h||^2 from substream (1, c_idx) in plain mode; it is None
+    in radial mode, which never reads (1, c_idx)."""
     t = specs[0].t
+    radial = conditioning == "radial"
     books = {id(s.codebook): s.codebook for s in specs if s.codebook is not None}
-    arrays = {key: (np.empty(n), np.empty(n), np.empty(n)) for key in books}
-    for lo, lifted in direction_blocks(stream.child(0, c_idx), t, n):
-        hi = lo + lifted.shape[1]
-        for key, book in books.items():
-            book.lifted_stats(lifted, [a[lo:hi] for a in arrays[key]])
+    arrays = {key: (np.empty(n), np.empty(n), None if radial else np.empty(n)) for key in books}
+    if books:
+        for lo, lifted in direction_blocks(stream.child(0, c_idx), t, n):
+            hi = lo + lifted.shape[1]
+            for key, book in books.items():
+                book.lifted_stats(lifted, [a if a is None else a[lo:hi] for a in arrays[key]])
     stats = {key: _BookStats(book, stats=arrays[key]) for key, book in books.items()}
-    norm2 = None if conditioning == "radial" else sample_magnitudes(stream.child(1, c_idx), t, n)
+    norm2 = None if radial else sample_magnitudes(stream.child(1, c_idx), t, n)
     return norm2, stats
 
 

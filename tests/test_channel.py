@@ -111,6 +111,42 @@ def unlift(lifted: np.ndarray, t: int) -> np.ndarray:
     return h
 
 
+def per_row_fill(gen, t, lifted):
+    """``channel._fill_directions`` one row of uniforms, phasors, products
+    and amplitudes per numpy call: the t - 1 phase rows, then the t - 1
+    magnitude rows with their stick-breaking, then each pair (a >= 1, b)
+    from the phasor rows, and the amplitudes last."""
+    w = lifted.shape[1]
+    u, keep = np.empty(w), np.empty(w)
+    pairs = channel._pairs(t)
+    mag, re, im = lifted[:t], lifted[t : t + len(pairs)], lifted[t + len(pairs) :]
+    for b in range(1, t):
+        gen.random(out=u)
+        channel._phasor(u, re[b - 1], im[b - 1], keep, mag[0], mag[1])
+    mag[t - 1].fill(1.0)
+    for j in range(t - 1):
+        gen.random(out=u)
+        np.subtract(1.0, u, out=keep)
+        if t - 1 - j > 1:
+            np.power(keep, 1.0 / (t - 1 - j), out=keep)
+        np.subtract(1.0, keep, out=mag[j])
+        mag[j] *= mag[t - 1]
+        mag[t - 1] *= keep
+    for p in range(t - 1, len(pairs)):
+        a, b = pairs[p]
+        np.multiply(re[a - 1], re[b - 1], out=re[p])
+        np.multiply(im[a - 1], im[b - 1], out=u)
+        re[p] += u
+        np.multiply(re[a - 1], im[b - 1], out=im[p])
+        np.multiply(im[a - 1], re[b - 1], out=u)
+        im[p] -= u
+    for p, (a, b) in enumerate(pairs):
+        np.multiply(mag[a], mag[b], out=u)
+        np.sqrt(u, out=u)
+        re[p] *= u
+        im[p] *= u
+
+
 class TestDirections:
     """``sample_directions`` returns the real (t^2, n) lift of the draws
     that ``direction_blocks`` yields one block at a time."""
@@ -186,21 +222,34 @@ class TestDirections:
                 next(channel.direction_blocks(RngStream(1), t, n))
 
     @pytest.mark.parametrize(
-        "t, width", [(1, 1 << 18), (2, 1 << 16), (3, 1 << 14), (4, 1 << 14), (8, 1 << 12)]
+        "t, width",
+        [(1, 1 << 17), (2, 1 << 15), (3, 1 << 13), (4, 1 << 13), (5, 1 << 12), (8, 1 << 12)],
     )
     def test_blocks_of_a_chunk(self, t, width):
-        # a sweep chunk's lift in blocks of at most 2 MiB, each written over
-        # the last; side by side they are the lift sample_directions returns
+        # a sweep chunk's lift in blocks of at most 1 MiB, or of 4 096 draws
+        # where those are larger, each written over the last; side by side
+        # they are the lift sample_directions returns
         n = (1 << 15) + 5
         whole = sample_directions(RngStream(39, t), t, n)
         starts, first = [], None
         for lo, block in channel.direction_blocks(RngStream(39, t), t, n):
             first = block if first is None else first
             assert block.shape == (t * t, min(width, n - lo))
-            assert block.nbytes <= 1 << 21 and np.shares_memory(block, first)
+            assert block.nbytes <= max(1 << 20, t * t * 8 * 4096)
+            assert np.shares_memory(block, first)
             assert np.array_equal(block, whole[:, lo : lo + width])
             starts.append(lo)
         assert starts == list(range(0, n, width))
+
+    @pytest.mark.parametrize("t", [1, 2, 3, 4, 5, 8])
+    def test_fill_is_the_per_row_fill(self, t):
+        # several rows per numpy call, the same bits as one row at a time,
+        # on padded views of odd widths
+        for w in (1, 7, 1001, 4097):
+            got, want = (np.full((t * t, w + pad), np.nan)[:, :w] for pad in (8, 3))
+            channel._fill_directions(RngStream(41, t, (w,)).generator(), t, got)
+            per_row_fill(RngStream(41, t, (w,)).generator(), t, want)
+            assert np.array_equal(got, want), (t, w)
 
     def test_deterministic_per_substream(self):
         s = RngStream(34)

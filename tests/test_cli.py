@@ -714,11 +714,13 @@ def test_bad_files_get_exit_codes_not_tracebacks(
     def refuse(*args, **kwargs):
         raise AssertionError("work started")
 
-    # bad input starts no build, sweep, thread pool or draw
+    # bad input starts no build, sweep, thread pool or draw: directions are
+    # drawn only for a codebook, magnitudes for every plain-mode scheme
     monkeypatch.setattr(cli, "build_covering_codebook", refuse)
     monkeypatch.setattr(estimate, "ser_rate_sweep", refuse)
     monkeypatch.setattr(estimate, "_pool", refuse)
     monkeypatch.setattr(estimate, "direction_blocks", refuse)
+    monkeypatch.setattr(estimate, "sample_magnitudes", refuse)
     assert main(argv) == code
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err

@@ -199,6 +199,19 @@ class TestCorrelationKernel:
         # block may sum in another order
         np.testing.assert_allclose(book.max_correlation_sq(h), c_max, rtol=0.0, atol=1e-15)
 
+    def test_products_stay_within_a_million_multiply_adds(self):
+        # the widest block under the cache-sized cap whose (|B|, t^2, width)
+        # GEMM has at most 10^6 multiply-adds, which OpenBLAS runs on one
+        # thread; the benchmark's books keep the cap's widths
+        assert codebook._corr_width(12, 2) == 4096 and codebook._corr_width(239, 4) == 256
+        assert codebook._corr_width(250, 4) == 250
+        for t in range(1, 9):
+            for size in range(1, 5001):
+                cap = min(4096, max(64, (1 << 16) // size // 64 * 64))
+                width = codebook._corr_width(size, t)
+                assert 1 <= width <= cap and size * t * t * width <= 10**6
+                assert width == cap or size * t * t * (width + 1) > 10**6
+
     @pytest.mark.parametrize("t, size", [(2, 12), (3, 40), (4, 239), (8, 100)])
     def test_row_stride_of_the_lift_changes_no_bit(self, t, size):
         # sample_directions pads the lift's rows; the GEMM blocks read that

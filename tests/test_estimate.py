@@ -365,6 +365,28 @@ class TestSharedCorrelation:
             ]
             assert together == alone
 
+    def test_feedback_free_sweeps_draw_no_direction(self, all_specs, monkeypatch):
+        # full CSIT and open loop read no codeword correlation: alone, they
+        # draw no direction and keep the records they have next to coded specs
+        free = [spec for spec in all_specs if spec.codebook is None]
+        ids = {spec.quantizer_id for spec in free}
+        grid, samples = [10.0, 1e3], _CHUNK + 5
+        together = {
+            conditioning: [
+                rec for rec in ser_rate_sweep(
+                    all_specs, grid, samples, RngStream(55), conditioning=conditioning
+                ) if rec.quantizer_id in ids
+            ] for conditioning in ("radial", "none")
+        }
+
+        def refuse(*args):
+            raise AssertionError("drew directions")
+
+        monkeypatch.setattr(estimate, "direction_blocks", refuse)
+        for conditioning, want in together.items():
+            alone = ser_rate_sweep(free, grid, samples, RngStream(55), conditioning=conditioning)
+            assert len(alone) == len(free) * len(grid) and alone == want
+
 
 class TestGridSharing:
     @pytest.mark.parametrize("workers", [1, 3])
@@ -411,12 +433,13 @@ class TestGridSharing:
 
     def test_peak_memory_of_a_lifted_sweep(self):
         # the benchmark's t=4 book (|B| = 239) on two workers: each holds one
-        # 16 384-draw block of its chunk's lift (2 MiB), the chunk's stats
-        # and a cache-sized GEMM block; with whole-chunk lifts (4 MiB each)
-        # the sweep peaked at about 11 MB
+        # 8 192-draw block of its chunk's lift (1 MiB), the chunk's max and
+        # min (no column 0 in radial mode) and a cache-sized GEMM block,
+        # about 4.3 MB in all; with 2 MiB blocks and column 0 the sweep
+        # peaked at about 6.8 MB, with whole-chunk lifts at about 11 MB
         book = build_covering_codebook(4, 0.3, RngStream(0, 101), stop_streak=400)
         specs = TestSharedCorrelation.coded_specs(book)
-        assert self.sweep_peak(specs, 4 * _CHUNK, 53) < 7.5e6
+        assert self.sweep_peak(specs, 4 * _CHUNK, 53) < 5.5e6
 
     def test_peak_memory_of_a_t8_sweep(self):
         # at t = 8 a whole chunk's lift is 16.8 MB, and two workers held
@@ -460,15 +483,20 @@ class TestDirectionSampler:
     @pytest.mark.parametrize("t, size", [(2, 12), (3, 51), (4, 239)])
     def test_blocks_change_no_bit(self, t, size):
         # a chunk correlated one block at a time has the stats of its whole
-        # lift, and sample_directions is that lift
+        # lift, and sample_directions is that lift; column 0 is read, and
+        # so kept, in plain mode only
         book = random_book(t, size, 0.5)
         n = 2 * _block_width(t) + 5
         stream = RngStream(78)
-        _, stats = estimate._draws([FixedLengthBeamforming(book)], stream, 3, n, "radial")
         want = book.lifted_stats(sample_directions(stream.child(0, 3), t, n))
-        got = stats[id(book)]
-        for a, b in zip((got.c_max, got.c_min, got.c_first), want):
-            assert np.array_equal(a, b)
+        for conditioning in ("radial", "none"):
+            _, stats = estimate._draws([FixedLengthBeamforming(book)], stream, 3, n, conditioning)
+            got = stats[id(book)]
+            assert np.array_equal(got.c_max, want[0]) and np.array_equal(got.c_min, want[1])
+            if conditioning == "radial":
+                assert got.c_first is None
+            else:
+                assert np.array_equal(got.c_first, want[2])
 
     def test_t2_sweep_bytes_are_pinned(self, book, tmp_path):
         # at t = 2 a chunk is one block, drawn in the order of the
