@@ -1,7 +1,9 @@
 """Batch experiment driver.
 
 Subcommands: codebook build|verify, sweep, fit, compare, bounds, selftest.
-Exit codes: 0 success, 2 config error (including bad flags, unreadable or
+Exit codes: 0 success, 1 internal error (a RuntimeError other than a
+failed covering certificate, such as a QuadratureError or a thread that
+cannot start), 2 config error (including bad flags, unreadable or
 unwritable paths and malformed CSVs), 3 invariant failure (including invalid
 codebook files).  No subcommand runs adaptive quadrature outside selftest,
 which reports its own failures.
@@ -33,7 +35,7 @@ from .codebook import (
     verify_covering,
 )
 from .numerics import q_function
-from .quantizer import VlqBeamformingSpec, VlqPrecodingSpec, kraft_check
+from .quantizer import kraft_check, vlq_prefix_code
 from .stbc import ostbc_generator
 
 __all__ = ["SimulationConfig", "ConfigError", "run_config", "selftest", "main"]
@@ -42,9 +44,9 @@ __all__ = ["SimulationConfig", "ConfigError", "run_config", "selftest", "main"]
 _SCHEMES = {
     "bf-full": lambda t, book: est.FullCsitBeamforming(t),
     "bf-flq": lambda t, book: est.FixedLengthBeamforming(book),
-    "bf-vlq": lambda t, book: est.VariableLengthBeamforming(VlqBeamformingSpec(book)),
+    "bf-vlq": lambda t, book: est.VariableLengthBeamforming(book),
     "pc-full": lambda t, book: est.FullCsitPrecoding(t),
-    "pc-vlq": lambda t, book: est.VariableLengthPrecoding(VlqPrecodingSpec(book)),
+    "pc-vlq": lambda t, book: est.VariableLengthPrecoding(book),
     "open-loop": lambda t, book: est.OpenLoopPrecoding(t),
 }
 _STRATEGIES = tuple(_SCHEMES)
@@ -247,11 +249,6 @@ def _codebook(config: SimulationConfig, delta: float) -> BeamformingCodebook:
     )
 
 
-def _spec(strategy: str, t: int, book: BeamformingCodebook | None):
-    """The scheme a strategy names; the coded ones quantize with `book`."""
-    return _SCHEMES[strategy](t, book)
-
-
 def _grid_schemes(config: SimulationConfig, strategies) -> list:
     """(P values, one scheme per strategy) for each run of grid points that
     share a codebook: the whole grid for a fixed delta or a codebook-path,
@@ -264,7 +261,7 @@ def _grid_schemes(config: SimulationConfig, strategies) -> list:
     else:
         f, c0 = _SCHEDULE_F[config.schedule["f"]], config.schedule["c0"]
         books = [([P], _codebook(config, bounds_mod.delta_schedule(f(P), t, c0))) for P in config.P_grid]
-    return [(grid, tuple(_spec(s, t, book) for s in strategies)) for grid, book in books]
+    return [(grid, tuple(_SCHEMES[s](t, book) for s in strategies)) for grid, book in books]
 
 
 def run_config(
@@ -329,10 +326,9 @@ def selftest(seed: int = 0, verbose: bool = True) -> list:
 
     def kraft():
         book = build_covering_codebook(2, 0.3, RngStream(seed, 11), stop_streak=200)
-        for code in (_spec(s, 2, book).spec.prefix_code() for s in ("bf-vlq", "pc-vlq")):
-            ok, total = kraft_check(code)
-            assert ok, "prefix condition violated"
-            assert total <= 1.0 + 1e-12, f"Kraft sum {total} > 1"
+        ok, total = kraft_check(vlq_prefix_code(len(book)))
+        assert ok, "prefix condition violated"
+        assert total <= 1.0 + 1e-12, f"Kraft sum {total} > 1"
 
     def covering():
         book = build_covering_codebook(2, 0.3, RngStream(seed, 12), stop_streak=200)
@@ -360,7 +356,7 @@ def selftest(seed: int = 0, verbose: bool = True) -> list:
 
     def dominance():
         book = build_covering_codebook(2, 0.3, RngStream(seed, 14), stop_streak=200)
-        specs = [_spec(s, 2, book) for s in _CODED]
+        specs = [_SCHEMES[s](2, book) for s in _CODED]
         full = est.FullCsitBeamforming(2)
         for spec in specs:
             ((_, _, frac, worst),) = est.paired_compare(
@@ -372,7 +368,7 @@ def selftest(seed: int = 0, verbose: bool = True) -> list:
 
     def bound_consistency():
         book = build_covering_codebook(2, 0.3, RngStream(seed, 16), stop_streak=200)
-        specs = [_spec(s, 2, book) for s in _CODED]
+        specs = [_SCHEMES[s](2, book) for s in _CODED]
         records = est.ser_rate_sweep(specs, [10.0, 100.0], 20000, RngStream(seed, 17))
         c1, _ = bounds_mod.derive_c1()
         violations = bounds_mod.converse_check(records, 2, c1)
@@ -575,9 +571,12 @@ def main(argv=None) -> int:
     except CoveringError as exc:
         print(f"invariant failure: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, RuntimeError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -50,9 +50,11 @@ is evaluated.
 
 Schemes: full-CSIT beamforming and precoding and the open-loop precoder
 are one ``FeedbackFree`` class that differs only in its SNR divisor;
-bf-flq, bf-vlq and pc-vlq each have a class.  Plain mode evaluates each
-branch rule per draw in ``snr_bits``; radial mode integrates the magnitude
-out in ``conditioned``.
+bf-flq, bf-vlq and pc-vlq each have one class, built straight from the
+beamforming codebook, that owns its rule's constants: the index width,
+bf-vlq's beta(P) and pc-vlq's threshold t/delta and space-time rate r.
+Plain mode evaluates each branch rule per draw in ``snr_bits``; radial
+mode integrates the magnitude out in ``conditioned``.
 
 Values that depend on P alone, ``prepare(P)``, are computed once per spec
 and P before the first draw, and every chunk reads them as ``prepared``:
@@ -99,7 +101,7 @@ from .numerics import (
     integrate_gamma_weighted,
     q_function,
 )
-from .quantizer import VlqBeamformingSpec, VlqPrecodingSpec, index_bits
+from .quantizer import index_bits
 
 __all__ = [
     "SweepRecord",
@@ -240,12 +242,17 @@ class VariableLengthBeamforming:
     calls it once per P, not once per chunk.
     """
 
-    def __init__(self, spec: VlqBeamformingSpec):
-        self.spec = spec
-        self.codebook = spec.codebook
-        self.t = spec.codebook.t
-        self.bits = spec.index_bits
+    def __init__(self, book: BeamformingCodebook):
+        self.codebook = book
+        self.t = book.t
+        self.bits = index_bits(len(book))
         self.quantizer_id = "bf-vlq"
+
+    def beta(self, P: float) -> float:
+        """Short-branch SNR threshold (t+1) ln P; defined for P > 1 only."""
+        if not P > 1.0:
+            raise ValueError("P must be > 1 so that beta > 0")
+        return (self.t + 1) * math.log(P)
 
     def snr_bits(self, norm2: np.ndarray, stats, P: float, prepared):
         gain = norm2 * P
@@ -256,7 +263,7 @@ class VariableLengthBeamforming:
 
     def prepare(self, P: float):
         """(beta, half the gap bound Q(sqrt(2 beta)) / 2) for power P."""
-        beta = self.spec.beta(P)
+        beta = self.beta(P)
         return beta, 0.5 * q_function(math.sqrt(2.0 * beta))
 
     def conditioned(self, n: int, stats, P: float, prepared):
@@ -301,26 +308,29 @@ class VariableLengthPrecoding:
     because a polynomial must not extrapolate.
     """
 
-    def __init__(self, spec: VlqPrecodingSpec):
-        self.spec = spec
-        self.codebook = spec.codebook
-        self.t = spec.codebook.t
-        self.r = float(spec.r)
+    def __init__(self, book: BeamformingCodebook, r: Fraction = Fraction(1)):
+        if not 0 < r <= 1:
+            raise ValueError("space-time rate must be in (0, 1]")
+        self.codebook = book
+        self.t = book.t
+        self.r = float(r)
+        self.bits = index_bits(len(book))
+        self.threshold = book.t / book.delta  # on ||h||^2 P
         self.quantizer_id = "pc-vlq"
 
     def snr_bits(self, norm2: np.ndarray, stats, P: float, prepared):
         gain = norm2 * P
-        short = gain >= self.spec.threshold
+        short = gain >= self.threshold
         snr = np.where(short, gain / (self.t * self.r), stats.c_max * gain / self.r)
-        bits = np.where(short, 1.0, 1.0 + self.spec.index_bits)
+        bits = np.where(short, 1.0, 1.0 + self.bits)
         return snr, bits
 
     def prepare(self, P: float):
         """(Chebyshev coefficients of log I in x, short-branch I, feedback
         rate) for power P."""
         t, r = self.t, self.r
-        x0 = self.spec.threshold / P
-        lo, hi = math.log((1.0 - self.spec.delta) * P / r), math.log(P / r)
+        x0 = self.threshold / P
+        lo, hi = math.log((1.0 - self.codebook.delta) * P / r), math.log(P / r)
         s_nodes = np.exp(lo + 0.5 * (hi - lo) * (_TABLE_X + 1.0))
         tail = gamma_weighted_q_tail(t, np.append(s_nodes, P / (t * r)), x0)
         tail_nodes, tail_short = np.maximum(tail[:-1], 1e-300), tail[-1]
@@ -331,7 +341,7 @@ class VariableLengthPrecoding:
         tol = np.finfo(float).eps * np.min(ser_nodes / tail_nodes)
         dropped = np.cumsum(np.abs(coef[::-1]))[::-1]
         keep = max(2, int(np.count_nonzero(dropped > tol)))
-        rate = 1.0 + self.spec.index_bits * (1.0 - gamma_tail(t, x0))
+        rate = 1.0 + self.bits * (1.0 - gamma_tail(t, x0))
         return coef[:keep], tail_short, rate
 
     def conditioned(self, n: int, stats, P: float, prepared):
@@ -340,7 +350,7 @@ class VariableLengthPrecoding:
         np.exp(tail, out=tail)
         if stats.uncovered.size:
             s = stats.c_max[stats.uncovered] * P / self.r
-            tail[stats.uncovered] = gamma_weighted_q_tail(self.t, s, self.spec.threshold / P)
+            tail[stats.uncovered] = gamma_weighted_q_tail(self.t, s, self.threshold / P)
         ser = np.subtract(stats.mrc_ser(P, self.r), tail, out=tail)
         np.maximum(ser, 0.0, out=ser)
         ser += tail_short
@@ -374,11 +384,11 @@ class _BookStats:
     class while it computes, and the workers would take turns.
     """
 
-    def __init__(self, book: BeamformingCodebook, lifted: np.ndarray = None, stats=None):
-        """Stats of the lift ``lifted``, or the (c_max, c_min, c_first)
-        arrays ``stats`` that ``book.lifted_stats`` has filled."""
+    def __init__(self, book: BeamformingCodebook, stats):
+        """The (c_max, c_min, c_first) arrays ``stats`` that
+        ``book.lifted_stats`` has filled."""
         self.t, self.delta = book.t, book.delta
-        self.c_max, self.c_min, self.c_first = stats or book.lifted_stats(lifted)
+        self.c_max, self.c_min, self.c_first = stats
         self._P, self._mrc = None, {}
         self._cheb_x = self._uncovered = None
 
@@ -427,7 +437,7 @@ def _draws(specs, stream, c_idx, n, conditioning):
             hi = lo + lifted.shape[1]
             for key, book in books.items():
                 book.lifted_stats(lifted, [a if a is None else a[lo:hi] for a in arrays[key]])
-    stats = {key: _BookStats(book, stats=arrays[key]) for key, book in books.items()}
+    stats = {key: _BookStats(book, arrays[key]) for key, book in books.items()}
     norm2 = None if radial else sample_magnitudes(stream.child(1, c_idx), t, n)
     return norm2, stats
 

@@ -14,7 +14,8 @@ def _snr_bits(spec, H, P):
     norm2 = np.sum(np.abs(H) ** 2, axis=1)
     stats = None
     if spec.codebook is not None:
-        stats = _BookStats(spec.codebook, _lift(H / np.sqrt(norm2)[:, None]))
+        lifted = _lift(H / np.sqrt(norm2)[:, None])
+        stats = _BookStats(spec.codebook, spec.codebook.lifted_stats(lifted))
     return spec.snr_bits(norm2, stats, P, spec.prepare(P))
 
 

@@ -33,7 +33,6 @@ from vlqsim.estimate import (
     ser_rate_sweep,
 )
 from vlqsim.numerics import bpsk_mrc_ser, fit_loglog, q_function
-from vlqsim.quantizer import VlqBeamformingSpec, VlqPrecodingSpec
 from vlqsim.stbc import ostbc_generator, simulate_symbol_mc
 
 MEASURED_RECORDS = []  # populated by criteria 5-7, consumed by criterion 8
@@ -92,8 +91,8 @@ class TestCriterion3PathwiseDominance:
         full = FullCsitBeamforming(2)
         challengers = [
             FixedLengthBeamforming(book02),
-            VariableLengthBeamforming(VlqBeamformingSpec(book02)),
-            VariableLengthPrecoding(VlqPrecodingSpec(book02)),
+            VariableLengthBeamforming(book02),
+            VariableLengthPrecoding(book02),
             OpenLoopPrecoding(2),
         ]
         for spec in challengers:
@@ -130,7 +129,7 @@ class TestCriterion5VariableLengthPenalties:
     def test_ser_gap_and_rate_bound(self, book02):
         t0 = time.time()
         flq = FixedLengthBeamforming(book02)
-        vlq = VariableLengthBeamforming(VlqBeamformingSpec(book02))
+        vlq = VariableLengthBeamforming(book02)
         grid = [1e2, 1e3, 1e4]
         recs = ser_rate_sweep([flq, vlq], grid, 10**6, RngStream(53), workers=4)
         MEASURED_RECORDS.extend(recs)
@@ -153,8 +152,8 @@ class TestCriterion6RateDecayLaws:
         # the two-codeword orthonormal cover keeps the beamforming scheme in
         # its asymptotic regime across the whole window
         ortho = BeamformingCodebook(vectors=np.eye(2, dtype=complex), delta=0.51)
-        bf = VariableLengthBeamforming(VlqBeamformingSpec(ortho))
-        pc = VariableLengthPrecoding(VlqPrecodingSpec(book02))
+        bf = VariableLengthBeamforming(ortho)
+        pc = VariableLengthPrecoding(book02)
         grid = list(np.geomspace(1e2, 1e5, 7))
         recs = ser_rate_sweep([bf, pc], grid, 10**6, RngStream(55), workers=4)
         MEASURED_RECORDS.extend(recs)
@@ -192,7 +191,7 @@ class TestCriterion7Diversity:
             d = delta_schedule(math.log(P), 2, c0)
             b = build_covering_codebook(2, d, RngStream(42, 20).child(i), stop_streak=400)
             recs += ser_rate_sweep(
-                [VariableLengthBeamforming(VlqBeamformingSpec(b))],
+                [VariableLengthBeamforming(b)],
                 [P], 10**6, RngStream(56), workers=4,
             )
         MEASURED_RECORDS.extend(recs)

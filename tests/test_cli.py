@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from vlqsim import cli, codebook, estimate
 from vlqsim.cli import ConfigError, SimulationConfig, main, run_config, selftest
 from vlqsim.estimate import ser_full_analytic
+from vlqsim.numerics import QuadratureError
 
 
 def base_config(**overrides):
@@ -726,6 +727,29 @@ def test_bad_files_get_exit_codes_not_tracebacks(
     assert message in err and "Traceback" not in err
     # and writes, truncates or leaves no file
     assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+
+@pytest.mark.parametrize(
+    "error, code, prefix",
+    [
+        (QuadratureError("no convergence", 0.5, 1e-3), 1, "internal error: "),
+        (RuntimeError("can't start new thread"), 1, "internal error: "),
+        (codebook.CoveringError("certificate failed"), 3, "invariant failure: "),
+        (ValueError("P grid must be nonempty and positive"), 2, "error: "),
+        (OSError("disk full"), 2, "error: "),
+    ],
+    ids=["quadrature", "thread-start", "covering", "value", "os"],
+)
+def test_internal_errors_are_not_config_errors(tmp_path, capsys, monkeypatch, error, code, prefix):
+    # a RuntimeError that reaches main from inside the sweep is a fault of
+    # the program, not of the config, and gets its own exit code
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(estimate, "ser_rate_sweep", fail)
+    assert main(_sweep_with(tmp_path)) == code
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and str(error) in err and "Traceback" not in err
 
 
 # plain-mode sweeps whose SER collapses in the top decades, so that no power

@@ -31,7 +31,6 @@ from vlqsim.estimate import (
     write_records_csv,
 )
 from vlqsim.numerics import bpsk_mrc_ser, gamma_tail, gamma_weighted_q_tail, q_function
-from vlqsim.quantizer import VlqBeamformingSpec, VlqPrecodingSpec
 
 
 def random_book(t, size, delta):
@@ -51,10 +50,10 @@ def all_specs(book):
     return [
         FullCsitBeamforming(2),
         FixedLengthBeamforming(book),
-        VariableLengthBeamforming(VlqBeamformingSpec(book)),
+        VariableLengthBeamforming(book),
         FullCsitPrecoding(2),
         OpenLoopPrecoding(2),
-        VariableLengthPrecoding(VlqPrecodingSpec(book)),
+        VariableLengthPrecoding(book),
     ]
 
 
@@ -116,10 +115,10 @@ class TestSweepUnbiasedness:
         constant = [rec for rec in recs if rec.quantizer_id != "bf-vlq"]
         assert len(constant) == 5 * len(grid)
         assert all(rec.rate_stderr == 0.0 for rec in constant)
-        pc = all_specs[-1].spec
+        pc = all_specs[-1]
         for rec in constant:
             if rec.quantizer_id == "pc-vlq":
-                want = 1.0 + pc.index_bits * (1.0 - gamma_tail(2, 2 / (pc.delta * rec.P)))
+                want = 1.0 + pc.bits * (1.0 - gamma_tail(2, 2 / (pc.codebook.delta * rec.P)))
                 assert abs(rec.rate - want) <= math.ulp(want), rec
 
     def test_open_loop_radial_matches_quadrature(self):
@@ -143,7 +142,7 @@ class TestSweepUnbiasedness:
         # per-draw SNR is at most the full-CSIT value and at least the
         # open-loop value on both branches, so the average is sandwiched;
         # the error floor also keeps the full diversity order
-        spec = VariableLengthPrecoding(VlqPrecodingSpec(book))
+        spec = VariableLengthPrecoding(book)
         recs = ser_rate_sweep([spec], [1e4, 1e5], 50000, RngStream(36))
         for rec in recs:
             assert ser_full_analytic(2, rec.P) <= rec.ser <= ser_full_analytic(2, rec.P / 2.0)
@@ -202,7 +201,7 @@ class TestSweepInvariants:
             raise AssertionError("drew before the grid was checked")
 
         monkeypatch.setattr(estimate, "direction_blocks", refuse)
-        vlq = VariableLengthBeamforming(VlqBeamformingSpec(book))
+        vlq = VariableLengthBeamforming(book)
         flq = FixedLengthBeamforming(book)
         for conditioning in ("radial", "none"):
             for P in (0.5, 1.0):
@@ -320,8 +319,8 @@ class TestSharedCorrelation:
     def coded_specs(book):
         return [
             FixedLengthBeamforming(book),
-            VariableLengthBeamforming(VlqBeamformingSpec(book)),
-            VariableLengthPrecoding(VlqPrecodingSpec(book)),
+            VariableLengthBeamforming(book),
+            VariableLengthPrecoding(book),
         ]
 
     @pytest.mark.parametrize("workers", [1, 3])
@@ -520,7 +519,7 @@ class TestDirectionSampler:
     def test_shared_stats_change_no_bit(self, book, monkeypatch):
         half = Fraction(1, 2)
         specs = TestSharedCorrelation.coded_specs(book) + [
-            VariableLengthPrecoding(VlqPrecodingSpec(book, r=half))
+            VariableLengthPrecoding(book, r=half)
         ]
         n = 5000
         _, stats = estimate._draws(specs, RngStream(73), 0, n, "radial")
@@ -536,7 +535,7 @@ class TestDirectionSampler:
         for P in grid:
             prepared = [spec.prepare(P) for spec in specs]
             alone = [
-                spec.conditioned(n, _BookStats(book, lifted), P, values)
+                spec.conditioned(n, _BookStats(book, book.lifted_stats(lifted)), P, values)
                 for spec, values in zip(specs, prepared)
             ]
             monkeypatch.setattr(estimate, "bpsk_mrc_ser", counted)
@@ -571,9 +570,9 @@ class TestChunkState:
 
         monkeypatch.setattr(estimate, "q_function", counted)
         grid = [10.0, 1e3, 1e5]
-        vlq = VariableLengthBeamforming(VlqBeamformingSpec(book))
+        vlq = VariableLengthBeamforming(book)
         ser_rate_sweep([vlq], grid, 2 * _CHUNK + 9, RngStream(67), workers=workers)
-        assert sorted(calls) == sorted(math.sqrt(2.0 * vlq.spec.beta(P)) for P in grid)
+        assert sorted(calls) == sorted(math.sqrt(2.0 * vlq.beta(P)) for P in grid)
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_feedback_free_ser_once_per_power(self, monkeypatch, workers):
@@ -650,7 +649,7 @@ class TestChunkState:
                 return float(other) - float(self)
 
         lifted = sample_directions(RngStream(74), 2, 100)
-        stats = [_BookStats(book, lifted) for _ in range(2)]
+        stats = [_BookStats(book, book.lifted_stats(lifted)) for _ in range(2)]
         for one in stats:
             one.delta = Meeting(book.delta)
         results, errors = [None, None], []
@@ -667,7 +666,7 @@ class TestChunkState:
         for thread in threads:
             thread.join(timeout=30.0)
         assert errors == []
-        expected = _BookStats(book, lifted).cheb_x
+        expected = _BookStats(book, book.lifted_stats(lifted)).cheb_x
         assert all(np.array_equal(x, expected) for x in results)
 
     def test_moments_bit_for_bit(self):
@@ -706,14 +705,14 @@ class TestPrecodingKernel:
     def test_table_matches_kernel_on_covered_draws(self):
         for t, delta in ((2, 0.2), (2, 0.9), (4, 0.3)):
             book = build_covering_codebook(t, delta, RngStream(42, 7), stop_streak=400)
-            spec = VariableLengthPrecoding(VlqPrecodingSpec(book))
+            spec = VariableLengthPrecoding(book)
             H = sample_channels(RngStream(61), t, 4000)
             Hbar = H / np.linalg.norm(H, axis=1, keepdims=True)
-            stats = _BookStats(book, _lift(Hbar))
+            stats = _BookStats(book, book.lifted_stats(_lift(Hbar)))
             for P in (10.0, 1e3, 1e5, 1e7):
                 ser, _, _ = spec.conditioned(len(Hbar), stats, P, spec.prepare(P))
                 s = book.max_correlation_sq(Hbar) * P
-                x0 = spec.spec.threshold / P
+                x0 = spec.threshold / P
                 want = np.maximum(bpsk_mrc_ser(t, s) - gamma_weighted_q_tail(t, s, x0), 0.0)
                 want += gamma_weighted_q_tail(t, P / t, x0)
                 # 24-node Chebyshev interpolant of log I: measured <= 1.1e-14
@@ -732,7 +731,7 @@ class TestPrecodingKernel:
         paths = []
         for workers in (1, 3):
             pc = [
-                VariableLengthPrecoding(VlqPrecodingSpec(book, r=r))
+                VariableLengthPrecoding(book, r=r)
                 for r in (Fraction(1), Fraction(1, 2))
             ]
             specs = TestSharedCorrelation.coded_specs(book)[:2] + pc
@@ -753,7 +752,7 @@ class TestPrecodingKernel:
         # delta = 0.9 leaves I ~ F, so SER << I and every coefficient counts;
         # at the benchmark's books the trailing ones are below what the SER sees
         book = build_covering_codebook(t, delta, RngStream(*seed), stop_streak=400)
-        spec = VariableLengthPrecoding(VlqPrecodingSpec(book))
+        spec = VariableLengthPrecoding(book)
         fits = []
         fit = estimate.chebfit
 
@@ -777,15 +776,15 @@ class TestPrecodingKernel:
         # a delta-cover with codewords removed leaves directions whose best
         # correlation is below 1 - delta; clipping it up would be optimistic
         holed = BeamformingCodebook(vectors=book.vectors[:3], delta=book.delta)
-        spec = VariableLengthPrecoding(VlqPrecodingSpec(holed))
+        spec = VariableLengthPrecoding(holed)
         H = sample_channels(RngStream(62), 2, 4000)
         Hbar = H / np.linalg.norm(H, axis=1, keepdims=True)
         c_max = holed.max_correlation_sq(Hbar)
         low = c_max < 1.0 - holed.delta
         assert 100 <= np.count_nonzero(low) < len(Hbar)
         P = 100.0
-        x0 = spec.spec.threshold / P
-        stats = _BookStats(holed, _lift(Hbar))
+        x0 = spec.threshold / P
+        stats = _BookStats(holed, holed.lifted_stats(_lift(Hbar)))
         ser, _, _ = spec.conditioned(len(Hbar), stats, P, spec.prepare(P))
         short = gamma_weighted_q_tail(2, P / 2.0, x0)
         s = c_max[low] * P
@@ -827,7 +826,7 @@ class TestPairedCompare:
         # codeword is already strong, so the mean penalty is below P^-(t+1)
         P = 100.0
         flq = FixedLengthBeamforming(book)
-        vlq = VariableLengthBeamforming(VlqBeamformingSpec(book))
+        vlq = VariableLengthBeamforming(book)
         ((gap, se, frac, worst),) = paired_compare(vlq, flq, [P], 400000, RngStream(44))
         assert gap >= -3.0 * se
         assert gap <= P ** (-3) + 3.0 * se
@@ -983,7 +982,7 @@ class TestCoveredLossBounds:
         # achievable-region check: degraded-full SER plus the outage term,
         # and the 1/P^t rate overhead
         delta = book.delta
-        spec = VariableLengthPrecoding(VlqPrecodingSpec(book))
+        spec = VariableLengthPrecoding(book)
         for P in (10.0, 100.0):
             (rec,) = ser_rate_sweep([spec], [P], 200000, RngStream(47))
             full = ser_full_analytic(2, P)

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from vlqsim import codebook, estimate
+from vlqsim import codebook, estimate, quantizer
 from vlqsim.channel import RngStream
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -46,6 +46,30 @@ def test_benchmark_scheme_chain_builds():
     )
     assert [r.quantizer_id for r in records] == ["bf-flq", "bf-vlq", "pc-vlq"]
     assert specs[2].quantizer_id == "pc-vlq" and specs[2].codebook is sweep.book
+
+
+def test_benchmark_scheme_chain_is_direct_construction(tmp_path):
+    # the names perfbench/bench.py builds through hand the book back, so its
+    # schemes write the same bytes as schemes built from the book directly
+    book = codebook.load_codebook(PERFBENCH / "reference" / "book-t2.json")
+    assert quantizer.VlqBeamformingSpec(book) is book
+    assert quantizer.VlqPrecodingSpec(codebook.precoding_codebook(book)) is book
+    sweep = _load_perfbench("bench").Sweep("radial-t2")
+    sweep.book = book
+    direct = [
+        estimate.FixedLengthBeamforming(book),
+        estimate.VariableLengthBeamforming(book),
+        estimate.VariableLengthPrecoding(book),
+    ]
+    for conditioning in ("radial", "none"):
+        paths = []
+        for name, specs in (("chain", sweep.specs()), ("direct", direct)):
+            records = estimate.ser_rate_sweep(
+                specs, [10.0, 1e3], estimate._CHUNK + 5, RngStream(3), conditioning=conditioning
+            )
+            paths.append(tmp_path / f"{name}-{conditioning}.csv")
+            estimate.write_records_csv(records, paths[-1])
+        assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 def test_traced_benchmark_targets_exist():

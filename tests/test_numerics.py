@@ -134,16 +134,23 @@ class TestChebval:
 
 class TestGammaTail:
     def test_against_mpmath(self):
-        for t in (1, 2, 3, 4, 6):
-            for x in (0.01, 0.5, 1.0, 3.0, 10.0, 50.0):
-                want = float(mpmath.gammainc(t, x, mpmath.inf, regularized=True))
-                assert gamma_tail(t, x) == pytest.approx(want, rel=1e-13)
+        # from x = 700 on the tail is a normal double while exp(-x) is not
+        # (from 745 on): up to about x = 745 + (t-1) ln x
+        deep = (699.0, 700.0, 701.0, 705.0, 707.0)
+        cases = [(t, x) for t in (1, 2, 3, 4, 6, 8) for x in (0.01, 0.5, 1.0, 3.0, 10.0, 50.0)]
+        cases += [(t, x) for t in (1, 2, 3, 4, 8) for x in deep]
+        cases += [(2, 712.0), (4, 720.0), (8, 720.0), (8, 735.0)]
+        for t, x in cases:
+            want = float(mpmath.gammainc(t, x, mpmath.inf, regularized=True))
+            assert want > 2.2e-308, (t, x)
+            assert gamma_tail(t, x) == pytest.approx(want, rel=1e-13, abs=0.0), (t, x)
 
     def test_vectorized(self):
-        xs = np.array([-1.0, 0.0, 0.5, 2.0, 800.0])
-        got = gamma_tail(2, xs)
-        assert got[0] == 1.0 and got[1] == 1.0 and got[-1] == 0.0
-        assert got[2] == pytest.approx(gamma_tail(2, 0.5))
+        xs = np.array([-1.0, 0.0, 0.5, 2.0, 800.0, 1e4, 2e4, 1e300, math.inf])
+        for t in (1, 2, 8):
+            got = gamma_tail(t, xs)
+            assert got[0] == 1.0 and got[1] == 1.0 and np.all(got[4:] == 0.0)
+            assert got[2] == pytest.approx(gamma_tail(t, 0.5))
 
     def test_rejects_bad_t(self):
         with pytest.raises(ValueError):
@@ -337,16 +344,24 @@ class TestBufferedKernels:
 
     @staticmethod
     def gamma_tail_formula(t, x):
+        def exp_sum(x):
+            term = np.ones_like(x)
+            acc = np.ones_like(x)
+            for k in range(1, int(t)):
+                term = term * x / k
+                acc += term
+            return acc
+
         a = np.atleast_1d(np.asarray(x, dtype=float))
         pos = np.clip(a, 0.0, 700.0)
-        term = np.ones_like(pos)
-        acc = np.ones_like(pos)
-        for k in range(1, int(t)):
-            term = term * pos / k
-            acc += term
+        out = np.exp(-pos) * exp_sum(pos)
+        # from 700 on exp(ln sum - x), and 0 where that is surely not normal
+        x_hi = math.log(t) + (t - 1) * math.log(1e4) - math.log(np.finfo(float).tiny)
+        deep = np.clip(a, 700.0, x_hi)
         with np.errstate(under="ignore"):
-            out = np.exp(-pos) * acc
-        return np.where(a <= 0.0, 1.0, np.where(a >= 700.0, 0.0, out))
+            far = np.exp(np.log(exp_sum(deep)) - deep)
+        far[a >= x_hi] = 0.0
+        return np.where(a <= 0.0, 1.0, np.where(a >= 700.0, far, out))
 
     @staticmethod
     def mrc_formula(t, snr):

@@ -27,13 +27,7 @@ from vlqsim.estimate import (
     VariableLengthPrecoding,
 )
 from vlqsim.numerics import bpsk_mrc_ser
-from vlqsim.quantizer import (
-    PrefixCode,
-    VlqBeamformingSpec,
-    VlqPrecodingSpec,
-    index_bits,
-    kraft_check,
-)
+from vlqsim.quantizer import PrefixCode, index_bits, kraft_check, vlq_prefix_code
 
 
 def brute_corr(book, H):
@@ -47,13 +41,13 @@ def book():
 
 
 @pytest.fixture(scope="module")
-def bf_spec(book):
-    return VlqBeamformingSpec(book)
+def bf_vlq(book):
+    return VariableLengthBeamforming(book)
 
 
 @pytest.fixture(scope="module")
-def pc_spec(book):
-    return VlqPrecodingSpec(book)
+def pc_vlq(book):
+    return VariableLengthPrecoding(book)
 
 
 class TestPrefixCode:
@@ -71,12 +65,15 @@ class TestPrefixCode:
         ok, total = kraft_check(PrefixCode(["00", "01", "10", "11"]))
         assert ok and total == pytest.approx(1.0)
 
-    def test_vlq_codes_are_prefix_free(self, bf_spec, pc_spec):
-        for code in (bf_spec.prefix_code(), pc_spec.prefix_code()):
+    def test_vlq_codes_are_prefix_free(self, bf_vlq, pc_vlq):
+        # both schemes send "0", or "1" and an index into the same book
+        for scheme in (bf_vlq, pc_vlq):
+            code = vlq_prefix_code(len(scheme.codebook))
             ok, total = kraft_check(code)
             assert ok
             assert total <= 1.0 + 1e-12
             assert min(code.lengths) == 1
+            assert max(code.lengths) == 1 + scheme.bits
 
     def test_index_bits(self):
         assert index_bits(1) == 0
@@ -143,7 +140,7 @@ class TestFlqEncode:
     def test_phase_invariance(self, book, snr_bits, theta):
         H = np.array([[0.6 + 0.2j, -0.5 + 0.9j]])
         flq = FixedLengthBeamforming(book)
-        vlq = VariableLengthBeamforming(VlqBeamformingSpec(book))
+        vlq = VariableLengthBeamforming(book)
         base = snr_bits(flq, H, 5.0)
         rotated = snr_bits(flq, np.exp(1j * theta) * H, 5.0)
         assert rotated[0] == pytest.approx(base[0], rel=1e-12)
@@ -154,28 +151,28 @@ class TestFlqEncode:
 
 
 class TestVlqBeamforming:
-    def test_short_branch_requires_all_codewords_strong(self, bf_spec, snr_bits):
+    def test_short_branch_requires_all_codewords_strong(self, bf_vlq, snr_bits):
         P = 50.0
-        beta = bf_spec.beta(P)
+        beta = bf_vlq.beta(P)
         H = sample_channels(RngStream(2), 2, 2000)
-        snr, bits = snr_bits(VariableLengthBeamforming(bf_spec), H, P)
-        snrs = brute_corr(bf_spec.codebook, H) * P
+        snr, bits = snr_bits(bf_vlq, H, P)
+        snrs = brute_corr(bf_vlq.codebook, H) * P
         short = bits == 1.0
         assert np.any(short) and not np.all(short)
         assert np.all(np.min(snrs[short], axis=1) >= beta)
         assert np.allclose(snr[short], snrs[short, 0], rtol=1e-12, atol=0.0)
         assert np.all(np.min(snrs[~short], axis=1) < beta)
-        assert np.all(bits[~short] == 1.0 + bf_spec.index_bits)
+        assert np.all(bits[~short] == 1.0 + bf_vlq.bits)
         assert np.allclose(snr[~short], np.max(snrs[~short], axis=1), rtol=1e-12, atol=0.0)
 
-    def test_threshold_boundary_goes_short(self, bf_spec):
+    def test_threshold_boundary_goes_short(self, bf_vlq):
         # the weakest codeword sits exactly on the threshold: the >=
         # comparison must choose the short branch.  P is a power of two, so
         # (beta / P) * P == beta holds exactly.
         P = 64.0
-        c_min = bf_spec.beta(P) / P
-        assert c_min * P == bf_spec.beta(P)
-        vlq = VariableLengthBeamforming(bf_spec)
+        c_min = bf_vlq.beta(P) / P
+        assert c_min * P == bf_vlq.beta(P)
+        vlq = bf_vlq
         norm2 = np.ones(1)
         at = SimpleNamespace(c_max=np.array([0.9]), c_min=np.array([c_min]), c_first=np.array([0.5]))
         below = SimpleNamespace(
@@ -184,58 +181,56 @@ class TestVlqBeamforming:
         snr, bits = vlq.snr_bits(norm2, at, P, vlq.prepare(P))
         assert bits[0] == 1.0 and snr[0] == 0.5 * P
         snr, bits = vlq.snr_bits(norm2, below, P, vlq.prepare(P))
-        assert bits[0] == 1.0 + bf_spec.index_bits and snr[0] == 0.9 * P
+        assert bits[0] == 1.0 + bf_vlq.bits and snr[0] == 0.9 * P
 
-    def test_rejects_unit_power(self, bf_spec):
+    def test_rejects_unit_power(self, bf_vlq):
         # both modes read beta from prepare, which a sweep calls before any draw
-        vlq = VariableLengthBeamforming(bf_spec)
         for P in (1.0, 0.5):
             with pytest.raises(ValueError, match="P must be > 1"):
-                vlq.prepare(P)
+                bf_vlq.prepare(P)
+            with pytest.raises(ValueError, match="P must be > 1"):
+                bf_vlq.beta(P)
 
-    def test_short_branch_probability_union_bound(self, bf_spec, snr_bits):
+    def test_short_branch_probability_union_bound(self, bf_vlq, snr_bits):
         # Pr[long] <= |B| (1 - exp(-beta/P)) for the all-codewords threshold
         P = 2000.0
         n = 20000
         H = sample_channels(RngStream(4), 2, n)
-        _, bits = snr_bits(VariableLengthBeamforming(bf_spec), H, P)
+        _, bits = snr_bits(bf_vlq, H, P)
         p_hat = np.count_nonzero(bits != 1.0) / n
-        bound = len(bf_spec.codebook) * (1.0 - math.exp(-bf_spec.beta(P) / P))
+        bound = len(bf_vlq.codebook) * (1.0 - math.exp(-bf_vlq.beta(P) / P))
         assert p_hat <= bound + 3.0 * math.sqrt(p_hat * (1 - p_hat) / n + 1e-9)
 
 
 class TestVlqPrecoding:
-    def test_branches(self, pc_spec, snr_bits):
+    def test_branches(self, pc_vlq, snr_bits):
         P = 20.0
         H = sample_channels(RngStream(5), 2, 2000)
-        snr, bits = snr_bits(VariableLengthPrecoding(pc_spec), H, P)
+        snr, bits = snr_bits(pc_vlq, H, P)
         n2 = np.sum(np.abs(H) ** 2, axis=1)
-        short = n2 * P >= pc_spec.threshold
+        short = n2 * P >= pc_vlq.threshold
         assert 0 < np.count_nonzero(short) < len(H)
         assert np.all(bits[short] == 1.0)
         assert np.allclose(snr[short], n2[short] * P / 2.0, rtol=1e-12, atol=0.0)
-        corr = brute_corr(pc_spec.codebook, H[~short])
-        assert np.all(bits[~short] == 1.0 + pc_spec.index_bits)
+        corr = brute_corr(pc_vlq.codebook, H[~short])
+        assert np.all(bits[~short] == 1.0 + pc_vlq.bits)
         assert np.allclose(snr[~short], np.max(corr, axis=1) * P, rtol=1e-12, atol=0.0)
 
-    def test_threshold_boundary_goes_short(self, pc_spec, snr_bits):
+    def test_threshold_boundary_goes_short(self, pc_vlq, snr_bits):
         # ||h||^2 P == t / delta exactly: ||h||^2 = 2, P = 5, threshold 10
-        assert pc_spec.threshold == 10.0
-        vlq = VariableLengthPrecoding(pc_spec)
+        assert pc_vlq.threshold == 10.0
+        vlq = pc_vlq
         H = np.ones((1, 2), dtype=complex)
         snr, bits = snr_bits(vlq, H, 5.0)
         assert bits[0] == 1.0 and snr[0] == 5.0
         _, bits = snr_bits(vlq, H, np.nextafter(5.0, 0.0))
-        assert bits[0] == 1.0 + pc_spec.index_bits
+        assert bits[0] == 1.0 + pc_vlq.bits
 
     def test_rate_fraction_scales_snr(self, book, snr_bits):
-        spec34 = VlqPrecodingSpec(book, r=Fraction(3, 4))
         H = sample_channels(RngStream(6), 2, 400)
         P = 5.0
-        snr1, bits1 = snr_bits(
-            VariableLengthPrecoding(VlqPrecodingSpec(book)), H, P
-        )
-        snr34, bits34 = snr_bits(VariableLengthPrecoding(spec34), H, P)
+        snr1, bits1 = snr_bits(VariableLengthPrecoding(book), H, P)
+        snr34, bits34 = snr_bits(VariableLengthPrecoding(book, r=Fraction(3, 4)), H, P)
         assert np.array_equal(bits1, bits34)
         assert np.allclose(snr34, snr1 / 0.75, rtol=1e-12, atol=0.0)
         n2 = np.sum(np.abs(H) ** 2, axis=1)
@@ -246,5 +241,6 @@ class TestVlqPrecoding:
         assert np.allclose(snr34[~short], long_max * P / 0.75, rtol=1e-12, atol=0.0)
 
     def test_invalid_rate_rejected(self, book):
-        with pytest.raises(ValueError):
-            VlqPrecodingSpec(book, r=Fraction(5, 4))
+        for r in (Fraction(5, 4), Fraction(0)):
+            with pytest.raises(ValueError, match=r"space-time rate must be in \(0, 1\]"):
+                VariableLengthPrecoding(book, r=r)
