@@ -109,11 +109,12 @@ def delta_schedule(fP: float, t: int, c0_hat: float) -> float:
         )
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if phi_schedule(mid, t, c0_hat) > fP:
+        phi = phi_schedule(mid, t, c0_hat)
+        if phi > fP:
             lo = mid
         else:
             hi = mid
-        if abs(phi_schedule(mid, t, c0_hat) - fP) <= 1e-9 * fP:
+        if abs(phi - fP) <= 1e-9 * fP:
             return mid
     return 0.5 * (lo + hi)
 
@@ -125,8 +126,7 @@ def thm3_converse_lb(P: float, R: float, c1: float) -> float:
         raise ValueError("P must be >= 1")
     if R < 0.0:
         raise ValueError("R must be >= 0")
-    with np.errstate(under="ignore"):
-        return float(c1 * math.exp(-min(6.0 * P * R, 745.0)) / (3.0 * P))
+    return float(c1 * math.exp(-min(6.0 * P * R, 745.0)) / (3.0 * P))
 
 
 def thm6_constants(t: int, r: Fraction = Fraction(1)):

@@ -181,14 +181,6 @@ def _phasor(u: np.ndarray, cos: np.ndarray, sin: np.ndarray, y, z, w) -> None:
     sin += u
 
 
-@lru_cache(maxsize=None)
-def _pairs(t: int) -> tuple:
-    """The pairs (k, l), k < l, of the lift's off-diagonal rows, in
-    ``np.triu_indices(t, 1)`` order, as Python ints; built once per t."""
-    k, l = np.triu_indices(t, 1)
-    return tuple(zip(k.tolist(), l.tolist()))
-
-
 def _block_width(t: int) -> int:
     """The most columns of one block of ``direction_blocks``: the largest
     power of two whose (t^2, width) lift fits in _LIFT_BYTES, and at least
@@ -261,7 +253,7 @@ def _fill_directions(gen: np.random.Generator, t: int, lifted: np.ndarray) -> No
     few, one more (t - 1, w) array.  At t = 2 that is two w-buffers, as
     one row at a time needs.
     """
-    pairs = len(_pairs(t))
+    pairs = t * (t - 1) // 2
     mag, re, im = lifted[:t], lifted[t : t + pairs], lifted[t + pairs :]
     if t == 1:
         mag.fill(1.0)

@@ -3,8 +3,11 @@
 Codebooks are built by greedy sequential covering (random unit probes are
 promoted to codewords whenever no existing codeword is close enough) and
 certified statistically, with adversarial local refinement of the worst
-probe.  The precoding VLQ quantizes with the same codebook: its precoders
-{I/sqrt(t)} U {x x^H : x in B} are fixed by B and never built.
+probe.  The build's batch filter, the certificate and a sweep's codebook
+statistics all reduce through one blocked real-GEMM kernel, ``_reduce``,
+with one block rule, ``_corr_width``.  The precoding VLQ quantizes with the
+same codebook: its precoders {I/sqrt(t)} U {x x^H : x in B} are fixed by B
+and never built.
 """
 
 from __future__ import annotations
@@ -36,10 +39,6 @@ _BUILD_MARGIN = 0.25  # share of delta the build threshold keeps inside the cove
 # a build probe whose batched correlation^2 clears the threshold by this
 # much needs no exact test: rounding moves correlations by ~1e-16
 _BATCH_GUARD = 1e-12
-# entries of one lifted product of build probes with the book: 128 KB, so
-# that the build's temporaries stay small (2^12 is slower, 2^16 leaves
-# about 0.1 MB more resident after the build)
-_BATCH_ENTRIES = 1 << 14
 _REFINE_STEPS = 30  # descent steps from the worst verification probe
 # input caps: 10^8 probes take about 40 s at t=2 (|B| = 12) and 130 s at t=4
 # (|B| = 239) on a 2-vCPU Xeon, and a build verifies with 10 x its streak,
@@ -94,52 +93,59 @@ class BeamformingCodebook:
         ``channel.direction_blocks`` yields them; into ``out``, three
         n-arrays, when given (a sweep passes slices of its chunk's arrays,
         and None for the i = 0 column where it does not read it)."""
-        return self._reduce(lifted.shape[1], lambda lo, hi: lifted[:, lo:hi], out)
-
-    def _reduce(self, n: int, block, out=None):
-        """(max, min, first) over the codebook of n draws whose lifted
-        columns lo:hi ``block(lo, hi)`` returns, into the three n-arrays
-        ``out`` or new ones; an ``out`` whose third slot is None gets no
-        column 0 (a radial sweep never reads it).
-
-        Uses |x^H h|^2 = <lift(h), lift(x)> with the codeword side's
-        off-diagonal terms doubled, so each block of columns is one real
-        GEMM of inner dimension t^2 whose (|B|, block) result is reduced in
-        place, ``_corr_width(|B|, t)`` columns at a time.
-
-        A block is a strided (t^2, width) view of the lift, read in place.
-        Its row stride changes the time of the product but not its bits;
-        ``channel.direction_blocks`` pads its rows so that the t^2 rows do
-        not share cache sets (at t = 4, |B| = 239, a 32 768-draw lift:
-        about 17 ms padded against 21 ms at a row stride of 2^15 doubles).
-        Which columns share a product can change a column's bits (a
-        one-column product runs as a matrix-vector product), so a lift
-        reduced in parts gives the whole lift's bits when every part but
-        the last is a multiple of the block width.
-        """
-        width = _corr_width(len(self), self.t)
+        n = lifted.shape[1]
         c_max, c_min, c_first = out or (np.empty(n), np.empty(n), np.empty(n))
-        buf = np.empty(len(self) * min(n, width))
-        for lo in range(0, n, width):
-            hi = min(lo + width, n)
-            corr = buf[: len(self) * (hi - lo)].reshape(len(self), hi - lo)
-            np.matmul(self._lifted, block(lo, hi), out=corr)
-            # the ufuncs' own reduce: np.max and np.min without their wrappers
-            np.maximum.reduce(corr, axis=0, out=c_max[lo:hi])
-            np.minimum.reduce(corr, axis=0, out=c_min[lo:hi])
-            if c_first is not None:
-                c_first[lo:hi] = corr[0]
-        # |.|^2 >= 0; rounding in the lifted sum can leave -1e-17
-        for stat in (c_max, c_min, c_first):
-            if stat is not None:
-                np.maximum(stat, 0.0, out=stat)
+        _reduce(self._lifted, n, lambda lo, hi: lifted[:, lo:hi], c_max, c_min, c_first)
         return c_max, c_min, c_first
 
     def max_correlation_sq(self, h: np.ndarray) -> np.ndarray:
         """max_i |<x_i, h>|^2 for each row of h, which need not be unit norm
         and are lifted one block at a time."""
         h = np.atleast_2d(h)
-        return self._reduce(len(h), lambda lo, hi: _lift(h[lo:hi]))[0]
+        c_max = np.empty(len(h))
+        _reduce(self._lifted, len(h), lambda lo, hi: _lift(h[lo:hi]), c_max)
+        return c_max
+
+
+def _reduce(weights: np.ndarray, n: int, block, c_max, c_min=None, c_first=None) -> None:
+    """Into the n-arrays c_max and, where not None, c_min and c_first: the
+    max, min and column 0 over the rows of ``weights``, a (|B|, t^2) matrix
+    of ``_lifted_codewords``, of |x^H h|^2 for n draws whose lifted columns
+    lo:hi ``block(lo, hi)`` returns (a radial sweep never reads column 0,
+    and the certificate and the build read the max alone).
+
+    Uses |x^H h|^2 = <lift(h), lift(x)> with the codeword side's
+    off-diagonal terms doubled, so each block of columns is one real GEMM
+    of inner dimension t^2 whose (|B|, block) result is reduced in place,
+    ``_corr_width(|B|, t)`` columns at a time.
+
+    A block is a strided (t^2, width) view of the lift, read in place.  Its
+    row stride changes the time of the product but not its bits;
+    ``channel.direction_blocks`` pads its rows so that the t^2 rows do not
+    share cache sets (at t = 4, |B| = 239, a 32 768-draw lift: about 17 ms
+    padded against 21 ms at a row stride of 2^15 doubles).  Which columns
+    share a product can change a column's bits (a one-column product runs
+    as a matrix-vector product), so a lift reduced in parts gives the whole
+    lift's bits when every part but the last is a multiple of the block
+    width.
+    """
+    size = len(weights)
+    width = _corr_width(size, math.isqrt(weights.shape[1]))
+    buf = np.empty(size * min(n, width))
+    for lo in range(0, n, width):
+        hi = min(lo + width, n)
+        corr = buf[: size * (hi - lo)].reshape(size, hi - lo)
+        np.matmul(weights, block(lo, hi), out=corr)
+        # the ufuncs' own reduce: np.max and np.min without their wrappers
+        np.maximum.reduce(corr, axis=0, out=c_max[lo:hi])
+        if c_min is not None:
+            np.minimum.reduce(corr, axis=0, out=c_min[lo:hi])
+        if c_first is not None:
+            c_first[lo:hi] = corr[0]
+    # |.|^2 >= 0; rounding in the lifted sum can leave -1e-17
+    for stat in (c_max, c_min, c_first):
+        if stat is not None:
+            np.maximum(stat, 0.0, out=stat)
 
 
 def _corr_width(size: int, t: int) -> int:
@@ -258,23 +264,18 @@ def _greedy_cover(t: int, threshold: float, gen: np.random.Generator, stop_strea
     once drawn + i - last reaches stop_streak.  The book starts as one zero
     row, whose correlation with any probe is 0, and drops it on return.
     Each batch of probes is first correlated with the book as it stood
-    before the batch, by real products of the lifts of _BATCH_ENTRIES pairs
-    each; a probe that clears the threshold there by _BATCH_GUARD clears it
-    against the grown book too, so only the other probes take the exact
-    per-probe test.  Codewords and probe count are those of the exact test
-    on every probe.
+    before the batch, by the sweep's kernel ``_reduce``; a probe that clears
+    the threshold there by _BATCH_GUARD clears it against the grown book
+    too, so only the other probes take the exact per-probe test.  Codewords
+    and probe count are those of the exact test on every probe.
     """
     mat = np.zeros((1, t))
     drawn = last = 0
+    batch_best = np.empty(_PROBE_BATCH)
     while drawn - last < stop_streak:
         batch = _unit_probes(gen, t, _PROBE_BATCH)
-        weights, rows = _lifted_codewords(mat), max(1, _BATCH_ENTRIES // len(mat))
-        batch_best = np.concatenate(
-            [
-                np.max(weights @ _lift(batch[lo : lo + rows]), axis=0)
-                for lo in range(0, _PROBE_BATCH, rows)
-            ]
-        )
+        weights = _lifted_codewords(mat)
+        _reduce(weights, _PROBE_BATCH, lambda lo, hi: _lift(batch[lo:hi]), batch_best)
         for i in np.flatnonzero(batch_best < threshold + _BATCH_GUARD).tolist():
             if drawn + i - last >= stop_streak:
                 break

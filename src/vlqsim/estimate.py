@@ -523,8 +523,8 @@ def _chunk_loop(specs, P_grid, samples, stream, workers, conditioning, reduce):
     default one per usable CPU, never more than there are chunks.
     """
     P_grid = [float(P) for P in P_grid]
-    if not P_grid or min(P_grid) <= 0.0:
-        raise ValueError("P grid must be nonempty and positive")
+    if not P_grid or not all(0.0 < P < math.inf for P in P_grid):
+        raise ValueError("P grid must be nonempty, finite and positive")
     if not 1 <= samples <= MAX_SAMPLES:
         raise ValueError("samples must be in [1, 10^10]")
     if conditioning not in ("none", "radial"):
@@ -568,6 +568,7 @@ def ser_rate_sweep(
     next spec is evaluated, and the moments are combined with compensated
     summation in chunk order, so the result is bit-identical for any worker
     count, and a grid point's records equal a one-point sweep at that P.
+    An empty P grid or one with an entry that is not finite and positive,
     ``samples`` outside [1, 10^10] or ``workers`` outside [1, 1024] raises
     ValueError before any spec is prepared or any draw is made.
     """
@@ -639,7 +640,8 @@ def paired_compare(
     everywhere).  Runs on ``ser_rate_sweep``'s chunk loop, with its checks
     and default threads, so a grid point's result equals a one-point call
     and does not depend on the worker count; like the sweep, it rejects
-    ``samples`` outside [1, 10^10] before any spec is prepared.
+    an empty P grid, a P that is not finite and positive and ``samples``
+    outside [1, 10^10] before any spec is prepared or any draw is made.
     """
     _, results = _chunk_loop(
         (spec_a, spec_b), P_grid, samples, stream, None, conditioning, _gap_stats

@@ -118,7 +118,7 @@ def per_row_fill(gen, t, lifted):
     from the phasor rows, and the amplitudes last."""
     w = lifted.shape[1]
     u, keep = np.empty(w), np.empty(w)
-    pairs = channel._pairs(t)
+    pairs = list(zip(*np.triu_indices(t, 1)))
     mag, re, im = lifted[:t], lifted[t : t + len(pairs)], lifted[t + len(pairs) :]
     for b in range(1, t):
         gen.random(out=u)
@@ -170,20 +170,6 @@ class TestDirections:
             assert np.max(np.abs(np.sum(m, axis=0) - 1.0)) <= 1e-15
             k, l = np.triu_indices(t, 1)
             re, im = L[t : t + len(k)], L[t + len(k) :]
-            assert np.max(np.abs((re**2 + im**2) / (m[k] * m[l]) - 1.0)) <= 1e-15
-
-    def test_pair_table_is_built_once_per_t(self, monkeypatch):
-        # np.triu_indices costs microseconds of Python; a sweep draws one
-        # lift per chunk
-        calls = []
-        triu = np.triu_indices
-        monkeypatch.setattr(np, "triu_indices", lambda *a, **k: calls.append(a) or triu(*a, **k))
-        channel._pairs.cache_clear()
-        lifts = [sample_directions(RngStream(38, i), 4, 64) for i in range(5)]
-        assert calls == [(4, 1)]
-        k, l = triu(4, 1)
-        for L in lifts:
-            m, re, im = L[:4], L[4:10], L[10:]
             assert np.max(np.abs((re**2 + im**2) / (m[k] * m[l]) - 1.0)) <= 1e-15
 
     def test_first_power_and_relative_phases(self):

@@ -735,7 +735,7 @@ def test_bad_files_get_exit_codes_not_tracebacks(
         (QuadratureError("no convergence", 0.5, 1e-3), 1, "internal error: "),
         (RuntimeError("can't start new thread"), 1, "internal error: "),
         (codebook.CoveringError("certificate failed"), 3, "invariant failure: "),
-        (ValueError("P grid must be nonempty and positive"), 2, "error: "),
+        (ValueError("P grid must be nonempty, finite and positive"), 2, "error: "),
         (OSError("disk full"), 2, "error: "),
     ],
     ids=["quadrature", "thread-start", "covering", "value", "os"],

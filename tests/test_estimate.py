@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from vlqsim import estimate
+from vlqsim import codebook, estimate
 from vlqsim.channel import RngStream, _block_width, sample_channels, sample_directions
 from vlqsim.codebook import BeamformingCodebook, _lift, build_covering_codebook
 from vlqsim.estimate import (
@@ -210,6 +210,24 @@ class TestSweepInvariants:
                 with pytest.raises(ValueError, match="P must be > 1"):
                     paired_compare(vlq, flq, [10.0, P], 10, RngStream(1), conditioning=conditioning)
 
+    @pytest.mark.parametrize("grid", [[math.nan], [math.inf], [1.0, math.nan]])
+    def test_rejects_non_finite_power(self, all_specs, monkeypatch, grid):
+        # a NaN passes a bare min(grid) <= 0 check, and neither NaN nor inf
+        # may reach a spec's prepare or a draw
+        def refuse(*args):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(estimate, "direction_blocks", refuse)
+        for spec in all_specs:
+            monkeypatch.setattr(type(spec), "prepare", refuse)
+        full, flq, vlq, _, _, pc = all_specs
+        message = "P grid must be nonempty, finite and positive"
+        with pytest.raises(ValueError, match=message):
+            ser_rate_sweep(all_specs, grid, 10**6, RngStream(1))
+        for a, b in ((vlq, flq), (pc, full)):
+            with pytest.raises(ValueError, match=message):
+                paired_compare(a, b, grid, 10**6, RngStream(1))
+
     def test_record_validation(self):
         with pytest.raises(ValueError):
             SweepRecord("x", 1.0, 0.7, 0.0, 0.0, 0.0, 1, 0)
@@ -303,16 +321,17 @@ class TestDeterminism:
 class TestSharedCorrelation:
     @pytest.fixture
     def calls(self, monkeypatch):
-        # draws per run of the one GEMM-and-reduce loop, which both
-        # max_correlation_sq (complex rows) and lifted_stats (lifts) call
+        # draws per run of the one GEMM-and-reduce loop, which
+        # max_correlation_sq (complex rows), lifted_stats (lifts) and the
+        # greedy build's filter call
         calls = []
-        original = BeamformingCodebook._reduce
+        original = codebook._reduce
 
-        def counted(book, n, block, out=None):
+        def counted(weights, n, *args):
             calls.append(n)
-            return original(book, n, block, out)
+            return original(weights, n, *args)
 
-        monkeypatch.setattr(BeamformingCodebook, "_reduce", counted)
+        monkeypatch.setattr(codebook, "_reduce", counted)
         return calls
 
     @staticmethod
@@ -353,6 +372,24 @@ class TestSharedCorrelation:
             vlq, flq, [100.0, 1e3, 1e4], _CHUNK + 1, RngStream(49), conditioning="radial"
         )
         assert len(calls) == 2
+
+    def test_build_and_certificate_read_the_max_alone(self, monkeypatch):
+        # the build's filter, the certificate and its refinement ask the
+        # kernel for no min and no column 0; a radial sweep asks for the min
+        stats = []
+        original = codebook._reduce
+
+        def spied(weights, n, block, c_max, c_min=None, c_first=None):
+            stats.append((c_min, c_first))
+            return original(weights, n, block, c_max, c_min, c_first)
+
+        monkeypatch.setattr(codebook, "_reduce", spied)
+        book = build_covering_codebook(2, 0.3, RngStream(7), stop_streak=200)
+        assert len(stats) > 2
+        assert all(c_min is None and c_first is None for c_min, c_first in stats)
+        stats.clear()
+        ser_rate_sweep(self.coded_specs(book), [10.0], 1000, RngStream(7), conditioning="radial")
+        assert stats and all(isinstance(c_min, np.ndarray) for c_min, _ in stats)
 
     def test_sharing_does_not_change_records(self, book):
         specs = [FullCsitBeamforming(2)] + self.coded_specs(book)
