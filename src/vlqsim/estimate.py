@@ -94,6 +94,7 @@ from .codebook import BeamformingCodebook
 from .numerics import (
     LogLogFit,
     _chebval,
+    _mrc_ser,
     bpsk_mrc_ser,
     fit_loglog,
     gamma_tail,
@@ -268,17 +269,15 @@ class VariableLengthBeamforming:
 
     def conditioned(self, n: int, stats, P: float, prepared):
         beta, half_gap = prepared
-        # Pr(short | hbar) = Gammabar(t, beta / (c_min P)), its argument
-        # formed in one buffer
-        arg = np.maximum(stats.c_min, 1e-300)
-        arg *= P
-        p_short = gamma_tail(self.t, np.divide(beta, arg, out=arg))
+        # Pr(short | hbar) = Gammabar(t, beta / (c_min P)), on the floored
+        # c_min, its argument formed in one buffer and freed after the call
+        p_short = np.multiply(stats.c_min, P)
+        p_short = gamma_tail(self.t, np.divide(beta, p_short, out=p_short))
         ser = np.multiply(half_gap, p_short)
         ser += stats.mrc_ser(P)
-        rate = np.subtract(1.0, p_short, out=arg)
-        rate *= self.bits
-        rate += 1.0
-        return ser, rate, half_gap
+        # the rate 1 + bits (1 - p) as (1 + bits) - bits p, in p's buffer
+        rate = np.multiply(self.bits, p_short, out=p_short)
+        return ser, np.subtract(1.0 + self.bits, rate, out=rate), half_gap
 
 
 class VariableLengthPrecoding:
@@ -371,12 +370,15 @@ class _BookStats:
     """One codebook's per-draw correlation stats (max, min and column 0 of
     |<x_i, hbar>|^2) on one chunk's lifted directions, shared by every spec
     that quantizes with it, in either mode; column 0 is None in a radial
-    sweep, which does not read it.
+    sweep, which does not read it.  In a radial sweep the min is floored at
+    1e-300 in place, once per chunk, since bf-vlq divides by it at every P;
+    plain mode compares it unfloored.
 
     ``mrc_ser(P, r)`` is ``bpsk_mrc_ser(t, c_max P / r)``, kept for the
     latest P only, one array per r: bf-flq, bf-vlq and pc-vlq at r = 1 read
     the same array, and since x / 1.0 == x each reads what it would compute
-    alone.  Readers must not write into it.
+    alone.  It runs the unchecked kernel, since c_max P / r is >= 0 by
+    construction.  Readers must not write into it.
 
     ``cheb_x`` and ``uncovered`` are computed on first read.  A stats object
     belongs to one chunk on one thread, so they are plain attributes: a
@@ -389,6 +391,8 @@ class _BookStats:
         ``book.lifted_stats`` has filled."""
         self.t, self.delta = book.t, book.delta
         self.c_max, self.c_min, self.c_first = stats
+        if self.c_first is None:
+            np.maximum(self.c_min, 1e-300, out=self.c_min)
         self._P, self._mrc = None, {}
         self._cheb_x = self._uncovered = None
 
@@ -416,7 +420,7 @@ class _BookStats:
             snr = self.c_max * P
             if r != 1.0:
                 snr /= r
-            self._mrc[r] = bpsk_mrc_ser(self.t, snr)
+            self._mrc[r] = _mrc_ser(self.t, snr)
         return self._mrc[r]
 
 

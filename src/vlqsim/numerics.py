@@ -130,16 +130,20 @@ def q_function(x):
 _LOG_TINY = math.log(np.finfo(float).tiny)  # of the smallest normal double
 
 
-def _exp_sum(t: int, x: np.ndarray, out=None, where=True) -> np.ndarray:
+def _exp_sum(t: int, x: np.ndarray, out=None, term=None) -> np.ndarray:
     """sum_{k < t} x^k / k! for integer t > 1, from 1 + x on, each term
-    from the last, in place; into ``out`` where ``where`` holds."""
-    acc = np.add(x, 1.0, out=out, where=where)
+    from the last, in place; into ``out`` and, at t > 2, with the terms
+    in ``term``, where given (neither may be x)."""
+    acc = np.add(x, 1.0, out=out)
     if t > 2:
-        term = x.copy()
+        if term is None:
+            term = x.copy()
+        else:
+            np.copyto(term, x)
         for k in range(2, t):
-            np.multiply(term, x, out=term, where=where)
-            np.divide(term, k, out=term, where=where)
-            np.add(acc, term, out=acc, where=where)
+            np.multiply(term, x, out=term)
+            np.divide(term, k, out=term)
+            np.add(acc, term, out=acc)
     return acc
 
 
@@ -170,16 +174,26 @@ def gamma_tail(t: int, x):
     # the smallest normal double from x_hi (<= 1e4) on
     x_hi = math.log(t) + (t - 1) * math.log(1e4) - _LOG_TINY
     near = np.logical_and(deep, a < x_hi, out=deep)
-    if near.any():
-        # in place under the mask: small arrays of the few entries raised a
-        # radial-t2 benchmark run's peak RSS by 0.2-0.9 MB (2-vCPU VM)
+    k = int(np.count_nonzero(near))
+    if k:
+        # the k entries in [700, x_hi) are gathered into acc, which is free
+        # now, as x, its sum and, at t > 2, the terms (min(t, 3) k doubles),
+        # and put back: two passes over the array, not one masked pass per
+        # step, and no new small array (such arrays raised a radial-t2
+        # benchmark run's peak RSS by 0.2-0.9 MB, 2-vCPU VM); only where
+        # more than a third of the entries are in the band is acc too small
+        need = min(t, 3) * k
+        free = acc.reshape(-1) if t > 1 and need <= acc.size else np.empty(need)
+        x = np.compress(near.reshape(-1), a.reshape(-1), out=free[:k])
         if t > 1:
-            np.log(_exp_sum(t, a, acc, near), out=acc, where=near)
+            s = _exp_sum(t, x, free[k : 2 * k], free[2 * k : need])
+            np.log(s, out=s)
+            s -= x
         else:
-            acc = np.zeros_like(a)
-        np.subtract(acc, a, out=acc, where=near)
+            s = np.negative(x, out=x)  # ln 1 - x
         with np.errstate(under="ignore"):
-            np.exp(acc, out=out, where=near)
+            np.exp(s, out=s)
+        np.place(out, near, s)
     return float(out[0]) if scalar else out
 
 
@@ -213,9 +227,13 @@ def gamma_weighted_q_tail(t: int, s, x0: float):
     a = np.atleast_1d(a)
     if not np.all(a >= 0.0):
         raise ValueError("s must be >= 0")
+    inf = a == math.inf  # I(inf, x0) is 0.0; the kernel would divide 0 by 0
+    if inf.any():
+        a = np.where(inf, 0.0, a)
     with np.errstate(under="ignore"):
         ratio = _CRAIG_SIN2 / (_CRAIG_SIN2 + a[:, None])  # 1 / a(th)
         res = (ratio**t * gamma_tail(t, x0 / ratio)) @ _CRAIG_WEIGHTS
+    res[inf] = 0.0
     return float(res[0]) if scalar else res
 
 
@@ -316,7 +334,7 @@ def bpsk_mrc_ser(t: int, snr):
     """Closed-form average BPSK error rate with t-branch maximal-ratio
     combining over i.i.d. unit-power Rayleigh fading at the given linear SNR.
 
-    Vectorized in snr.
+    Vectorized in snr; an infinite SNR gives the limit 0.0.
     """
     if t < 1 or t != int(t):
         raise ValueError("t must be a positive integer")
@@ -328,6 +346,14 @@ def bpsk_mrc_ser(t: int, snr):
     # fmin skips NaN, which is accepted; an empty snr has no minimum
     if a.size and np.fmin.reduce(a, axis=None) < 0.0:
         raise ValueError("snr must be >= 0")
+    inf = a == math.inf  # the kernel would form inf / (1 + inf)
+    res = _mrc_ser(t, np.where(inf, 0.0, a) if inf.any() else a)
+    res[inf] = 0.0
+    return float(res[0]) if scalar else res
+
+
+def _mrc_ser(t: int, a: np.ndarray) -> np.ndarray:
+    """``bpsk_mrc_ser`` on an array of finite a >= 0 (or NaN), unchecked."""
     # mu = sqrt(a / (1 + a)); 0.5 (1 - mu) is formed without the
     # cancellation at high SNR as lo = 0.5 / ((1 + a)(1 + mu)), since
     # 1 - mu^2 = 1/(1+a); hi = 0.5 (1 + mu)
@@ -337,20 +363,22 @@ def bpsk_mrc_ser(t: int, snr):
     hi += 1.0
     lo *= hi
     np.divide(0.5, lo, out=lo)
-    hi *= 0.5
     # res = lo^t sum_{k < t} C(t-1+k, k) hi^k, the powers as ``**`` forms
     # them; the sum starts at 1 + C(t, 1) hi, since hi^1 is hi itself, and
     # at t = 1 it is 1, which leaves res = lo
-    res = lo
-    if t > 1:
-        acc = np.multiply(t, hi)
-        acc += 1.0
-        term = np.empty_like(a) if t > 2 else None
-        for k in range(2, t):
-            np.multiply(math.comb(t - 1 + k, k), _power(hi, k, term), out=term)
-            acc += term
-        res = np.multiply(_power(lo, t, lo), acc, out=acc)
-    return float(res[0]) if scalar else res
+    if t == 1:
+        return lo
+    if t == 2:  # 1 + 2 hi is 2 hi + 1 = (1 + mu) + 1, exactly
+        hi += 1.0
+        return np.multiply(np.square(lo, out=lo), hi, out=hi)
+    hi *= 0.5
+    acc = np.multiply(t, hi)
+    acc += 1.0
+    term = np.empty_like(a)
+    for k in range(2, t):
+        np.multiply(math.comb(t - 1 + k, k), _power(hi, k, term), out=term)
+        acc += term
+    return np.multiply(_power(lo, t, lo), acc, out=acc)
 
 
 def _power(x: np.ndarray, k: int, out: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Channel sampling: determinism, distribution checks, unitary invariance."""
 
+import hashlib
 import math
 
 import mpmath
@@ -381,3 +382,47 @@ class TestMagnitudes:
         a = sample_magnitudes(s.child(1, 3), 2, 100)
         assert np.array_equal(a, sample_magnitudes(s.child(1, 3), 2, 100))
         assert not np.any(a == sample_magnitudes(s.child(1, 4), 2, 100))
+
+
+class TestSweepStreams:
+    """A sweep's directions and magnitudes come from PCG64 on the stream's
+    ``seed_sequence``, keyed by the chunk's path; ``generator``, which the
+    codebook build reads, stays Philox on the same sequence."""
+
+    def test_chunk_paths(self):
+        # one path, however it is built, draws the same; the directions
+        # (0, c), the next chunk's (0, c + 1) and the magnitudes (1, c) not
+        s = RngStream(42)
+        paths = [s.child(0, 5), s.child(0, 6), s.child(1, 5)]
+        for draw in (sample_directions, sample_magnitudes):
+            values = [draw(path, 3, 1000) for path in paths]
+            assert np.array_equal(values[0], draw(RngStream(42, 0, (0, 5)), 3, 1000))
+            for i in range(3):
+                for j in range(i):
+                    assert not np.any(values[i] == values[j]), (draw.__name__, i, j)
+
+    def test_draws_are_pcg64_on_the_seed_sequence(self):
+        stream, n = RngStream(43).child(0, 2), 1000
+
+        def pcg64():
+            return np.random.Generator(np.random.PCG64(stream.seed_sequence()))
+
+        # a t = 2 block: one row of phase uniforms, then the magnitude row u
+        # with m_0 = 1 - (1 - u) and m_1 = 1 - u
+        gen = pcg64()
+        gen.random(n)
+        u = gen.random(n)
+        ((_, block),) = channel.direction_blocks(stream, 2, n)
+        assert np.array_equal(block[0], 1.0 - (1.0 - u)) and np.array_equal(block[1], 1.0 - u)
+        # t = 1 magnitudes are one Exp(1) row -log(1 - u)
+        assert np.array_equal(sample_magnitudes(stream, 1, n), -np.log1p(-pcg64().random(n)))
+        philox = np.random.Generator(np.random.Philox(stream.seed_sequence()))
+        assert np.array_equal(stream.generator().random(n), philox.random(n))
+
+    def test_t2_lift_bytes_are_pinned(self):
+        # PCG64's integers, exact +, -, * and sqrt and the phasor table built
+        # on Python integers: no SIMD transcendental and no BLAS call, so
+        # these bytes hold under any CPU dispatch
+        ((_, block),) = channel.direction_blocks(RngStream(44).child(0, 1), 2, 4096)
+        digest = hashlib.sha256(block.astype("<f8").tobytes()).hexdigest()
+        assert digest == "5d6c7eeed39c799d8d76bf0974a3737c1f866dc7fcc034236ebd5dd833002d6c"

@@ -267,6 +267,16 @@ class TestGammaWeightedQTail:
         with pytest.raises(ValueError):
             gamma_weighted_q_tail(2, 1.0, math.nan)
 
+    @pytest.mark.parametrize("x0", [0.0, 0.3])
+    def test_infinite_snr_is_zero(self, x0):
+        # Q(sqrt(2 s X)) -> 0 as s -> inf at any threshold; the finite
+        # entries keep the bits they have beside a finite neighbour
+        for t in (1, 2, 4):
+            got = gamma_weighted_q_tail(t, [1.0, math.inf, 40.0], x0)
+            assert got[1] == 0.0
+            assert np.array_equal(got[::2], gamma_weighted_q_tail(t, [1.0, 7.0, 40.0], x0)[::2])
+            assert gamma_weighted_q_tail(t, math.inf, x0) == 0.0
+
 
 class TestFitLogLog:
     def test_exact_power_law(self):
@@ -381,11 +391,18 @@ class TestBufferedKernels:
             gen.uniform(0.0, 60.0, 4000),
             [-5.0, -0.0, 0.0, 5e-324, 1e-300, 699.999, 700.0, 701.0, 1e300],
         ])
+        # a dense band about 700: the entries in [700, x_hi) are gathered
+        # into a free buffer, or a new one where they are most of the array
+        band = gen.uniform(690.0, 730.0, 4096)
+        shapes = (band, band[:512].reshape(8, 64), np.concatenate([x, band]),
+                  np.concatenate([x[:448], band[:64]]).reshape(8, 64))
         for t in range(1, 9):
             assert np.array_equal(gamma_tail(t, x), self.gamma_tail_formula(t, x))
             assert np.array_equal(gamma_tail(t, x[:4000]), self.gamma_tail_formula(t, x[:4000]))
             grid = x[:512].reshape(8, 64)  # the 2-D shape the Craig kernel passes
             assert np.array_equal(gamma_tail(t, grid), self.gamma_tail_formula(t, grid))
+            for y in shapes:
+                assert np.array_equal(gamma_tail(t, y), self.gamma_tail_formula(t, y)), y.shape
             for xs in (-1.0, 0.0, 0.3, 12.5, 700.0, 900.0):
                 got = gamma_tail(t, xs)
                 assert isinstance(got, float)
@@ -402,3 +419,8 @@ class TestBufferedKernels:
                 got = bpsk_mrc_ser(t, s)
                 assert isinstance(got, float)
                 assert got == float(self.mrc_formula(t, s)[0])
+            # an infinite SNR gives the limit 0.0, with no warning, and
+            # leaves the finite entries' bits
+            got = bpsk_mrc_ser(t, np.append(snr, math.inf))
+            assert got[-1] == 0.0 and np.array_equal(got[:-1], self.mrc_formula(t, snr))
+            assert bpsk_mrc_ser(t, math.inf) == 0.0
