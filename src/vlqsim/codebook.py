@@ -208,7 +208,7 @@ def build_covering_codebook(
     t: int,
     delta: float,
     stream: RngStream,
-    stop_streak: int = 200,
+    stop_streak: int,
 ) -> BeamformingCodebook:
     """Greedy sequential covering certified at squared-correlation 1 - delta.
 

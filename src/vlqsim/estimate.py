@@ -10,13 +10,17 @@ that the correlation reads:
 
 * "none": ``channel.sample_magnitudes`` adds each draw's ||h||^2 from t
   more uniforms, and ``snr_bits(norm2, stats, P, prepared)`` gives its
-  conditional SER and feedback bits, the bits as a scalar where every
-  draw sends the same number; this supports exact pathwise comparisons.
-* "radial": ``conditioned(n, stats, P, prepared)`` integrates the
+  conditional SER and feedback bits; this supports exact pathwise
+  comparisons.
+* "radial": ``conditioned(stats, P, prepared)`` integrates the
   magnitude out analytically per direction, which removes the dominant
   variance component and keeps relative standard errors bounded as P
   grows (per draw they grow like P^t/sqrt(N), and deep-SNR points are
   unusable).
+
+In either mode a value that is the same for every draw, such as a constant
+rate or a radial feedback-free SER, is a float, not an array: its moments
+(n, n v, 0) have no spread, so its record is v, to one ulp, with stderr 0.
 
 Common random numbers: every quantizer at every grid point of one sweep
 sees the same draws, and the chunk partition is fixed, so outputs do not
@@ -27,7 +31,7 @@ Chunks of _CHUNK draws run on one thread per usable CPU by default, on
 threads that persist across sweeps; a single worker runs on such a thread
 too, not on the caller's.
 ``paired_compare`` runs the same chunk loop and reduces each chunk to the
-moments of the per-draw gap between two specs.
+moments of the per-draw gap between two specs, a float where both are.
 
 Because the draws are shared, so is the codebook correlation.  Each spec
 names the beamforming codebook it quantizes with (``spec.codebook``, None
@@ -69,8 +73,7 @@ only as long as the SER can see.  Draws are evaluated on it at an abscissa
 that depends on c_max and delta alone, computed once per chunk in the
 codebook's stats.  Per-chunk moments are centred and combined in chunk
 order, so the standard error of a per-draw value that varies only by
-rounding is rounding-sized; a scheme whose rate is constant per direction
-returns it as a scalar, whose moments are exact and whose stderr is 0.
+rounding is rounding-sized.
 ``ser_full_analytic`` keeps the double-exponential quadrature
 ``integrate_gamma_weighted`` as an independent oracle.
 """
@@ -85,6 +88,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import starmap
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebfit, chebpts1
@@ -195,8 +199,8 @@ class FeedbackFree:
     def snr_bits(self, norm2: np.ndarray, stats, P: float, prepared):
         return norm2 * P / self.divisor, 0.0
 
-    def conditioned(self, n: int, stats, P: float, prepared):
-        return np.full(n, prepared), 0.0, 0.0
+    def conditioned(self, stats, P: float, prepared):
+        return prepared, 0.0, 0.0
 
 
 def FullCsitBeamforming(t: int) -> FeedbackFree:
@@ -227,7 +231,7 @@ class FixedLengthBeamforming:
     def snr_bits(self, norm2: np.ndarray, stats, P: float, prepared):
         return stats.c_max * (norm2 * P), prepared
 
-    def conditioned(self, n: int, stats, P: float, prepared):
+    def conditioned(self, stats, P: float, prepared):
         return stats.mrc_ser(P), prepared, 0.0
 
 
@@ -267,7 +271,7 @@ class VariableLengthBeamforming:
         beta = self.beta(P)
         return beta, 0.5 * q_function(math.sqrt(2.0 * beta))
 
-    def conditioned(self, n: int, stats, P: float, prepared):
+    def conditioned(self, stats, P: float, prepared):
         beta, half_gap = prepared
         # Pr(short | hbar) = Gammabar(t, beta / (c_min P)), on the floored
         # c_min, its argument formed in one buffer and freed after the call
@@ -343,7 +347,7 @@ class VariableLengthPrecoding:
         rate = 1.0 + self.bits * (1.0 - gamma_tail(t, x0))
         return coef[:keep], tail_short, rate
 
-    def conditioned(self, n: int, stats, P: float, prepared):
+    def conditioned(self, stats, P: float, prepared):
         coef, tail_short, rate = prepared
         tail = _chebval(stats.cheb_x, coef)
         np.exp(tail, out=tail)
@@ -446,44 +450,45 @@ def _draws(specs, stream, c_idx, n, conditioning):
     return norm2, stats
 
 
-def _conditional_ser(specs, n, norm2, stats, P, prepared):
+def _conditional_ser(specs, norm2, stats, P, prepared):
     """Per-draw (ser, rate, half-width) of each spec at power P, given its
     ``prepare(P)``: per direction in radial mode (norm2 None), else per draw."""
     for spec, values in zip(specs, prepared):
         book_stats = None if spec.codebook is None else stats[id(spec.codebook)]
         if norm2 is None:
-            yield spec.conditioned(n, book_stats, P, values)
+            yield spec.conditioned(book_stats, P, values)
         else:
             snr, bits = spec.snr_bits(norm2, book_stats, P, values)
             yield q_function(np.sqrt(2.0 * snr)), bits, 0.0
 
 
-def _spec_moments(values):
-    """Per-chunk moments of one spec's (ser, rate, half-width) at one P."""
-    ser_v, rate_v, hw = values
-    if not isinstance(rate_v, np.ndarray):
-        # a constant rate: closed-form moments, free of rounding noise
-        return _moments(ser_v), (len(ser_v), len(ser_v) * rate_v, 0.0), hw
-    return _moments(ser_v), _moments(rate_v), hw
-
-
-def _moments(v: np.ndarray):
-    """(count, sum, sum of squared deviations from the mean) of one chunk:
-    ``np.sum(v)`` and ``np.sum((v - mean) ** 2)``, bit for bit, with the
-    ufunc's own reduce and the square in place."""
+def _moments(v, n: int):
+    """(count, sum, sum of squared deviations from the mean) of a chunk of n
+    draws of v.  A float is the same for every draw: (n, n v, 0.0).  An
+    array's are ``np.sum(v)`` and ``np.sum((v - mean) ** 2)``, bit for bit,
+    with the ufunc's own reduce and the square in place."""
+    if not isinstance(v, np.ndarray):
+        return n, n * v, 0.0
     total = float(np.add.reduce(v, axis=None))
-    dev = np.subtract(v, total / len(v))
+    dev = np.subtract(v, total / n)
     np.square(dev, out=dev)
-    return len(v), total, float(np.add.reduce(dev, axis=None))
+    return n, total, float(np.add.reduce(dev, axis=None))
 
 
 def _mean_stderr(parts):
     """Mean and its standard error from per-chunk moments.
 
     Chunks are combined in index order with the parallel-variance update
-    (Chan, Golub & LeVeque), so a constant per-draw value gives a stderr of
-    rounding size instead of the one-pass formula's cancellation.
+    (Chan, Golub & LeVeque), so a per-draw value that varies only by
+    rounding gets a rounding-sized stderr, not the one-pass cancellation.
+    Chunks that all hold one value v, as a float's moments do, give v with
+    stderr 0.  Every chunk but the last has _CHUNK draws, a power of two, so
+    the first chunk's sum over its count is v exactly; the update would read
+    the last chunk's (k v) / k, an ulp off v for some k, as spread.
     """
+    c0, total0, _ = parts[0]
+    if all(m2 == 0.0 and total == c * (total0 / c0) for c, total, m2 in parts):
+        return total0 / c0, 0.0
     n = sum(c for c, _, _ in parts)
     mean = math.fsum(total for _, total, _ in parts) / n
     m2 = math.fsum(m2 + c * (total / c - mean) ** 2 for c, total, m2 in parts)
@@ -520,11 +525,12 @@ def _usable_cpus() -> int:
 def _chunk_loop(specs, P_grid, samples, stream, workers, conditioning, reduce):
     """The chunk loop of ``ser_rate_sweep`` and ``paired_compare``: checks
     the arguments and returns (the grid as floats, results), where
-    results[c][p] is ``reduce`` of the specs' per-draw values at the p-th
-    grid point on chunk c, which ``reduce`` must not keep.  Each spec is
-    prepared once per grid point before any draw, and each chunk is drawn
-    and correlated once for the whole grid, on ``workers`` threads, by
-    default one per usable CPU, never more than there are chunks.
+    results[c][p] is ``reduce(values, n)`` of the specs' per-draw values at
+    the p-th grid point on chunk c of n draws, which ``reduce`` must not
+    keep.  Each spec is prepared once per grid point before any draw, and
+    each chunk is drawn and correlated once for the whole grid, on
+    ``workers`` threads, by default one per usable CPU, never more than
+    there are chunks.
     """
     P_grid = [float(P) for P in P_grid]
     if not P_grid or not all(0.0 < P < math.inf for P in P_grid):
@@ -533,6 +539,8 @@ def _chunk_loop(specs, P_grid, samples, stream, workers, conditioning, reduce):
         raise ValueError("samples must be in [1, 10^10]")
     if conditioning not in ("none", "radial"):
         raise ValueError("conditioning must be 'none' or 'radial'")
+    if not specs:
+        raise ValueError("need at least one spec")
     if len({s.t for s in specs}) != 1:
         raise ValueError("all specs must share the antenna count")
     if workers is not None and not 1 <= workers <= MAX_WORKERS:
@@ -547,7 +555,7 @@ def _chunk_loop(specs, P_grid, samples, stream, workers, conditioning, reduce):
     def task(c_idx):
         n = sizes[c_idx]
         norm2, stats = _draws(specs, stream, c_idx, n, conditioning)
-        return [reduce(_conditional_ser(specs, n, norm2, stats, *point)) for point in points]
+        return [reduce(_conditional_ser(specs, norm2, stats, *point), n) for point in points]
 
     # one worker runs on the pool too: on the main thread, glibc trims the
     # main heap's top after every chunk, which costs a page fault per page
@@ -572,14 +580,19 @@ def ser_rate_sweep(
     next spec is evaluated, and the moments are combined with compensated
     summation in chunk order, so the result is bit-identical for any worker
     count, and a grid point's records equal a one-point sweep at that P.
-    An empty P grid or one with an entry that is not finite and positive,
-    ``samples`` outside [1, 10^10] or ``workers`` outside [1, 1024] raises
-    ValueError before any spec is prepared or any draw is made.
+    No specs, an empty P grid or one with an entry that is not finite and
+    positive, ``samples`` outside [1, 10^10] or ``workers`` outside
+    [1, 1024] raises ValueError before any spec is prepared or any draw.
     """
     specs = list(specs)
+    # starmap lets go of one spec's arrays before the next spec's are made;
+    # a comprehension's loop variables hold them, which raised the peak RSS
+    # of the t=4 benchmark sweep by about 0.9 MB
     P_grid, results = _chunk_loop(
         specs, P_grid, samples, stream, workers, conditioning,
-        lambda values: list(map(_spec_moments, values)),
+        lambda values, n: list(starmap(
+            lambda ser, rate, hw: (_moments(ser, n), _moments(rate, n), hw), values
+        )),
     )
     records = []
     for P, point in zip(P_grid, zip(*results)):
@@ -646,6 +659,10 @@ def paired_compare(
     and does not depend on the worker count; like the sweep, it rejects
     an empty P grid, a P that is not finite and positive and ``samples``
     outside [1, 10^10] before any spec is prepared or any draw is made.
+
+    A radial compare that involves bf-vlq measures the midpoint of its
+    bracket (``VariableLengthBeamforming``), so its mean gap is biased by up
+    to Q(sqrt(2 beta))/2 per direction; plain mode has no such bias.
     """
     _, results = _chunk_loop(
         (spec_a, spec_b), P_grid, samples, stream, None, conditioning, _gap_stats
@@ -657,12 +674,13 @@ def paired_compare(
     return out
 
 
-def _gap_stats(values):
+def _gap_stats(values, n):
     """(moments, draws with gap >= 0, smallest gap) of one chunk's gap
-    SER_A - SER_B at one P."""
+    SER_A - SER_B at one P on n draws, a float where both SERs are."""
     (ser_a, _, _), (ser_b, _, _) = values
     gap = ser_a - ser_b
-    return _moments(gap), int(np.count_nonzero(gap >= 0.0)), float(np.min(gap))
+    every = np.broadcast_to(gap, n)
+    return _moments(gap, n), int(np.count_nonzero(every >= 0.0)), float(np.min(every))
 
 
 def _format(x: float) -> str:

@@ -99,18 +99,28 @@ class TestSweepUnbiasedness:
         assert rec.ser == pytest.approx(ser_full_analytic(3, 25.0), rel=1e-8)
         assert rec.ser_stderr < 1e-15
 
-    def test_constant_draws_have_rounding_sized_stderr(self):
-        # radial full-CSIT and open-loop values do not depend on the draw;
-        # a one-pass variance reads cancellation noise of ~1e-11 relative
+    def test_constant_draws_have_zero_stderr(self):
+        # radial full-CSIT and open-loop values do not depend on the draw, so
+        # each chunk returns the closed form as a float, whose moments are
+        # exact; the short last chunk's (7 v) / 7 is one ulp off v at some P
         specs = [FullCsitBeamforming(4), OpenLoopPrecoding(4)]
         grid = [3.0, 10.0, 100.0, 1e3, 1e4]
-        for rec in ser_rate_sweep(specs, grid, 2 * _CHUNK + 7, RngStream(39)):
-            assert rec.ser_stderr <= 1e-14 * rec.ser
+        recs = [
+            rec
+            for workers in (1, 3)
+            for rec in ser_rate_sweep(specs, grid, 2 * _CHUNK + 7, RngStream(39), workers=workers)
+        ]
+        for rec in recs:
+            divisor = 1.0 if rec.quantizer_id == "bf-full" else 4.0
+            want = bpsk_mrc_ser(4, rec.P / divisor)
+            assert rec.ser_stderr == 0.0 and rec.rate_stderr == 0.0, rec
+            assert abs(rec.ser - want) <= math.ulp(want), rec
 
     def test_constant_rates_have_zero_stderr(self, all_specs):
         # every radial rate but bf-vlq's is exact and constant per direction,
-        # so its moments are taken in closed form, with no rounding noise
-        grid = [3.0, 1e2, 1e4]
+        # so its moments are taken in closed form, with no rounding noise; at
+        # P = 30 the pc-vlq rate's last chunk, (7 v) / 7, is an ulp off v
+        grid = [3.0, 30.0, 1e2, 1e4]
         recs = ser_rate_sweep(all_specs, grid, 2 * _CHUNK + 7, RngStream(40), workers=2)
         constant = [rec for rec in recs if rec.quantizer_id != "bf-vlq"]
         assert len(constant) == 5 * len(grid)
@@ -181,6 +191,8 @@ class TestSweepInvariants:
         monkeypatch.setattr(estimate, "direction_blocks", refuse)
         with pytest.raises(ValueError):
             ser_rate_sweep(all_specs, [], 10, RngStream(1))
+        with pytest.raises(ValueError, match="need at least one spec"):
+            ser_rate_sweep([], [10.0], 100, RngStream(1))
         for samples in (0, 10**10 + 1):
             with pytest.raises(ValueError, match=r"samples must be in \[1, 10\^10\]"):
                 ser_rate_sweep(all_specs, [1.0], samples, RngStream(1))
@@ -573,12 +585,12 @@ class TestDirectionSampler:
         for P in grid:
             prepared = [spec.prepare(P) for spec in specs]
             alone = [
-                spec.conditioned(n, _BookStats(book, book.lifted_stats(lifted)), P, values)
+                spec.conditioned(_BookStats(book, book.lifted_stats(lifted)), P, values)
                 for spec, values in zip(specs, prepared)
             ]
             monkeypatch.setattr(estimate, "_mrc_ser", counted)
             shared = [
-                spec.conditioned(n, stats[id(book)], P, values)
+                spec.conditioned(stats[id(book)], P, values)
                 for spec, values in zip(specs, prepared)
             ]
             monkeypatch.setattr(estimate, "_mrc_ser", original)
@@ -722,7 +734,9 @@ class TestChunkState:
                 np.full(n, 0.1),
                 gen.normal(size=n) * 1e-3,
             ):
-                assert estimate._moments(v) == formula(v)
+                assert estimate._moments(v, len(v)) == formula(v)
+            # a float is the same for every draw: its moments are exact
+            assert estimate._moments(0.1, n) == (n, n * 0.1, 0.0)
 
 
 class TestPrecodingKernel:
@@ -748,7 +762,7 @@ class TestPrecodingKernel:
             Hbar = H / np.linalg.norm(H, axis=1, keepdims=True)
             stats = _BookStats(book, book.lifted_stats(_lift(Hbar)))
             for P in (10.0, 1e3, 1e5, 1e7):
-                ser, _, _ = spec.conditioned(len(Hbar), stats, P, spec.prepare(P))
+                ser, _, _ = spec.conditioned(stats, P, spec.prepare(P))
                 s = book.max_correlation_sq(Hbar) * P
                 x0 = spec.threshold / P
                 want = np.maximum(bpsk_mrc_ser(t, s) - gamma_weighted_q_tail(t, s, x0), 0.0)
@@ -806,8 +820,8 @@ class TestPrecodingKernel:
             full = fits[-1]
             assert len(full) == 24 and np.array_equal(cut, full[: len(cut)])
             assert len(cut) in kept
-            ser_cut, _, _ = spec.conditioned(20000, corr, P, (cut, short, rate))
-            ser_full, _, _ = spec.conditioned(20000, corr, P, (full, short, rate))
+            ser_cut, _, _ = spec.conditioned(corr, P, (cut, short, rate))
+            ser_full, _, _ = spec.conditioned(corr, P, (full, short, rate))
             assert np.max(np.abs(ser_cut / ser_full - 1.0)) <= 4.0 * np.finfo(float).eps
 
     def test_uncovered_draws_are_exact_not_clipped(self, book):
@@ -823,7 +837,7 @@ class TestPrecodingKernel:
         P = 100.0
         x0 = spec.threshold / P
         stats = _BookStats(holed, holed.lifted_stats(_lift(Hbar)))
-        ser, _, _ = spec.conditioned(len(Hbar), stats, P, spec.prepare(P))
+        ser, _, _ = spec.conditioned(stats, P, spec.prepare(P))
         short = gamma_weighted_q_tail(2, P / 2.0, x0)
         s = c_max[low] * P
         exact = bpsk_mrc_ser(2, s) - gamma_weighted_q_tail(2, s, x0) + short
@@ -868,6 +882,22 @@ class TestPairedCompare:
         ((gap, se, frac, worst),) = paired_compare(vlq, flq, [P], 400000, RngStream(44))
         assert gap >= -3.0 * se
         assert gap <= P ** (-3) + 3.0 * se
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_feedback_free_gap_is_exact(self, monkeypatch, workers):
+        # both radial SERs are floats, so the gap is the closed-form
+        # difference on every draw: no spread, and A never dominates
+        monkeypatch.setattr(estimate, "_usable_cpus", lambda: workers)
+        grid = [3.0, 30.0, 300.0]
+        compared = paired_compare(
+            FullCsitBeamforming(2), OpenLoopPrecoding(2), grid, 2 * _CHUNK + 7,
+            RngStream(45), conditioning="radial",
+        )
+        for P, (gap, se, frac, worst) in zip(grid, compared):
+            want = bpsk_mrc_ser(2, P) - bpsk_mrc_ser(2, P / 2.0)
+            assert want < 0.0
+            assert abs(gap - want) <= math.ulp(want)
+            assert se == 0.0 and frac == 0.0 and worst == want
 
     def test_mismatched_antennas_rejected(self, book):
         with pytest.raises(ValueError):
