@@ -20,9 +20,9 @@ class RngStream:
     The same (master_seed, index, path) always yields the same draw
     sequence; distinct index paths give statistically independent
     substreams.  Every substream is seeded by ``seed_sequence``, a
-    SeedSequence whose spawn key is the full path (index, *path, *extra),
-    so no two paths share a stream and results do not depend on how work
-    is split across workers.
+    SeedSequence whose spawn key is the full path (index, *path), which
+    only ``child`` extends, so no two paths share a stream and results do
+    not depend on how work is split across workers.
 
     Two bit generators read it.  A sweep's direction and magnitude draws
     (``direction_blocks``, ``sample_magnitudes``) come from PCG64, which
@@ -36,14 +36,14 @@ class RngStream:
     index: int = 0
     path: tuple = ()
 
-    def seed_sequence(self, *extra: int) -> np.random.SeedSequence:
-        """The SeedSequence of the path (index, *path, *extra)."""
-        key = (self.index, *self.path, *extra)
+    def seed_sequence(self) -> np.random.SeedSequence:
+        """The SeedSequence of the path (index, *path)."""
+        key = (self.index, *self.path)
         return np.random.SeedSequence(entropy=self.master_seed, spawn_key=key)
 
-    def generator(self, *extra: int) -> np.random.Generator:
-        """A Philox generator on ``seed_sequence(*extra)``."""
-        return np.random.Generator(np.random.Philox(self.seed_sequence(*extra)))
+    def generator(self) -> np.random.Generator:
+        """A Philox generator on ``seed_sequence()``."""
+        return np.random.Generator(np.random.Philox(self.seed_sequence()))
 
     def child(self, *extra: int) -> "RngStream":
         """Stream with an extended index path, for per-chunk derivation."""

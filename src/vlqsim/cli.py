@@ -1,12 +1,12 @@
 """Batch experiment driver.
 
 Subcommands: codebook build|verify, sweep, fit, compare, bounds, selftest.
-Exit codes: 0 success, 1 internal error (a RuntimeError other than a
-failed covering certificate, such as a QuadratureError or a thread that
-cannot start), 2 config error (including bad flags, unreadable or
-unwritable paths and malformed CSVs), 3 invariant failure (including invalid
-codebook files).  No subcommand runs adaptive quadrature outside selftest,
-which reports its own failures.
+Exit codes: 0 success, 1 internal error (a MemoryError, or a RuntimeError
+other than a failed covering certificate, such as a QuadratureError or a
+thread that cannot start), 2 config error (including bad flags, unreadable
+or unwritable paths and malformed CSVs), 3 invariant failure (including
+invalid codebook files and builds past the codeword cap).  No subcommand
+runs adaptive quadrature outside selftest, which reports its own failures.
 """
 
 from __future__ import annotations
@@ -574,7 +574,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RuntimeError as exc:
+    except (RuntimeError, MemoryError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 1
 

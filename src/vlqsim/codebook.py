@@ -45,6 +45,10 @@ _REFINE_STEPS = 30  # descent steps from the worst verification probe
 # so the streak cap keeps that verification within the probe cap
 _MAX_PROBES = 10**8
 _MAX_STOP_STREAK = 10**7
+# the most codewords a book may hold; a build needs at least about
+# (0.75 delta)^(1-t), every probe at delta = 1e-300, and reaches the cap in
+# about 1.7 s at t=2 and 7 s at t=8 on a 2-vCPU Xeon
+_MAX_CODEWORDS = 1 << 14
 # entries of one (|B|, block) GEMM result in the correlation kernel: small
 # enough to stay in cache for its reductions
 _CORR_ENTRIES = 1 << 16
@@ -54,7 +58,8 @@ _GEMM_MNK = 10**6
 
 
 class CoveringError(RuntimeError):
-    """Post-build verification failed; the stop-streak was too small."""
+    """A build needed more than _MAX_CODEWORDS codewords, or failed its
+    post-build verification because the stop-streak was too small."""
 
 
 @dataclass
@@ -74,10 +79,16 @@ class BeamformingCodebook:
         norms = np.linalg.norm(self.vectors, axis=1)
         if np.max(np.abs(norms - 1.0)) > 1e-12:
             raise ValueError("codewords must be unit norm to 1e-12")
-        corr = np.abs(self.vectors @ self.vectors.conj().T)
-        np.fill_diagonal(corr, 0.0)
-        if corr.size and np.max(corr) >= _DUPLICATE_CORR:
-            raise ValueError("duplicate codewords")
+        if len(self) > _MAX_CODEWORDS:
+            raise ValueError(f"codebook has {len(self)} codewords, more than {_MAX_CODEWORDS}")
+        # about _CORR_ENTRIES correlations at a time: the whole |B| x |B|
+        # product and its abs take 24 |B|^2 bytes, 6.4 GB at the cap
+        step = max(1, _CORR_ENTRIES // len(self))
+        for lo in range(0, len(self), step):
+            corr = np.abs(self.vectors @ self.vectors[lo : lo + step].conj().T)
+            np.fill_diagonal(corr[lo:], 0.0)
+            if np.max(corr) >= _DUPLICATE_CORR:
+                raise ValueError("duplicate codewords")
         self._lifted = _lifted_codewords(self.vectors)
 
     @property
@@ -191,12 +202,12 @@ class CoveringReport:
     probes_tested: int
     worst_correlation_sq: float
     worst_probe: np.ndarray
-    passed: bool
     delta: float
 
-    def __post_init__(self):
-        if self.passed != (self.worst_correlation_sq >= 1.0 - self.delta):
-            raise ValueError("pass flag inconsistent with worst correlation")
+    @property
+    def passed(self) -> bool:
+        """Whether every probe was covered: worst correlation^2 >= 1 - delta."""
+        return self.worst_correlation_sq >= 1.0 - self.delta
 
 
 def _unit_probes(gen: np.random.Generator, t: int, n: int) -> np.ndarray:
@@ -221,7 +232,10 @@ def build_covering_codebook(
     a point just below the threshold.  The build stops after stop_streak
     consecutive probes required no addition, then must pass a fresh
     verification at delta itself, over 10 x stop_streak probes.  A
-    stop_streak outside [1, 10^7] raises ValueError before any probe.
+    stop_streak outside [1, 10^7] raises ValueError before any probe.  A
+    book holds at most 2^14 codewords (``_MAX_CODEWORDS``), and a build
+    needs at least about (0.75 delta)^(1-t), so a build at too small a
+    delta raises CoveringError as soon as it would add one more.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must be in (0, 1)")
@@ -230,7 +244,10 @@ def build_covering_codebook(
     if not 1 <= stop_streak <= _MAX_STOP_STREAK:
         raise ValueError("stop_streak must be in [1, 10^7]")
     threshold = 1.0 - (1.0 - _BUILD_MARGIN) * delta
-    vectors, probes = _greedy_cover(t, threshold, stream.generator(0), stop_streak)
+    try:
+        vectors, probes = _greedy_cover(t, threshold, stream.child(0).generator(), stop_streak)
+    except CoveringError as exc:
+        raise CoveringError(f"delta={delta}: {exc}; increase delta") from None
     book = BeamformingCodebook(
         vectors=vectors,
         delta=delta,
@@ -267,7 +284,8 @@ def _greedy_cover(t: int, threshold: float, gen: np.random.Generator, stop_strea
     before the batch, by the sweep's kernel ``_reduce``; a probe that clears
     the threshold there by _BATCH_GUARD clears it against the grown book
     too, so only the other probes take the exact per-probe test.  Codewords
-    and probe count are those of the exact test on every probe.
+    and probe count are those of the exact test on every probe.  A codeword
+    past _MAX_CODEWORDS raises CoveringError before it is added.
     """
     mat = np.zeros((1, t))
     drawn = last = 0
@@ -281,6 +299,8 @@ def _greedy_cover(t: int, threshold: float, gen: np.random.Generator, stop_strea
                 break
             p = batch[i]
             if np.max(np.abs(mat @ p.conj()) ** 2) < threshold:
+                if len(mat) > _MAX_CODEWORDS:
+                    raise CoveringError(f"the cover needs more than {_MAX_CODEWORDS} codewords")
                 mat = np.vstack((mat, p / np.linalg.norm(p)))
                 last = drawn + i + 1
         drawn += _PROBE_BATCH
@@ -325,7 +345,7 @@ def verify_covering(
         raise ValueError("delta must be in (0, 1)")
     if not 1 <= probes <= _MAX_PROBES:
         raise ValueError("probes must be in [1, 10^8]")
-    gen = stream.generator(0)
+    gen = stream.child(0).generator()
     worst_val = math.inf
     worst_probe = None
     for lo in range(0, probes, 1 << 15):
@@ -342,7 +362,6 @@ def verify_covering(
         probes_tested=probes,
         worst_correlation_sq=worst_val,
         worst_probe=worst_probe,
-        passed=worst_val >= 1.0 - delta,
         delta=delta,
     )
 

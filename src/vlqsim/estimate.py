@@ -27,9 +27,10 @@ sees the same draws, and the chunk partition is fixed, so outputs do not
 depend on the worker count and a grid point's records equal a one-point
 sweep at that P.  Records at different P in one sweep are therefore
 correlated; each record's mean and stderr are unchanged in distribution.
-Chunks of _CHUNK draws run on one thread per usable CPU by default, on
-threads that persist across sweeps; a single worker runs on such a thread
-too, not on the caller's.
+Chunks of _CHUNK draws run on up to one thread per usable CPU by default;
+threads start on demand, up to the requested count, and the pool for that
+count persists across sweeps.  A single worker runs on such a thread too,
+not on the caller's.
 ``paired_compare`` runs the same chunk loop and reduces each chunk to the
 moments of the per-draw gap between two specs, a float where both are.
 
@@ -84,10 +85,10 @@ import csv
 import math
 import os
 import sys
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import starmap
 
 import numpy as np
@@ -374,9 +375,10 @@ class _BookStats:
     """One codebook's per-draw correlation stats (max, min and column 0 of
     |<x_i, hbar>|^2) on one chunk's lifted directions, shared by every spec
     that quantizes with it, in either mode; column 0 is None in a radial
-    sweep, which does not read it.  In a radial sweep the min is floored at
-    1e-300 in place, once per chunk, since bf-vlq divides by it at every P;
-    plain mode compares it unfloored.
+    sweep, which does not read it.  The min is floored at 1e-300 in place,
+    once per chunk, in either mode: radial bf-vlq divides by it at every P,
+    and plain bf-vlq's test c_min ||h||^2 P >= beta reads the same for any
+    c_min below the floor unless ||h||^2 P >= 10^300 beta.
 
     ``mrc_ser(P, r)`` is ``bpsk_mrc_ser(t, c_max P / r)``, kept for the
     latest P only, one array per r: bf-flq, bf-vlq and pc-vlq at r = 1 read
@@ -395,8 +397,7 @@ class _BookStats:
         ``book.lifted_stats`` has filled."""
         self.t, self.delta = book.t, book.delta
         self.c_max, self.c_min, self.c_first = stats
-        if self.c_first is None:
-            np.maximum(self.c_min, 1e-300, out=self.c_min)
+        np.maximum(self.c_min, 1e-300, out=self.c_min)
         self._P, self._mrc = None, {}
         self._cheb_x = self._uncovered = None
 
@@ -495,23 +496,18 @@ def _mean_stderr(parts):
     return mean, math.sqrt(m2 / max(n - 1, 1) / n)
 
 
-# worker count -> the ThreadPoolExecutor that runs sweeps on that many threads
-_POOLS = {}
-_POOLS_LOCK = threading.Lock()
-
-
+@lru_cache(maxsize=None)
 def _pool(workers: int) -> ThreadPoolExecutor:
-    """The executor with ``workers`` threads, created on first use and kept
-    for the life of the process.
+    """The executor of up to ``workers`` threads, created on first use and
+    kept for the life of the process.  It starts a thread only when a task
+    finds none idle, so sweeps of any size share the one executor of the
+    count they ask for.
 
     A sweep that started and joined its own threads gave every new thread a
     fresh malloc arena, and what those arenas kept made the peak RSS of
     repeated sweeps vary by up to 17%; threads that persist reuse theirs.
     """
-    with _POOLS_LOCK:
-        if workers not in _POOLS:
-            _POOLS[workers] = ThreadPoolExecutor(max_workers=workers)
-        return _POOLS[workers]
+    return ThreadPoolExecutor(max_workers=workers)
 
 
 def _usable_cpus() -> int:
@@ -528,9 +524,9 @@ def _chunk_loop(specs, P_grid, samples, stream, workers, conditioning, reduce):
     results[c][p] is ``reduce(values, n)`` of the specs' per-draw values at
     the p-th grid point on chunk c of n draws, which ``reduce`` must not
     keep.  Each spec is prepared once per grid point before any draw, and
-    each chunk is drawn and correlated once for the whole grid, on
-    ``workers`` threads, by default one per usable CPU, never more than
-    there are chunks.
+    each chunk is drawn and correlated once for the whole grid on the
+    ``_pool`` of ``workers`` threads, by default one per usable CPU, which
+    start on demand, up to that count.
     """
     P_grid = [float(P) for P in P_grid]
     if not P_grid or not all(0.0 < P < math.inf for P in P_grid):
@@ -546,8 +542,7 @@ def _chunk_loop(specs, P_grid, samples, stream, workers, conditioning, reduce):
     if workers is not None and not 1 <= workers <= MAX_WORKERS:
         raise ValueError("workers must be in [1, 1024]")
     sizes = [min(_CHUNK, samples - lo) for lo in range(0, samples, _CHUNK)]
-    workers = min(workers or _usable_cpus(), len(sizes))
-    pool = _pool(workers)
+    pool = _pool(workers or _usable_cpus())
     # prepared on the pool too: on the calling thread, pc-vlq's fit raised a
     # radial-t2 benchmark run's peak RSS by about 0.5 MB (2-vCPU VM)
     points = list(pool.map(lambda P: (P, [spec.prepare(P) for spec in specs]), P_grid))

@@ -423,6 +423,12 @@ class TestMainExitCodes:
         assert main(["sweep", "--config", cfg]) == 3
         assert "invariant" in capsys.readouterr().err
 
+    def test_oversized_codebook_is_3(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(codebook, "_MAX_CODEWORDS", 1)
+        assert main(["codebook", "verify", "--input", str(_book_with(tmp_path))]) == 3
+        err = capsys.readouterr().err
+        assert "2 codewords, more than 1" in err and "Traceback" not in err
+
     def test_codebook_build_verify_cycle(self, tmp_path, capsys):
         path = tmp_path / "b.json"
         assert main(
@@ -737,8 +743,9 @@ def test_bad_files_get_exit_codes_not_tracebacks(
         (codebook.CoveringError("certificate failed"), 3, "invariant failure: "),
         (ValueError("P grid must be nonempty, finite and positive"), 2, "error: "),
         (OSError("disk full"), 2, "error: "),
+        (MemoryError("Unable to allocate 1.00 GiB"), 1, "internal error: "),
     ],
-    ids=["quadrature", "thread-start", "covering", "value", "os"],
+    ids=["quadrature", "thread-start", "covering", "value", "os", "memory"],
 )
 def test_internal_errors_are_not_config_errors(tmp_path, capsys, monkeypatch, error, code, prefix):
     # a RuntimeError that reaches main from inside the sweep is a fault of

@@ -10,11 +10,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vlqsim import codebook
-from vlqsim.channel import RngStream, sample_directions
+from vlqsim.channel import RngStream, sample_channels, sample_directions
 from vlqsim.codebook import (
     BeamformingCodebook,
     CoveringError,
-    CoveringReport,
     _lift,
     build_covering_codebook,
     fit_c0,
@@ -30,7 +29,7 @@ REFERENCE_BOOKS = Path(__file__).resolve().parents[1] / "perfbench" / "reference
 def per_probe_greedy(t, delta, stream, stop_streak):
     """The greedy build's (codewords, probes) from one exact test per
     probe, in order, against the book as it stands."""
-    gen = stream.generator(0)
+    gen = stream.child(0).generator()
     threshold = 1.0 - (1.0 - codebook._BUILD_MARGIN) * delta
     vectors, mat, streak, probes = [], np.zeros((1, t)), 0, 0
     while streak < stop_streak:
@@ -73,19 +72,29 @@ class TestValidation:
         with pytest.raises(ValueError, match="finite"):
             BeamformingCodebook(vectors=v, delta=0.3)
 
+    @pytest.mark.parametrize("entries", [5, 8, 16, 1 << 16])
+    def test_duplicates_found_across_blocks(self, monkeypatch, entries):
+        # 5 codewords checked a block of 1, 1, 3 or 5 columns at a time:
+        # the twin of row i sits in the last block
+        monkeypatch.setattr(codebook, "_CORR_ENTRIES", entries)
+        v = sample_channels(RngStream(8), 3, 4)
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        BeamformingCodebook(vectors=v, delta=0.3)
+        for i in range(4):
+            with pytest.raises(ValueError, match="duplicate"):
+                BeamformingCodebook(vectors=np.vstack((v, 1j * v[i : i + 1])), delta=0.3)
+        for t in (1, 2, 5):
+            BeamformingCodebook(vectors=np.eye(t, dtype=complex), delta=0.3)
+
+    def test_rejects_more_codewords_than_the_cap(self, monkeypatch):
+        monkeypatch.setattr(codebook, "_MAX_CODEWORDS", 3)
+        BeamformingCodebook(vectors=np.eye(3, dtype=complex), delta=0.3)
+        with pytest.raises(ValueError, match="4 codewords, more than 3"):
+            BeamformingCodebook(vectors=np.eye(4, dtype=complex), delta=0.3)
+
     def test_rejects_bad_delta(self):
         with pytest.raises(ValueError):
             BeamformingCodebook(vectors=np.eye(2, dtype=complex), delta=1.0)
-
-    def test_report_consistency_enforced(self):
-        with pytest.raises(ValueError):
-            CoveringReport(
-                probes_tested=10,
-                worst_correlation_sq=0.5,
-                worst_probe=np.array([1.0, 0.0]),
-                passed=True,
-                delta=0.2,
-            )
 
 
 class TestBuild:
@@ -121,7 +130,8 @@ class TestBuild:
             for stop_streak in (1, 37, 511, 512, 513, 1024, 1300):
                 stream = RngStream(seed, 11)
                 want, want_probes = per_probe_greedy(t, delta, stream, stop_streak)
-                got, probes = codebook._greedy_cover(t, threshold, stream.generator(0), stop_streak)
+                gen = stream.child(0).generator()
+                got, probes = codebook._greedy_cover(t, threshold, gen, stop_streak)
                 assert probes == want_probes, (seed, stop_streak)
                 assert np.array_equal(np.asarray(got), want), (seed, stop_streak)
 
@@ -136,6 +146,19 @@ class TestBuild:
         assert book.metadata["probes_during_build"] == stored.metadata["probes_during_build"]
         worst = {2: 0.8472729004533468, 4: 0.7178447562304952}[t]
         assert book.metadata["verified_worst_correlation_sq"] == worst
+
+    def test_build_stops_at_the_codeword_cap(self, monkeypatch):
+        # at delta = 1e-300 the threshold rounds to 1 and every probe would
+        # become a codeword; a book at the cap itself still builds
+        monkeypatch.setattr(codebook, "_MAX_CODEWORDS", 8)
+        with pytest.raises(CoveringError, match=r"delta=1e-300: .* more than 8 codewords"):
+            build_covering_codebook(2, 1e-300, RngStream(0, 101), stop_streak=400)
+        size = len(build_covering_codebook(2, 0.4, RngStream(5, 1), stop_streak=200))
+        monkeypatch.setattr(codebook, "_MAX_CODEWORDS", size)
+        assert len(build_covering_codebook(2, 0.4, RngStream(5, 1), stop_streak=200)) == size
+        monkeypatch.setattr(codebook, "_MAX_CODEWORDS", size - 1)
+        with pytest.raises(CoveringError, match=f"more than {size - 1} codewords"):
+            build_covering_codebook(2, 0.4, RngStream(5, 1), stop_streak=200)
 
     def test_single_antenna_is_trivial(self):
         book = build_covering_codebook(1, 0.3, RngStream(3), stop_streak=50)

@@ -268,7 +268,7 @@ class TestDeterminism:
             again = ser_rate_sweep(all_specs, [3.0, 30.0], 150000, RngStream(40), workers=workers)
             assert again == base
 
-    def test_default_workers_are_the_usable_cpus_up_to_the_chunks(self, all_specs, monkeypatch):
+    def test_default_workers_are_the_usable_cpus(self, all_specs, monkeypatch):
         if hasattr(os, "sched_getaffinity"):
             assert estimate._usable_cpus() == len(os.sched_getaffinity(0))
         pools = []
@@ -277,7 +277,19 @@ class TestDeterminism:
         monkeypatch.setattr(estimate, "_usable_cpus", lambda: 5)
         for chunks in (3, 8):
             ser_rate_sweep(all_specs[:1], [3.0], (chunks - 1) * _CHUNK + 1, RngStream(42))
-        assert pools == [3, 5]
+        assert pools == [5, 5]
+
+    def test_every_sweep_size_shares_one_pool(self, all_specs, monkeypatch):
+        # the executor starts its threads on demand, so sweeps of 1..8
+        # chunks at 8 workers need no pool of their own
+        pools = []
+        pool = estimate._pool
+        monkeypatch.setattr(estimate, "_pool", lambda workers: pools.append(workers) or pool(workers))
+        for chunks in range(1, 9):
+            samples = (chunks - 1) * _CHUNK + 1
+            ser_rate_sweep(all_specs[:1], [3.0], samples, RngStream(42), workers=8)
+        assert pools == [8] * 8
+        assert pool(8) is pool(8)
 
     def test_sweeps_reuse_their_threads(self, all_specs, monkeypatch):
         # new threads per sweep took new malloc arenas and made peak RSS vary
