@@ -3,9 +3,11 @@
 The Gaussian-tail sandwich constant c1 = min Q(x) e^{x^2} is Q(x*) e^{x*^2}
 at the root x* of 2x Q(x) = phi(x), solved by Newton's method; the array
 gains and their gap constant c3 are closed forms, and every full-CSIT
-error rate here is the closed form ``numerics.bpsk_mrc_ser``.  The
-covering constant and the precoding rate constant are empirical, threaded
-in from built codebook families.
+error rate here is the closed form ``numerics.bpsk_mrc_ser``.  The rate
+bounds take the size of the book a run actually uses: ``vlq_rate_bound``
+bounds the variable-length beamformer's rate by a fixed 1-D rule over the
+Beta(1, t-1) law of one codeword's correlation, and the sweep's delta
+schedule picks each power's book by it.
 """
 
 from __future__ import annotations
@@ -15,21 +17,25 @@ from fractions import Fraction
 
 import numpy as np
 
-from .numerics import bpsk_mrc_ser, q_function
+from .numerics import bpsk_mrc_ser, gamma_lower, q_function
+from .quantizer import index_bits
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # Newton steps from the grid's best point, 0.6: the error in x* goes
 # 1.2e-2, 1.8e-4, 4.2e-8, 2.4e-15 and then to rounding
 _C1_NEWTON_STEPS = 4
+# vlq_rate_bound's rule: Gauss-Legendre nodes on [-1, 1] for ln c, and the
+# head's depth in ln c below ln(beta / P): 1 - P(t, e^8) < 1e-1200 at t <= 8
+_RATE_XI, _RATE_W = np.polynomial.legendre.leggauss(128)
+_RATE_HEAD = 8.0
 
 __all__ = [
     "derive_c1",
     "prop1_bounds",
-    "delta_schedule",
-    "phi_schedule",
+    "vlq_rate_excess",
+    "vlq_rate_bound",
     "thm3_converse_lb",
     "thm6_constants",
-    "c2_hat",
     "prop4_bounds",
     "converse_check",
     "constants_table",
@@ -69,54 +75,39 @@ def prop1_bounds(cardinality: int, t: int, P: float):
     return ser_slack, rate_bound
 
 
-def _covering_size(c0_hat: float, t: int, delta: float) -> float:
-    """C0 delta^-2t, the size scale of a delta-cover; ValueError unless it
-    is finite."""
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must be in (0, 1)")
-    try:
-        m = c0_hat * delta ** (-2 * t)
-    except OverflowError:
-        m = math.inf
-    if not math.isfinite(m):
-        raise ValueError(f"C0 delta^-2t overflows at C0 = {c0_hat:g}, delta = {delta:g}")
-    return m
+def vlq_rate_excess(t: int, size: int, P: float) -> float:
+    """Bound on the rate excess R - 1 of the variable-length beamformer on a
+    book of ``size`` codewords in C^t at power P > 1, from its size alone:
+    min(bits, bits |B| E[P(t, beta / (c P))]), with bits = ceil(log2 |B|),
+    beta = (t+1) ln P, P(t, .) = ``numerics.gamma_lower`` and c ~ Beta(1, t-1)
+    (c = 1 at t = 1).  The long branch costs bits with probability
+    P(t, beta / (c_min P)), and c_min is one of the |B| correlations c_i,
+    each Beta(1, t-1) whatever the book, so their sum bounds it.
 
-
-def phi_schedule(delta: float, t: int, c0_hat: float) -> float:
-    """phi(delta) = (t+1) C0 delta^-2t * log2(4 C0 delta^-2t)."""
-    m = _covering_size(c0_hat, t, delta)
-    return (t + 1) * m * math.log2(4.0 * m)
-
-
-def delta_schedule(fP: float, t: int, c0_hat: float) -> float:
-    """Inverse of phi by bisection on its strictly decreasing branch.
-
-    With m = C0 delta^-2t, phi = (t+1) m log2(4m) is increasing in m, and so
-    decreasing in delta, wherever 4m >= e.  The bracket is therefore
-    [1e-6, hi] with hi = min(0.99, (4 C0/e)^(1/2t)), which covers every
-    delta of practical interest.  Bisection stops once phi is within a
-    relative 1e-9 of fP.
+    A fixed rule: with k = beta / P and c0 = k e^-8, the head c < c0, where
+    P(t, k/c) = 1, is 1 - (1 - c0)^(t-1), the rest 128 Gauss-Legendre nodes
+    in ln c on [ln c0, 0].  Within 1e-13 of mpmath for t in 2..4 and P in
+    [1e2, 1e12].
     """
-    if c0_hat <= 0.0:
-        raise ValueError("c0_hat must be positive")
-    hi = min(0.99, (4.0 * c0_hat / math.e) ** (1.0 / (2 * t)))
-    lo = 1e-6
-    if fP > phi_schedule(lo, t, c0_hat) or fP < phi_schedule(hi, t, c0_hat):
-        raise ValueError(
-            f"f(P) = {fP:g} outside the invertible range "
-            f"[{phi_schedule(hi, t, c0_hat):g}, {phi_schedule(lo, t, c0_hat):g}]"
-        )
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        phi = phi_schedule(mid, t, c0_hat)
-        if phi > fP:
-            lo = mid
-        else:
-            hi = mid
-        if abs(phi - fP) <= 1e-9 * fP:
-            return mid
-    return 0.5 * (lo + hi)
+    bits = index_bits(size)
+    if not P > 1.0:
+        raise ValueError("P must be > 1")
+    k = (t + 1) * math.log(P) / P
+    if t == 1:
+        mean = gamma_lower(1, k)
+    else:
+        ln_c0 = math.log(k) - _RATE_HEAD
+        c = np.exp(0.5 * ln_c0 * (1.0 - _RATE_XI))
+        dens = (t - 1) * (1.0 - c) ** (t - 2) * c  # Beta(1, t-1) density by dc / d ln c
+        tail = float(np.dot(dens * gamma_lower(t, k / c), _RATE_W)) * -0.5 * ln_c0
+        mean = -math.expm1((t - 1) * math.log1p(-math.exp(ln_c0))) + tail
+    return min(bits, bits * size * mean)
+
+
+def vlq_rate_bound(t: int, size: int, P: float) -> float:
+    """The rate bound 1 + ``vlq_rate_excess(t, size, P)``; the schedule
+    compares the excess itself, which keeps its digits below 1e-16."""
+    return 1.0 + vlq_rate_excess(t, size, P)
 
 
 def thm3_converse_lb(P: float, R: float, c1: float) -> float:
@@ -152,23 +143,16 @@ def thm6_constants(t: int, r: Fraction = Fraction(1)):
     )
 
 
-def c2_hat(c0_hat: float, t: int, delta: float) -> float:
-    """Empirical precoding rate constant,
-    (1 + ceil(C0 delta^-2t) + 1) t^t / Gamma(t+1) normalized by
-    ln(1/delta)."""
-    count = 2 + math.ceil(_covering_size(c0_hat, t, delta))
-    return count * t**t / (math.gamma(t + 1) * math.log(1.0 / delta))
-
-
-def prop4_bounds(t: int, delta: float, P: float, r: Fraction, c0_hat: float):
-    """Variable-length precoding bounds: (ser_bound, rate_bound) with
-    ser_bound = SER_r(FULL)(1 + 2 t delta) + delta / P^t and
-    rate_bound = 1 + C2 delta^-t ln(1/delta) / P^t."""
-    if P <= 0.0 or not 0 < r <= 1:
-        raise ValueError("need P > 0 and r in (0, 1]")
+def prop4_bounds(t: int, delta: float, P: float, r: Fraction, cardinality: int):
+    """Variable-length precoding bounds on a book of ``cardinality``
+    codewords: (ser_bound, rate_bound) with ser_bound = SER_r(FULL)
+    (1 + 2 t delta) + delta / P^t and rate_bound = 1 + C2 delta^-t
+    ln(1/delta) / P^t, C2 = (|B| + 2) t^t / (t! ln(1/delta))."""
+    if P <= 0.0 or not 0 < r <= 1 or not 0.0 < delta < 1.0 or cardinality < 1:
+        raise ValueError("need P > 0, r in (0, 1], delta in (0, 1) and cardinality >= 1")
     ser_full = bpsk_mrc_ser(t, P / r)
     ser_bound = ser_full * (1.0 + 2.0 * t * delta) + delta / P**t
-    rate_bound = 1.0 + c2_hat(c0_hat, t, delta) * delta ** (-t) * math.log(1.0 / delta) / P**t
+    rate_bound = 1.0 + (cardinality + 2) * t**t / (math.gamma(t + 1) * (delta * P) ** t)
     return ser_bound, rate_bound
 
 
@@ -204,23 +188,16 @@ def converse_check(records, t: int, c1: float):
     return violations
 
 
-def constants_table(t: int, r: Fraction, c0_hat: float, delta: float) -> str:
-    """Human-readable table of the bound constants at (t, r), each derived
-    once, for the empirical covering constant c0_hat (finite, > 0) and the
-    precoding resolution delta."""
-    if not (math.isfinite(c0_hat) and c0_hat > 0.0):
-        raise ValueError("c0 must be finite and > 0")
-    c2 = c2_hat(c0_hat, t, delta)
+def constants_table(t: int, r: Fraction) -> str:
+    """Human-readable table of the derived bound constants at (t, r), each
+    derived once."""
     _, _, c3 = thm6_constants(t, r)
     c1, x_star = derive_c1()
     rows = [
-        ("C0-hat", c0_hat, "empirical", "max |B| delta^(2t) over built family"),
-        ("C1", c1, "derived", f"min Q(x) exp(x^2), argmin ~ {x_star:.3f}"),
-        ("C2-hat", c2, "empirical", "(2 + ceil(C0 delta^-2t)) t^t / (t! ln(1/delta))"),
-        ("C3", c3, "derived", "(1/g_open - 1/g_full)/2 = C(2t-1, t) (r/4)^t (t^t - 1)/2"),
+        ("C1", c1, f"min Q(x) exp(x^2), argmin ~ {x_star:.3f}"),
+        ("C3", c3, "(1/g_open - 1/g_full)/2 = C(2t-1, t) (r/4)^t (t^t - 1)/2"),
     ]
-    width = max(len(row[0]) for row in rows)
     lines = [f"bound constants (t={t}, r={r})"]
-    for name, value, prov, formula in rows:
-        lines.append(f"  {name:<{width}}  {value:<12.6g} {prov:<10} {formula}")
+    for name, value, formula in rows:
+        lines.append(f"  {name}  {value:<12.6g} derived    {formula}")
     return "\n".join(lines)

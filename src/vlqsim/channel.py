@@ -8,9 +8,7 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = [
-    "RngStream", "direction_blocks", "sample_channels", "sample_directions", "sample_magnitudes"
-]
+__all__ = ["RngStream", "direction_blocks", "sample_channels", "sample_magnitudes"]
 
 
 @dataclass(frozen=True)
@@ -315,14 +313,3 @@ def _fill_directions(gen: np.random.Generator, t: int, lifted: np.ndarray) -> No
         np.sqrt(amp, out=amp)
         both[:, lo : lo + k] *= amp
 
-
-def sample_directions(stream: RngStream, t: int, n: int) -> np.ndarray:
-    """The real (t^2, n) lift of the n directions that ``direction_blocks``
-    yields, its blocks side by side: the directions a sweep chunk of n
-    draws on ``stream`` sees.  A (t^2, n) view of a (t^2, n + _LIFT_PAD)
-    array, padded like the blocks."""
-    _check_sizes(t, n)
-    lifted = np.empty((t * t, n + _LIFT_PAD))[:, :n]
-    for lo, block in direction_blocks(stream, t, n):
-        lifted[:, lo : lo + block.shape[1]] = block
-    return lifted

@@ -65,6 +65,8 @@ _FIELDS = {
     "codebook-path": "codebook_path",
 }
 _SCHEDULE_F = {"logP": math.log, "sqrtP": math.sqrt}
+# the schedule's deltas, coarse to fine: 0.9 2^(-k/2), k = 0..13
+_LADDER = tuple(0.9 * 2.0 ** (-k / 2) for k in range(14))
 # greedy-build stop streak of sweep codebooks and of `codebook build`
 _STOP_STREAK = 400
 # delta of a coded compare baseline for a config without a codebook source
@@ -167,12 +169,12 @@ class SimulationConfig:
         if schedule is not None:
             if strategy != "bf-vlq":
                 raise ConfigError("schedule form is only supported for bf-vlq")
-            if not isinstance(schedule, dict) or set(schedule) != {"f", "c0"}:
-                raise ConfigError('schedule must have exactly keys {"f", "c0"}')
+            if not isinstance(schedule, dict) or set(schedule) != {"f"}:
+                old = isinstance(schedule, dict) and "c0" in schedule
+                hint = ' ("c0" is no longer read: each built book bounds the rate)' if old else ""
+                raise ConfigError(f'schedule must have exactly the key "f"{hint}')
             if not isinstance(schedule["f"], str) or schedule["f"] not in _SCHEDULE_F:
                 raise ConfigError('schedule f must be "logP" or "sqrtP"')
-            if _finite(schedule["c0"], "schedule c0") <= 0:
-                raise ConfigError("schedule c0 must be positive")
         conditioning = doc.get("conditioning", "radial")
         if conditioning not in ("none", "radial"):
             raise ConfigError('conditioning must be "none" or "radial"')
@@ -249,18 +251,51 @@ def _codebook(config: SimulationConfig, delta: float) -> BeamformingCodebook:
     )
 
 
-def _grid_schemes(config: SimulationConfig, strategies) -> list:
+def _schedule(config: SimulationConfig) -> list:
+    """Each grid point's (book, bound, budget) under the config's schedule.
+
+    The walk builds each rung of _LADDER once, coarse to fine, by
+    ``_codebook``; a point takes each rung whose bound on R - 1,
+    ``bounds.vlq_rate_excess``, is within f(P) ln P / P, up to its first
+    that is not, and the walk ends where every point has.  A point that even
+    the coarsest rung exceeds is a ConfigError.
+    """
+    t, f = config.t, _SCHEDULE_F[config.schedule["f"]]
+    budgets = [f(P) * math.log(P) / P for P in config.P_grid]
+    picks, open_ = [None] * len(budgets), list(range(len(budgets)))
+    for delta in _LADDER:
+        if not open_:
+            break
+        book = _codebook(config, delta)
+        for i in list(open_):
+            P = config.P_grid[i]
+            bound = bounds_mod.vlq_rate_excess(t, len(book), P)
+            if bound > budgets[i]:
+                if picks[i] is None:
+                    raise ConfigError(
+                        f"schedule infeasible at P = {P:.6g} ({config.P_grid_dB[i]:g} dB): "
+                        f"the budget on R - 1 is {budgets[i]:.4g}, but the coarsest book "
+                        f"(delta {delta:g}, |B| = {len(book)}) bounds R - 1 by {bound:.4g}"
+                    )
+                open_.remove(i)
+            else:
+                picks[i] = (book, bound, budgets[i])
+    return picks
+
+
+def _grid_schemes(config: SimulationConfig, strategies, picks=None) -> list:
     """(P values, one scheme per strategy) for each run of grid points that
     share a codebook: the whole grid for a fixed delta or a codebook-path,
-    each point alone, at its scheduled delta, for a schedule."""
+    each point alone, on its book of ``_schedule``'s ``picks``, for a
+    schedule."""
     t = config.t
     if config.schedule is None:
         coded = any(s in _CODED for s in strategies)
         delta = _BASELINE_DELTA if config.delta is None else config.delta
         books = [(config.P_grid, _codebook(config, delta) if coded else None)]
     else:
-        f, c0 = _SCHEDULE_F[config.schedule["f"]], config.schedule["c0"]
-        books = [([P], _codebook(config, bounds_mod.delta_schedule(f(P), t, c0))) for P in config.P_grid]
+        picks = _schedule(config) if picks is None else picks
+        books = [([P], book) for P, (book, _, _) in zip(config.P_grid, picks)]
     return [(grid, tuple(_SCHEMES[s](t, book) for s in strategies)) for grid, book in books]
 
 
@@ -271,14 +306,16 @@ def run_config(
 
     ``workers`` threads run the sweep, by default one per usable CPU.  The
     summary's "gains" is null, with the reason in "gains-reason", when the
-    top decades admit no fit.
+    top decades admit no fit; a scheduled sweep's summary lists each grid
+    point's delta, codewords, and bound and budget on R - 1 in "schedule".
     """
     if workers is not None and not 1 <= workers <= est.MAX_WORKERS:
         raise ConfigError("workers must be in [1, 1024]")
     out = _writable(output if output is not None else config.output_path)
+    picks = None if config.schedule is None else _schedule(config)
     stream = RngStream(config.seed)
     records = []
-    for grid, (spec,) in _grid_schemes(config, [config.strategy]):
+    for grid, (spec,) in _grid_schemes(config, [config.strategy], picks):
         records.extend(
             est.ser_rate_sweep(
                 [spec], grid, config.samples, stream,
@@ -287,6 +324,12 @@ def run_config(
         )
     est.write_records_csv(records, out)
     summary = {"config": config.to_dict(), "records": len(records)}
+    if picks is not None:
+        summary["schedule"] = [
+            {"P": P, "delta": book.delta, "codewords": len(book),
+             "rate-excess-bound": bound, "rate-excess-budget": budget}
+            for P, (book, bound, budget) in zip(config.P_grid, picks)
+        ]
     c1, _ = bounds_mod.derive_c1()
     summary["constants"] = {"c1": c1}
     summary["converse-violations"] = bounds_mod.converse_check(records, config.t, c1)
@@ -463,7 +506,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    print(bounds_mod.constants_table(args.t, args.r, args.c0, args.delta))
+    print(bounds_mod.constants_table(args.t, args.r))
     return 0
 
 
@@ -544,8 +587,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds = sub.add_parser("bounds", help="print the bound constants table")
     p_bounds.add_argument("--t", type=int, default=2)
     p_bounds.add_argument("--r", type=_fraction, default=Fraction(1))
-    p_bounds.add_argument("--c0", type=float, default=0.0224)
-    p_bounds.add_argument("--delta", type=float, default=0.35)
 
     p_self = sub.add_parser("selftest", help="run the reduced invariant suite")
     p_self.add_argument("--seed", type=_seed, default=0)

@@ -28,7 +28,6 @@ __all__ = [
     "build_covering_codebook",
     "verify_covering",
     "precoding_codebook",
-    "fit_c0",
     "save_codebook",
     "load_codebook",
 ]
@@ -285,26 +284,34 @@ def _greedy_cover(t: int, threshold: float, gen: np.random.Generator, stop_strea
     the threshold there by _BATCH_GUARD clears it against the grown book
     too, so only the other probes take the exact per-probe test.  Codewords
     and probe count are those of the exact test on every probe.  A codeword
-    past _MAX_CODEWORDS raises CoveringError before it is added.
+    past _MAX_CODEWORDS raises CoveringError before it is added.  Book and
+    lift grow in doubling buffers; a batch lifts only the new rows, whose
+    lifts read nothing else, so the bits are those of the whole book's lift.
     """
-    mat = np.zeros((1, t))
+    mat, lifted = np.zeros((64, t), dtype=complex), np.empty((64, t * t))
+    size, lifted_size = 1, 0
     drawn = last = 0
     batch_best = np.empty(_PROBE_BATCH)
     while drawn - last < stop_streak:
         batch = _unit_probes(gen, t, _PROBE_BATCH)
-        weights = _lifted_codewords(mat)
-        _reduce(weights, _PROBE_BATCH, lambda lo, hi: _lift(batch[lo:hi]), batch_best)
+        lifted[lifted_size:size] = _lifted_codewords(mat[lifted_size:size])
+        lifted_size = size
+        _reduce(lifted[:size], _PROBE_BATCH, lambda lo, hi: _lift(batch[lo:hi]), batch_best)
         for i in np.flatnonzero(batch_best < threshold + _BATCH_GUARD).tolist():
             if drawn + i - last >= stop_streak:
                 break
             p = batch[i]
-            if np.max(np.abs(mat @ p.conj()) ** 2) < threshold:
-                if len(mat) > _MAX_CODEWORDS:
+            if np.max(np.abs(mat[:size] @ p.conj()) ** 2) < threshold:
+                if size > _MAX_CODEWORDS:
                     raise CoveringError(f"the cover needs more than {_MAX_CODEWORDS} codewords")
-                mat = np.vstack((mat, p / np.linalg.norm(p)))
+                if size == len(mat):
+                    mat = np.concatenate((mat, np.empty_like(mat)))
+                    lifted = np.concatenate((lifted, np.empty_like(lifted)))
+                mat[size] = p / np.linalg.norm(p)
+                size += 1
                 last = drawn + i + 1
         drawn += _PROBE_BATCH
-    return mat[1:], last + stop_streak
+    return mat[1:size].copy(), last + stop_streak
 
 
 def _refine_worst(book: BeamformingCodebook, probe: np.ndarray, steps: int):
@@ -371,18 +378,6 @@ def precoding_codebook(book: BeamformingCodebook) -> BeamformingCodebook:
     Kept only because ``perfbench/bench.py`` builds pc-vlq through this
     name; dropping it is a later change to the benchmark."""
     return book
-
-
-def fit_c0(family) -> float:
-    """Empirical covering constant: max over the family of |B| * delta^{2t}."""
-    books = list(family)
-    if len(books) < 2:
-        raise ValueError("need at least 2 codebooks")
-    ts = {b.t for b in books}
-    if len(ts) != 1:
-        raise ValueError("mixed antenna counts in family")
-    t = ts.pop()
-    return max(len(b) * b.delta ** (2 * t) for b in books)
 
 
 def save_codebook(book: BeamformingCodebook, path) -> None:

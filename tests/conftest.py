@@ -3,8 +3,20 @@
 import numpy as np
 import pytest
 
+from vlqsim.channel import direction_blocks
 from vlqsim.codebook import _lift
 from vlqsim.estimate import _BookStats
+
+
+def chunk_lift(stream, t, n):
+    """The real (t^2, n) lift of the n directions that
+    ``channel.direction_blocks`` yields on ``stream``, its blocks side by
+    side: the directions a sweep chunk of n draws sees.  A (t^2, n) view of
+    a (t^2, n + 8) array, its rows padded like the blocks'."""
+    lifted = np.empty((t * t, n + 8))[:, :n]
+    for lo, block in direction_blocks(stream, t, n):
+        lifted[:, lo : lo + block.shape[1]] = block
+    return lifted
 
 
 def _snr_bits(spec, H, P):

@@ -1,29 +1,35 @@
-"""Bound constants, the delta schedule, and converse consistency checks."""
+"""Bound constants, the rate bound and the delta schedule, and converse
+consistency checks."""
 
 import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 
-from vlqsim import estimate, numerics
+from vlqsim import cli, estimate, numerics
 from vlqsim.bounds import (
-    c2_hat,
     constants_table,
     converse_check,
-    delta_schedule,
     derive_c1,
-    phi_schedule,
     prop1_bounds,
     prop4_bounds,
     thm3_converse_lb,
     thm6_constants,
+    vlq_rate_bound,
+    vlq_rate_excess,
 )
-from vlqsim.cli import SimulationConfig, main, run_config
-from vlqsim.estimate import SweepRecord, ser_full_analytic
+from vlqsim.channel import RngStream
+from vlqsim.cli import ConfigError, SimulationConfig, main, run_config
+from vlqsim.codebook import load_codebook
+from vlqsim.estimate import SweepRecord, VariableLengthBeamforming, ser_full_analytic
 from vlqsim.numerics import q_function
+from vlqsim.quantizer import index_bits
+
+REFERENCE_BOOKS = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 
 
 class TestC1:
@@ -86,40 +92,127 @@ class TestProp1:
             prop1_bounds(4, 2, 1.0)
 
 
+def rate_mean_oracle(t, P):
+    """E[P(t, beta / (c P))] for c ~ Beta(1, t-1) and beta = (t+1) ln P, in
+    mpmath: the exact head below ln(beta / P) - 40 and adaptive quadrature
+    in ln c above it, split every 4 units around ln(beta / P)."""
+    with mpmath.workdps(20):
+        k = (t + 1) * mpmath.log(P) / P
+        lo = mpmath.log(k) - 40
+
+        def g(u):
+            c = mpmath.exp(u)
+            return (t - 1) * (1 - c) ** (t - 2) * c * mpmath.gammainc(t, 0, k / c, regularized=True)
+
+        cuts = [mpmath.log(k) + j for j in range(-28, 30, 4) if mpmath.log(k) + j < 0]
+        return 1 - (1 - mpmath.exp(lo)) ** (t - 1) + mpmath.quad(g, [lo, *cuts, 0])
+
+
+class TestVlqRateBound:
+    @pytest.mark.parametrize("t", [2, 3, 4])
+    def test_against_mpmath(self, t):
+        for P in np.geomspace(1e2, 1e12, 6):
+            mean = rate_mean_oracle(t, P)
+            for size in (2, 12, 239):
+                bits = index_bits(size)
+                want = min(bits, bits * size * mean)
+                got = vlq_rate_excess(t, size, P)
+                assert abs(got - want) <= 1e-12 * want, (t, P, size)
+                rate = vlq_rate_bound(t, size, P)
+                assert rate == 1.0 + got and abs(rate - (1 + want)) <= 1e-12 * (1 + want)
+
+    def test_one_antenna_and_one_codeword(self):
+        # at t = 1, c = 1; a book of one codeword never sends an index
+        for P in (2.0, 1e3, 1e9):
+            want = min(1.0, 2.0 * numerics.gamma_lower(1, 2.0 * math.log(P) / P))
+            assert vlq_rate_excess(1, 2, P) == want
+            for t in (1, 2, 4):
+                assert vlq_rate_excess(t, 1, P) == 0.0 and vlq_rate_bound(t, 1, P) == 1.0
+
+    def test_capped_at_the_index_bits(self):
+        # the long branch costs bits at most, whatever the union sum
+        assert vlq_rate_excess(4, 239, 10.0) == 8.0
+        assert vlq_rate_excess(4, 239, 1e12) < 8.0
+
+    def test_never_above_prop1(self):
+        sizes = sorted({1, 2, 3, 7, 12, 239, 1000, 2**14} | {2**k + 1 for k in range(1, 14)})
+        for t in (1, 2, 3, 4, 8):
+            for P in np.geomspace(1e2, 1e12, 21):
+                for size in sizes:
+                    assert vlq_rate_bound(t, size, P) <= prop1_bounds(size, t, P)[1], (t, P, size)
+
+    def test_rejects_bad_arguments(self):
+        for args in ((0, 2, 10.0), (1.5, 2, 10.0), (2, 0, 10.0), (2, 2, 1.0), (2, 2, math.nan)):
+            with pytest.raises(ValueError):
+                vlq_rate_excess(*args)
+
+    @pytest.mark.parametrize("name", ["book-t2.json", "book-t4.json"])
+    def test_bounds_the_radial_rate_of_the_stored_books(self, name):
+        # the exact radial rate excess of bf-vlq, per direction, less 3
+        # sigma, never exceeds the bound that reads |B| alone
+        book = load_codebook(REFERENCE_BOOKS / name)
+        grid = [1e2, 1e3, 1e4]
+        records = estimate.ser_rate_sweep(
+            [VariableLengthBeamforming(book)], grid, 1 << 17, RngStream(5), workers=1
+        )
+        for rec in records:
+            bound = vlq_rate_excess(book.t, len(book), rec.P)
+            assert rec.rate - 1.0 - 3.0 * rec.rate_stderr <= bound, (rec, bound)
+
+
+def _scheduled_config(t, f, grid_dB, seed=7):
+    return SimulationConfig.from_dict({
+        "t": t, "strategy": "bf-vlq", "schedule": {"f": f}, "P-grid-dB": grid_dB,
+        "samples": 1000, "seed": seed, "output-path": "o.csv",
+    })
+
+
 class TestDeltaSchedule:
-    def test_round_trip(self):
-        f = phi_schedule(0.1, 1, 1.0)
-        assert f == pytest.approx(200.0 * math.log2(400.0), rel=1e-12)
-        assert delta_schedule(f, 1, 1.0) == pytest.approx(0.1, abs=1e-6)
+    """``cli._schedule`` walks the delta ladder from coarse to fine and
+    gives each power the finest rung whose rate bound fits its budget."""
 
     def test_monotone(self):
-        d1 = delta_schedule(50.0, 2, 0.0224)
-        d2 = delta_schedule(500.0, 2, 0.0224)
-        assert d1 > d2
-
-    def test_phi_strictly_decreasing_on_bracket(self):
-        for t in (1, 2, 3, 4):
-            hi = min(0.99, (4.0 * 0.5 / math.e) ** (1.0 / (2 * t)))
-            deltas = np.linspace(1e-3, hi, 400)
-            vals = [phi_schedule(d, t, 0.5) for d in deltas]
-            assert all(a > b for a, b in zip(vals, vals[1:]))
+        # a larger power affords the same or a finer rung
+        for t, grid in ((2, [30.0, 35.0, 40.0, 50.0, 60.0]), (3, [40.0, 50.0, 60.0])):
+            picks = cli._schedule(_scheduled_config(t, "sqrtP", grid))
+            deltas = [book.delta for book, _, _ in picks]
+            assert all(a >= b for a, b in zip(deltas, deltas[1:])), deltas
+            for P, (book, bound, budget) in zip(_scheduled_config(t, "sqrtP", grid).P_grid, picks):
+                assert bound == vlq_rate_excess(t, len(book), P) <= budget
+                assert budget == math.sqrt(P) * math.log(P) / P
 
     def test_vanishes_with_power(self):
-        deltas = [delta_schedule(math.log(P), 2, 0.0224) for P in np.geomspace(1e2, 1e6, 9)]
-        assert all(a > b for a, b in zip(deltas, deltas[1:]))
-        assert deltas[-1] < deltas[0] < 1.0
+        picks = cli._schedule(_scheduled_config(2, "sqrtP", [30.0, 40.0, 50.0, 60.0]))
+        deltas = [book.delta for book, _, _ in picks]
+        assert all(a > b for a, b in zip(deltas, deltas[1:])) and deltas[0] < 1.0
+        assert all(d in cli._LADDER for d in deltas)
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            delta_schedule(1e-12, 2, 0.0224)
+        # with this bf-vlq rule no rung fits (ln P)^2 / P below 80 dB at t = 2
+        with pytest.raises(ConfigError, match=r"P = 1000 \(30 dB\).*budget.*0\.04772.*delta 0\.9"):
+            cli._schedule(_scheduled_config(2, "logP", [30.0, 80.0]))
+        ((book, bound, budget),) = cli._schedule(_scheduled_config(2, "logP", [80.0]))
+        assert book.delta == 0.9 and bound <= budget == math.log(1e8) ** 2 / 1e8
 
-    @pytest.mark.parametrize("c0, delta", [(1e308, 0.35), (0.0224, 1e-300), (math.inf, 0.35)])
-    def test_overflowing_cover_size_rejected(self, c0, delta):
-        # C0 delta^-2t must be finite; 1e-300 ** -4 raises OverflowError
-        with pytest.raises(ValueError, match="C0 delta"):
-            phi_schedule(delta, 2, c0)
-        with pytest.raises(ValueError, match="C0 delta"):
-            c2_hat(c0, 2, delta)
+    def test_finest_fitting_rung(self, monkeypatch):
+        # each point takes the last rung that fits before its first that
+        # does not; a rung is built once for all points, and the walk ends
+        # at the rung where every point has stopped
+        built = []
+        original = cli._codebook
+        monkeypatch.setattr(
+            cli, "_codebook", lambda config, delta: built.append(delta) or original(config, delta)
+        )
+        config = _scheduled_config(2, "sqrtP", [30.0, 40.0, 50.0])
+        picks = cli._schedule(config)
+        assert built == list(cli._LADDER[: len(built)]) and len(set(built)) == len(built)
+        for P, (book, _, budget) in zip(config.P_grid, picks):
+            k = cli._LADDER.index(book.delta)
+            assert k + 1 < len(built)
+            finer = original(config, cli._LADDER[k + 1])
+            assert vlq_rate_excess(2, len(finer), P) > budget
+        finest = max(cli._LADDER.index(book.delta) for book, _, _ in picks)
+        assert len(built) == finest + 2
 
 
 class TestThm3:
@@ -183,17 +276,23 @@ class TestThm6:
 
 class TestC2AndProp4:
     def test_c2_formula(self):
-        t, delta, c0 = 2, 0.35, 0.0224
-        count = 2 + math.ceil(c0 * delta ** (-2 * t))
-        want = count * t**t / (math.gamma(t + 1) * math.log(1.0 / delta))
-        assert c2_hat(c0, t, delta) == pytest.approx(want, rel=1e-12)
+        # prop4's rate is 1 + C2 delta^-t ln(1/delta) / P^t with the
+        # precoding rate constant C2 of the book's own size
+        for t, delta, size, P in ((2, 0.35, 8, 100.0), (3, 0.2, 51, 1e3), (4, 0.5, 10, 30.0)):
+            c2 = (size + 2) * t**t / (math.gamma(t + 1) * math.log(1.0 / delta))
+            want = 1.0 + c2 * delta ** (-t) * math.log(1.0 / delta) / P**t
+            _, rate = prop4_bounds(t, delta, P, Fraction(1), size)
+            assert rate == pytest.approx(want, rel=1e-14)
 
     def test_prop4_reduces_to_pieces(self):
-        ser_b, rate_b = prop4_bounds(2, 0.2, 100.0, Fraction(1), 0.0224)
+        ser_b, rate_b = prop4_bounds(2, 0.2, 100.0, Fraction(1), 14)
         assert ser_b == pytest.approx(
             ser_full_analytic(2, 100.0) * 1.8 + 0.2 / 1e4, rel=1e-9
         )
-        assert rate_b > 1.0
+        assert rate_b == pytest.approx(1.0 + 16 * 4 / (2 * 20.0**2), rel=1e-14)
+        for delta, size in ((0.0, 14), (1.0, 14), (0.2, 0)):
+            with pytest.raises(ValueError):
+                prop4_bounds(2, delta, 100.0, Fraction(1), size)
 
 
 class TestConverseCheck:
@@ -253,29 +352,29 @@ class TestConverseCheck:
 
 class TestConstantsTable:
     def test_renders_all_rows(self):
-        text = constants_table(2, Fraction(3, 4), 0.0224, 0.35)
+        # the derived constants alone: nothing in the table is fitted
+        text = constants_table(2, Fraction(3, 4))
         assert text.splitlines()[0] == "bound constants (t=2, r=3/4)"
-        for token in ("C0-hat", "C1", "C2-hat", "C3", "empirical", "derived"):
-            assert token in text
+        assert "empirical" not in text and "C0" not in text and "C2" not in text
         values = {line.split()[0]: float(line.split()[1]) for line in text.splitlines()[1:]}
-        assert values["C0-hat"] == 0.0224
+        assert sorted(values) == ["C1", "C3"]
+        assert all(line.split()[2] == "derived" for line in text.splitlines()[1:])
         assert values["C1"] == pytest.approx(derive_c1()[0], rel=1e-5)
-        assert values["C2-hat"] == pytest.approx(c2_hat(0.0224, 2, 0.35), rel=1e-5)
         assert values["C3"] == pytest.approx(thm6_constants(2, Fraction(3, 4))[2], rel=1e-5)
 
     def test_validation(self):
-        # c0 must be finite and > 0, delta in (0, 1), C0 delta^-2t finite
-        bad = [(c0, 0.35) for c0 in (0.0, -0.1, math.nan, math.inf, 1e308)]
-        bad += [(0.0224, delta) for delta in (0.0, 1.0, -0.5, math.nan, 1e-300)]
-        for c0, delta in bad:
+        # t in {2, 3, 4} and r in (0, 1], as thm6_constants takes them
+        bad = [(t, Fraction(1)) for t in (1, 5, 8)]
+        bad += [(2, r) for r in (Fraction(0), Fraction(-1, 2), Fraction(5, 4))]
+        for t, r in bad:
             with pytest.raises(ValueError):
-                constants_table(2, Fraction(1), c0, delta)
+                constants_table(t, r)
 
     def test_rejects_bad_t_and_r(self):
         with pytest.raises(ValueError):
-            constants_table(5, Fraction(1), 0.0224, 0.35)
+            constants_table(5, Fraction(1))
         with pytest.raises(ValueError):
-            constants_table(2, Fraction(3, 2), 0.0224, 0.35)
+            constants_table(2, Fraction(3, 2))
 
 
 class TestNoQuadratureInProduction:

@@ -6,9 +6,10 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from conftest import chunk_lift
 
 from vlqsim import channel
-from vlqsim.channel import RngStream, sample_channels, sample_directions, sample_magnitudes
+from vlqsim.channel import RngStream, sample_channels, sample_magnitudes
 from vlqsim.codebook import _lift
 from vlqsim.numerics import gamma_tail
 
@@ -102,7 +103,7 @@ class TestUnitary:
 
 def unlift(lifted: np.ndarray, t: int) -> np.ndarray:
     """The direction rows (n, t), first entry real and >= 0, whose lift
-    ``sample_directions`` returned: h_0 = sqrt(m_0), and each pair (0, l)
+    ``chunk_lift`` returned: h_0 = sqrt(m_0), and each pair (0, l)
     holds h_0 conj(h_l)."""
     pairs = t * (t - 1) // 2
     h = np.empty((lifted.shape[1], t), dtype=complex)
@@ -149,13 +150,13 @@ def per_row_fill(gen, t, lifted):
 
 
 class TestDirections:
-    """``sample_directions`` returns the real (t^2, n) lift of the draws
-    that ``direction_blocks`` yields one block at a time."""
+    """``direction_blocks`` yields the real (t^2, n) lift of a chunk's
+    draws one block at a time; ``chunk_lift`` sets them side by side."""
 
     def test_unit_rows_with_real_first_entry(self):
         # the lift is that of one unit vector per draw, with h_0 real >= 0
         for t in (2, 3, 4, 8):
-            L = sample_directions(RngStream(30), t, 20000)
+            L = chunk_lift(RngStream(30), t, 20000)
             assert L.shape == (t * t, 20000) and L.dtype == float
             H = unlift(L, t)
             assert np.max(np.abs(np.linalg.norm(H, axis=1) - 1.0)) <= 1e-15
@@ -165,7 +166,7 @@ class TestDirections:
     def test_pairs_are_rank_one(self):
         # Re^2 + Im^2 of h_k conj(h_l) is m_k m_l, and the m_k sum to 1
         for t in (2, 3, 4, 8):
-            L = sample_directions(RngStream(35, t), t, 20000)
+            L = chunk_lift(RngStream(35, t), t, 20000)
             m = L[:t]
             assert np.all(m >= 0.0)
             assert np.max(np.abs(np.sum(m, axis=0) - 1.0)) <= 1e-15
@@ -177,7 +178,7 @@ class TestDirections:
         # |h_1|^2 of a uniform unit vector in C^t is Beta(1, t-1), and the
         # phases relative to h_1 are independent and uniform
         for t in (2, 3, 4):
-            L = sample_directions(RngStream(31, t), t, 50000)
+            L = chunk_lift(RngStream(31, t), t, 50000)
             crit = 1.63 / math.sqrt(L.shape[1])  # 1% critical value
             assert ks_statistic(L[0], lambda x: 1.0 - (1.0 - x) ** (t - 1)) < crit
             pairs = t * (t - 1) // 2
@@ -193,18 +194,16 @@ class TestDirections:
         x = np.array([[1.0, 1.0j, -1.0]]) / math.sqrt(3.0)
         w = _lift(x)[:, 0]
         w[t:] *= 2.0
-        L = sample_directions(RngStream(32), t, 50000)
+        L = chunk_lift(RngStream(32), t, 50000)
         corr = w @ L
         assert ks_statistic(corr, lambda c: 1.0 - (1.0 - c) ** (t - 1)) < 1.63 / math.sqrt(len(corr))
 
     def test_single_antenna_is_all_ones(self):
-        L = sample_directions(RngStream(33), 1, 10)
+        L = chunk_lift(RngStream(33), 1, 10)
         assert L.shape == (1, 10) and np.all(L == 1.0)
 
     def test_rejects_bad_arguments(self):
         for t, n in ((0, 10), (2, 0)):
-            with pytest.raises(ValueError):
-                sample_directions(RngStream(1), t, n)
             with pytest.raises(ValueError):
                 next(channel.direction_blocks(RngStream(1), t, n))
 
@@ -215,9 +214,9 @@ class TestDirections:
     def test_blocks_of_a_chunk(self, t, width):
         # a sweep chunk's lift in blocks of at most 1 MiB, or of 4 096 draws
         # where those are larger, each written over the last; side by side
-        # they are the lift sample_directions returns
+        # they are the lift chunk_lift returns
         n = (1 << 15) + 5
-        whole = sample_directions(RngStream(39, t), t, n)
+        whole = chunk_lift(RngStream(39, t), t, n)
         starts, first = [], None
         for lo, block in channel.direction_blocks(RngStream(39, t), t, n):
             first = block if first is None else first
@@ -240,9 +239,9 @@ class TestDirections:
 
     def test_deterministic_per_substream(self):
         s = RngStream(34)
-        a = sample_directions(s.child(0, 3), 2, 100)
-        assert np.array_equal(a, sample_directions(s.child(0, 3), 2, 100))
-        b = sample_directions(s.child(0, 4), 2, 100)
+        a = chunk_lift(s.child(0, 3), 2, 100)
+        assert np.array_equal(a, chunk_lift(s.child(0, 3), 2, 100))
+        b = chunk_lift(s.child(0, 4), 2, 100)
         assert not np.any(a == b)
 
 
@@ -310,7 +309,7 @@ def ulp_error(got, ref):
 
 
 class TestPhasor:
-    """``sample_directions`` takes cos and sin of 2 pi u from a table of
+    """``direction_blocks`` takes cos and sin of 2 pi u from a table of
     _NODES + 1 nodes, rotated by a short series."""
 
     def test_table_is_correctly_rounded(self):
@@ -351,7 +350,7 @@ class TestPhasor:
 
 class TestMagnitudes:
     """``sample_magnitudes`` draws plain mode's ||h||^2, which scales the
-    direction ``sample_directions`` draws into h ~ CN(0, I_t)."""
+    direction ``direction_blocks`` draws into h ~ CN(0, I_t)."""
 
     @pytest.mark.parametrize("t", [1, 2, 3, 4])
     def test_gamma_law(self, t):
@@ -368,7 +367,7 @@ class TestMagnitudes:
         w[t:] *= 2.0
         stream = RngStream(37)
         norm2 = sample_magnitudes(stream.child(1, 0), t, n)
-        power = norm2 * (w @ sample_directions(stream.child(0, 0), t, n))
+        power = norm2 * (w @ chunk_lift(stream.child(0, 0), t, n))
         assert ks_statistic_exponential(power) < 1.63 / math.sqrt(n)
 
     def test_rejects_bad_arguments(self):
@@ -394,7 +393,7 @@ class TestSweepStreams:
         # (0, c), the next chunk's (0, c + 1) and the magnitudes (1, c) not
         s = RngStream(42)
         paths = [s.child(0, 5), s.child(0, 6), s.child(1, 5)]
-        for draw in (sample_directions, sample_magnitudes):
+        for draw in (chunk_lift, sample_magnitudes):
             values = [draw(path, 3, 1000) for path in paths]
             assert np.array_equal(values[0], draw(RngStream(42, 0, (0, 5)), 3, 1000))
             for i in range(3):

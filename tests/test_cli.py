@@ -30,8 +30,9 @@ def base_config(**overrides):
     return doc
 
 
-# logP schedule; at t=2 it is invertible from ln P >= 2.94 (12.8 dB) up
-_LOGP = {"f": "logP", "c0": 0.0224}
+# sqrtP schedule; at t=2 every rung's rate bound exceeds its budget below
+# about 29 dB, and from 30 dB up some rung fits
+_SQRTP = {"f": "sqrtP"}
 
 
 def write_config(tmp_path, doc, name="cfg.json"):
@@ -71,17 +72,13 @@ class TestConfigValidation:
             )
 
     def test_schedule_validation(self):
-        doc = base_config(strategy="bf-vlq", t=2, schedule={"f": "logP", "c0": 0.02})
+        doc = base_config(strategy="bf-vlq", t=2, schedule={"f": "logP"})
         cfg = SimulationConfig.from_dict(doc)
-        assert cfg.schedule == {"f": "logP", "c0": 0.02}
+        assert cfg.schedule == {"f": "logP"}
         with pytest.raises(ConfigError):
-            SimulationConfig.from_dict(
-                base_config(strategy="bf-vlq", t=2, schedule={"f": "expP", "c0": 0.02})
-            )
+            SimulationConfig.from_dict(base_config(strategy="bf-vlq", t=2, schedule={"f": "expP"}))
         with pytest.raises(ConfigError):
-            SimulationConfig.from_dict(
-                base_config(strategy="pc-vlq", t=2, schedule={"f": "logP", "c0": 0.02})
-            )
+            SimulationConfig.from_dict(base_config(strategy="pc-vlq", t=2, schedule={"f": "logP"}))
 
     def test_db_conversion(self):
         cfg = SimulationConfig.from_dict(base_config(**{"P-grid-dB": [0.0, 10.0, 20.0]}))
@@ -112,6 +109,12 @@ class TestConfigValidation:
             doc = base_config(strategy="bf-vlq", t=2, schedule={"f": "logP", "c0": c0})
             with pytest.raises(ConfigError, match="c0"):
                 SimulationConfig.from_dict(doc)
+
+    def test_schedule_c0_is_refused(self):
+        # the schedule reads each built book's size, not a fitted C0
+        doc = base_config(strategy="bf-vlq", t=2, schedule={"f": "logP", "c0": 0.0224})
+        with pytest.raises(ConfigError, match='"c0" is no longer read'):
+            SimulationConfig.from_dict(doc)
 
 
 _JSON = st.recursive(
@@ -177,9 +180,8 @@ _MAIN_VALUES = {
     "strategy": (["bf-full", "bf-flq", "bf-vlq", "pc-full", "pc-vlq", "open-loop"], ["bf", 1]),
     "delta": ([0.2, 0.5], [0.0, 1.0, -0.3, math.nan, "0.3", [0.3], None]),
     "schedule": (
-        [{"f": "logP", "c0": 0.0224}, {"f": "sqrtP", "c0": 0.0224}],
-        [{"f": "logP"}, {"f": "cubeP", "c0": 0.0224}, {"f": ["logP"], "c0": 0.0224},
-         {"f": "logP", "c0": -1}, "logP", None],
+        [{"f": "logP"}, {"f": "sqrtP"}],
+        [{"f": "logP", "c0": 0.0224}, {"f": "cubeP"}, {"f": ["logP"]}, {}, "logP", None],
     ),
     "codebook-path": (
         ["@/book.json", "@/t1.json"],
@@ -233,7 +235,7 @@ def _in_dir(value, d):
 class TestMainFuzz:
     @settings(max_examples=40, deadline=None)
     @given(doc=_main_configs())
-    @example(doc=dict(_MAIN_BASE, schedule=_LOGP))
+    @example(doc=dict(_MAIN_BASE, schedule=_SQRTP))
     def test_exit_codes_not_exceptions(self, doc):
         with tempfile.TemporaryDirectory() as d:
             books = {"book": _book_doc(), "t1": dict(_book_doc(), t=1, vectors=[[[1.0, 0.0]]])}
@@ -281,8 +283,7 @@ class TestRunConfig:
     def test_scheduled_sweep(self, tmp_path):
         out = tmp_path / "sched.csv"
         doc = base_config(
-            strategy="bf-vlq", t=2, samples=20000,
-            schedule={"f": "logP", "c0": 0.0224},
+            strategy="bf-vlq", t=2, samples=20000, schedule=dict(_SQRTP),
             **{"P-grid-dB": [30.0, 40.0, 50.0], "output-path": str(out), "conditioning": "radial"},
         )
         records = run_config(SimulationConfig.from_dict(doc))
@@ -290,6 +291,45 @@ class TestRunConfig:
         summary = json.loads((tmp_path / "sched.csv.summary.json").read_text())
         assert "gains" in summary
         assert summary["gains"]["diversity"] == pytest.approx(2.0, abs=0.3)
+        # each point's book, and its rate bound within the budget
+        points = summary["schedule"]
+        assert [p["P"] for p in points] == [rec.P for rec in records]
+        for point in points:
+            assert set(point) == {
+                "P", "delta", "codewords", "rate-excess-bound", "rate-excess-budget"
+            }
+            assert point["rate-excess-bound"] <= point["rate-excess-budget"]
+            assert point["rate-excess-budget"] == math.sqrt(point["P"]) * math.log(point["P"]) / point["P"]
+            assert point["delta"] in cli._LADDER
+        assert [p["delta"] for p in points] == sorted((p["delta"] for p in points), reverse=True)
+
+    def test_fixed_delta_summary_has_no_schedule(self, tmp_path):
+        out = tmp_path / "o.csv"
+        doc = base_config(strategy="bf-vlq", t=2, delta=0.3, samples=1000,
+                          **{"P-grid-dB": [30.0], "output-path": str(out)})
+        run_config(SimulationConfig.from_dict(doc))
+        summary = json.loads((tmp_path / "o.csv.summary.json").read_text())
+        assert list(summary) == ["config", "records", "constants", "converse-violations"]
+
+    def test_infeasible_schedule_is_2(self, tmp_path, capsys, monkeypatch):
+        # with the repo's bf-vlq rule no rung fits (ln P)^2 / P below 80 dB at
+        # t = 2: the coarsest rung is built to learn that, and nothing is
+        # swept or written
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(estimate, "ser_rate_sweep", refuse)
+        (tmp_path / "o.csv").write_text("an earlier sweep\n")
+        doc = base_config(
+            strategy="bf-vlq", t=2, samples=1000, schedule={"f": "logP"},
+            **{"P-grid-dB": [10.0, 20.0, 30.0], "output-path": str(tmp_path / "o.csv")},
+        )
+        assert main(["sweep", "--config", write_config(tmp_path, doc)]) == 2
+        err = capsys.readouterr().err
+        assert "schedule infeasible at P = 10 (10 dB)" in err and "Traceback" not in err
+        assert "budget on R - 1 is" in err and "bounds R - 1 by" in err
+        assert (tmp_path / "o.csv").read_text() == "an earlier sweep\n"
+        assert not (tmp_path / "o.csv.summary.json").exists()
 
     def test_missing_codebook_hint(self, tmp_path):
         doc = base_config(
@@ -301,7 +341,7 @@ class TestRunConfig:
 
 def _scheduled(tmp_path):
     return base_config(
-        strategy="bf-vlq", t=2, samples=2000, schedule=dict(_LOGP),
+        strategy="bf-vlq", t=2, samples=2000, schedule=dict(_SQRTP),
         **{"P-grid-dB": [30.0, 40.0, 50.0]},
     )
 
@@ -492,7 +532,9 @@ class TestMainExitCodes:
 
     @pytest.mark.parametrize(
         "flags",
-        [["--c0", "inf"], ["--c0", "1e308"], ["--delta", "1e-300"], ["--r", "1/0"]],
+        # --c0 and --delta were the covering model's and are gone
+        [["--c0", "inf"], ["--c0", "1e308"], ["--c0", "0.0224"], ["--delta", "1e-300"],
+         ["--delta", "0.35"], ["--r", "1/0"]],
         ids=" ".join,
     )
     def test_bounds_bad_flags_are_2(self, capsys, flags):
@@ -658,11 +700,6 @@ _BAD_FILES = [
     *[(f"fit-power-{power}", lambda p, power=power: [
         "fit", "--input", str(_csv_with_power(p, power))], 2, "must be finite and > 0")
       for power in ("0", "nan", "-5", "inf")],
-    ("sweep-schedule-below-range", lambda p: [
-        "sweep", "--config", write_config(p, base_config(
-            strategy="bf-vlq", t=2, samples=1000, schedule=_LOGP,
-            **{"P-grid-dB": [10.0, 20.0, 30.0], "output-path": str(p / "o.csv")}))], 2,
-     "outside the invertible range"),
     ("sweep-workers-below-one", lambda p: [
         "sweep", "--config", write_config(p, base_config(samples=1000)), "--workers", "-3"], 2,
      "workers must be in [1, 1024]"),
@@ -683,11 +720,11 @@ _BAD_FILES = [
     ("sweep-codebook-path-not-a-string", lambda p: _sweep_with(
         p, strategy="bf-flq", t=2, **{"codebook-path": 3}), 2, "codebook-path must be a string"),
     ("sweep-schedule-third-key", lambda p: _sweep_with(
-        p, strategy="bf-vlq", t=2, schedule={**_LOGP, "g": 1}), 2,
-     'schedule must have exactly keys {"f", "c0"}'),
+        p, strategy="bf-vlq", t=2, schedule={**_SQRTP, "g": 1}), 2,
+     'schedule must have exactly the key "f"'),
     ("sweep-schedule-c0-zero", lambda p: _sweep_with(
         p, strategy="bf-vlq", t=2, schedule={"f": "logP", "c0": 0}), 2,
-     "schedule c0 must be positive"),
+     '"c0" is no longer read'),
     ("sweep-config-not-json", _not_json, 2, "config is not valid JSON"),
     ("fit-header-only", lambda p: ["fit", "--input", str(_csv_with_powers(p))], 2,
      "no records in"),

@@ -6,17 +6,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import chunk_lift
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vlqsim import codebook
-from vlqsim.channel import RngStream, sample_channels, sample_directions
+from vlqsim.channel import RngStream, sample_channels
 from vlqsim.codebook import (
     BeamformingCodebook,
     CoveringError,
     _lift,
     build_covering_codebook,
-    fit_c0,
     load_codebook,
     save_codebook,
     verify_covering,
@@ -237,34 +237,16 @@ class TestCorrelationKernel:
 
     @pytest.mark.parametrize("t, size", [(2, 12), (3, 40), (4, 239), (8, 100)])
     def test_row_stride_of_the_lift_changes_no_bit(self, t, size):
-        # sample_directions pads the lift's rows; the GEMM blocks read that
+        # chunk_lift pads the lift's rows; the GEMM blocks read that
         # lift in place, and n is no multiple of the block width
         gen = np.random.default_rng(t)
         v = gen.standard_normal((size, t)) + 1j * gen.standard_normal((size, t))
         book = BeamformingCodebook(v / np.linalg.norm(v, axis=1, keepdims=True), 0.5)
-        lifted = sample_directions(RngStream(39, t), t, 9001)
+        lifted = chunk_lift(RngStream(39, t), t, 9001)
         assert not lifted.flags.c_contiguous
         packed = np.ascontiguousarray(lifted)
         for got, want in zip(book.lifted_stats(lifted), book.lifted_stats(packed)):
             assert np.array_equal(got, want)
-
-
-class TestFitC0:
-    def test_uses_family_maximum(self, book02):
-        large = build_covering_codebook(2, 0.1, RngStream(42, 8), stop_streak=400)
-        c0 = fit_c0([book02, large])
-        t = 2
-        assert c0 == max(
-            len(book02) * 0.2 ** (2 * t), len(large) * 0.1 ** (2 * t)
-        )
-        assert 0.0 < c0 < 1.0
-
-    def test_rejects_small_or_mixed_families(self, book02):
-        with pytest.raises(ValueError):
-            fit_c0([book02])
-        other = build_covering_codebook(3, 0.5, RngStream(6), stop_streak=100)
-        with pytest.raises(ValueError):
-            fit_c0([book02, other])
 
 
 class TestPersistence:

@@ -10,9 +10,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import chunk_lift
 
 from vlqsim import codebook, estimate
-from vlqsim.channel import RngStream, _block_width, sample_channels, sample_directions
+from vlqsim.channel import RngStream, _block_width, sample_channels
 from vlqsim.codebook import BeamformingCodebook, _lift, build_covering_codebook
 from vlqsim.estimate import (
     _BookStats,
@@ -543,12 +544,12 @@ class TestDirectionSampler:
     @pytest.mark.parametrize("t, size", [(2, 12), (3, 51), (4, 239)])
     def test_blocks_change_no_bit(self, t, size):
         # a chunk correlated one block at a time has the stats of its whole
-        # lift, and sample_directions is that lift; column 0 is read, and
+        # lift, and chunk_lift is that lift; column 0 is read, and
         # so kept, in plain mode only
         book = random_book(t, size, 0.5)
         n = 2 * _block_width(t) + 5
         stream = RngStream(78)
-        want = book.lifted_stats(sample_directions(stream.child(0, 3), t, n))
+        want = book.lifted_stats(chunk_lift(stream.child(0, 3), t, n))
         for conditioning in ("radial", "none"):
             _, stats = estimate._draws([FixedLengthBeamforming(book)], stream, 3, n, conditioning)
             got = stats[id(book)]
@@ -585,7 +586,7 @@ class TestDirectionSampler:
         ]
         n = 5000
         _, stats = estimate._draws(specs, RngStream(73), 0, n, "radial")
-        lifted = sample_directions(RngStream(73).child(0, 0), 2, n)
+        lifted = chunk_lift(RngStream(73).child(0, 0), 2, n)
         calls = []
         original = estimate._mrc_ser
 
@@ -710,7 +711,7 @@ class TestChunkState:
                 barrier.wait()
                 return float(other) - float(self)
 
-        lifted = sample_directions(RngStream(74), 2, 100)
+        lifted = chunk_lift(RngStream(74), 2, 100)
         stats = [_BookStats(book, book.lifted_stats(lifted)) for _ in range(2)]
         for one in stats:
             one.delta = Meeting(book.delta)

@@ -14,6 +14,7 @@ from vlqsim.numerics import (
     QuadratureError,
     bpsk_mrc_ser,
     fit_loglog,
+    gamma_lower,
     gamma_tail,
     gamma_weighted_q_tail,
     integrate_gamma_weighted,
@@ -155,6 +156,43 @@ class TestGammaTail:
     def test_rejects_bad_t(self):
         with pytest.raises(ValueError):
             gamma_tail(0, 1.0)
+
+
+class TestGammaLower:
+    # x from 1e-12 to 1e3, dense around the switch at t + 1
+    XS = np.concatenate((np.geomspace(1e-12, 1e3, 400), np.linspace(0.05, 10.0, 200)))
+
+    @pytest.mark.parametrize("t", range(1, 9))
+    def test_against_mpmath(self, t):
+        got = gamma_lower(t, self.XS)
+        want = np.array([float(mpmath.gammainc(t, 0, x, regularized=True)) for x in self.XS])
+        assert np.all(want > 0.0)
+        assert np.max(np.abs(got - want) / want) <= 1e-14
+
+    @pytest.mark.parametrize("t", range(1, 9))
+    def test_complements_the_tail(self, t):
+        # the series side carries no 1 - tail cancellation; what is left of
+        # P + tail - 1 is the tail's own rounding, up to 2.5 ulp of 1 at
+        # t = 8 at x = 0.0331..., where the series is within 1 ulp of mpmath
+        ints = np.append(np.arange(1.0, 10.0), 0.03313295190348606)
+        for x in (self.XS, self.XS + np.spacing(self.XS), ints):
+            total = gamma_lower(t, x) + gamma_tail(t, x)
+            assert np.max(np.abs(total - 1.0)) <= 3.0 * np.spacing(1.0)
+
+    def test_vectorized_and_edges(self):
+        xs = np.array([-1.0, 0.0, 1e-300, 0.5, 3.0, 800.0, math.inf])
+        for t in (1, 2, 8):
+            got = gamma_lower(t, xs)
+            assert got[0] == got[1] == 0.0 and got[-2] == got[-1] == 1.0
+            assert 0.0 <= got[2] <= 1e-300
+            for x, g in zip(xs, got):
+                assert gamma_lower(t, float(x)) == g
+        assert math.isnan(gamma_lower(2, math.nan))
+
+    def test_rejects_bad_t(self):
+        for t in (0, 1.5):
+            with pytest.raises(ValueError):
+                gamma_lower(t, 1.0)
 
 
 class TestGammaWeightedQuadrature:
