@@ -211,6 +211,8 @@ def _load_config(path: str) -> SimulationConfig:
         doc = json.loads(p.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigError(f"config is nested too deeply to read: {exc}") from exc
     return SimulationConfig.from_dict(doc)
 
 

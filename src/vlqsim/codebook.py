@@ -397,7 +397,11 @@ def load_codebook(path) -> BeamformingCodebook:
     A file that is not such a codebook raises ValueError; an unreadable
     path raises OSError.
     """
-    doc = json.loads(Path(path).read_text())
+    text = Path(path).read_text()
+    try:
+        doc = json.loads(text)
+    except RecursionError as exc:
+        raise ValueError(f"JSON nested too deeply to read: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format-version") != 1:
         raise ValueError("unsupported codebook format version")
     missing = sorted({"t", "delta", "vectors"} - set(doc))

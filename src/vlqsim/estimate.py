@@ -77,6 +77,14 @@ order, so the standard error of a per-draw value that varies only by
 rounding is rounding-sized.
 ``ser_full_analytic`` keeps the double-exponential quadrature
 ``integrate_gamma_weighted`` as an independent oracle.
+
+``expect(specs, P_grid, nodes, weights)`` runs the radial half of a sweep
+on given nodes instead of draws: the sweep's checks on the grid and the
+specs, its ``prepare(P)`` once per spec and P, one ``_BookStats`` per
+distinct codebook, built from the nodes as a chunk's are from its draws,
+and ``conditioned``; each record's means are the weighted sums of the
+per-direction values.  Exact oracles and P-free limits thus evaluate the
+same kernels as sweeps.
 """
 
 from __future__ import annotations
@@ -120,6 +128,7 @@ __all__ = [
     "OpenLoopPrecoding",
     "VariableLengthPrecoding",
     "ser_rate_sweep",
+    "expect",
     "ser_full_analytic",
     "estimate_gains",
     "paired_compare",
@@ -373,12 +382,15 @@ def ser_full_analytic(t: int, P: float, r: Fraction | float = 1) -> float:
 
 class _BookStats:
     """One codebook's per-draw correlation stats (max, min and column 0 of
-    |<x_i, hbar>|^2) on one chunk's lifted directions, shared by every spec
-    that quantizes with it, in either mode; column 0 is None in a radial
-    sweep, which does not read it.  The min is floored at 1e-300 in place,
-    once per chunk, in either mode: radial bf-vlq divides by it at every P,
-    and plain bf-vlq's test c_min ||h||^2 P >= beta reads the same for any
-    c_min below the floor unless ||h||^2 P >= 10^300 beta.
+    |<x_i, hbar>|^2) on one chunk's lifted directions, or on ``expect``'s
+    nodes, shared by every spec that quantizes with it, in either mode.
+    It reads only the codebook's t and delta, so it is built from them and
+    the three arrays, not from the book.  Column 0 is None in radial mode,
+    which does not read it.  The min, when given, is floored at 1e-300 in
+    place, once per chunk: radial bf-vlq divides by it at every P, and
+    plain bf-vlq's test c_min ||h||^2 P >= beta reads the same for any
+    c_min below the floor unless ||h||^2 P >= 10^300 beta.  ``expect`` may
+    pass None for it when no spec reads it.
 
     ``mrc_ser(P, r)`` is ``bpsk_mrc_ser(t, c_max P / r)``, kept for the
     latest P only, one array per r: bf-flq, bf-vlq and pc-vlq at r = 1 read
@@ -392,12 +404,14 @@ class _BookStats:
     class while it computes, and the workers would take turns.
     """
 
-    def __init__(self, book: BeamformingCodebook, stats):
-        """The (c_max, c_min, c_first) arrays ``stats`` that
-        ``book.lifted_stats`` has filled."""
-        self.t, self.delta = book.t, book.delta
+    def __init__(self, t: int, delta: float, stats):
+        """The (c_max, c_min, c_first) arrays ``stats`` of a codebook with t
+        antennas and covering radius delta, as its ``lifted_stats`` fills
+        them or as ``expect`` is given them; c_min is floored when given."""
+        self.t, self.delta = t, delta
         self.c_max, self.c_min, self.c_first = stats
-        np.maximum(self.c_min, 1e-300, out=self.c_min)
+        if self.c_min is not None:
+            np.maximum(self.c_min, 1e-300, out=self.c_min)
         self._P, self._mrc = None, {}
         self._cheb_x = self._uncovered = None
 
@@ -446,7 +460,7 @@ def _draws(specs, stream, c_idx, n, conditioning):
             hi = lo + lifted.shape[1]
             for key, book in books.items():
                 book.lifted_stats(lifted, [a if a is None else a[lo:hi] for a in arrays[key]])
-    stats = {key: _BookStats(book, arrays[key]) for key, book in books.items()}
+    stats = {key: _BookStats(book.t, book.delta, arrays[key]) for key, book in books.items()}
     norm2 = None if radial else sample_magnitudes(stream.child(1, c_idx), t, n)
     return norm2, stats
 
@@ -518,6 +532,21 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _checked_grid(specs, P_grid) -> list:
+    """The grid as floats, after the checks that ``_chunk_loop`` and
+    ``expect`` share: ValueError for an empty grid or one with an entry that
+    is not finite and positive, for no specs, or for specs whose antenna
+    counts differ."""
+    P_grid = [float(P) for P in P_grid]
+    if not P_grid or not all(0.0 < P < math.inf for P in P_grid):
+        raise ValueError("P grid must be nonempty, finite and positive")
+    if not specs:
+        raise ValueError("need at least one spec")
+    if len({s.t for s in specs}) != 1:
+        raise ValueError("all specs must share the antenna count")
+    return P_grid
+
+
 def _chunk_loop(specs, P_grid, samples, stream, workers, conditioning, reduce):
     """The chunk loop of ``ser_rate_sweep`` and ``paired_compare``: checks
     the arguments and returns (the grid as floats, results), where
@@ -528,17 +557,11 @@ def _chunk_loop(specs, P_grid, samples, stream, workers, conditioning, reduce):
     ``_pool`` of ``workers`` threads, by default one per usable CPU, which
     start on demand, up to that count.
     """
-    P_grid = [float(P) for P in P_grid]
-    if not P_grid or not all(0.0 < P < math.inf for P in P_grid):
-        raise ValueError("P grid must be nonempty, finite and positive")
+    P_grid = _checked_grid(specs, P_grid)
     if not 1 <= samples <= MAX_SAMPLES:
         raise ValueError("samples must be in [1, 10^10]")
     if conditioning not in ("none", "radial"):
         raise ValueError("conditioning must be 'none' or 'radial'")
-    if not specs:
-        raise ValueError("need at least one spec")
-    if len({s.t for s in specs}) != 1:
-        raise ValueError("all specs must share the antenna count")
     if workers is not None and not 1 <= workers <= MAX_WORKERS:
         raise ValueError("workers must be in [1, 1024]")
     sizes = [min(_CHUNK, samples - lo) for lo in range(0, samples, _CHUNK)]
@@ -599,6 +622,67 @@ def ser_rate_sweep(
                 quantizer_id=spec.quantizer_id, P=P, ser=min(ser, 0.5),
                 ser_stderr=ser_se + max(hw), rate=rate, rate_stderr=rate_se,
                 samples=samples, seed=stream.master_seed,
+            ))
+    return records
+
+
+def expect(specs, P_grid, nodes, weights) -> list:
+    """Records of every (spec, P) pair whose means are the weighted sums
+    sum_i w_i v_i of each spec's radial per-direction values over the nodes,
+    evaluated by the sweep's own ``prepare(P)``, once per spec and P, and
+    ``conditioned``: a quadrature rule over directions in place of draws.
+
+    ``nodes`` is the (c_max, c_min, c_first) triple in the layout of
+    ``BeamformingCodebook.lifted_stats``; each entry is a 1-D array as long
+    as ``weights``, or None, and c_first is never read.  Every spec with a
+    codebook reads c_max, and bf-vlq reads c_min.  The nodes are copied, so
+    the caller's arrays are never written.  A value that is the same at
+    every node is returned as itself, as in a sweep; an array reduces as
+    ``np.add.reduce(np.multiply(v, w))``, so a radial chunk's own stats with
+    weights 1/_CHUNK = 2^-15 give that chunk's sweep mean bit for bit.
+    ``ser_stderr`` is bf-vlq's half bracket width Q(sqrt(2 beta))/2, which a
+    sweep adds too, and 0 for every other scheme; ``rate_stderr`` is 0,
+    ``samples`` is the node count and ``seed`` is 0: no quadrature error is
+    estimated.
+
+    Besides the sweep's checks on the grid and the specs, nodes that are
+    not a triple, unequal lengths, a column that is not finite, a c_max <= 0,
+    a negative entry or one above 1 + 1e-12 (a lift's rounding can pass 1),
+    weights that are not finite, are negative or do not sum to 1 within
+    1e-9, and a None column that a spec reads raise ValueError before any
+    spec is prepared.
+    """
+    specs = list(specs)
+    P_grid = _checked_grid(specs, P_grid)
+    weights = np.asarray(weights, dtype=float)
+    c_max, c_min, c_first = (None if c is None else np.array(c, dtype=float) for c in nodes)
+    given = [c for c in (c_max, c_min, c_first) if c is not None]
+    if weights.ndim != 1 or any(c.shape != weights.shape for c in given):
+        raise ValueError("weights and node columns must be 1-D arrays of one length")
+    if not all(np.all((c >= 0.0) & (c <= 1.0 + 1e-12)) for c in given):
+        raise ValueError("node columns must be finite and in [0, 1 + 1e-12]")
+    if c_max is not None and not np.all(c_max > 0.0):
+        raise ValueError("c_max must be > 0 at every node")
+    if not (np.all((weights >= 0.0) & (weights < math.inf))
+            and abs(math.fsum(weights) - 1.0) <= 1e-9):
+        raise ValueError("weights must be finite, >= 0 and sum to 1 within 1e-9")
+    books = {id(s.codebook): s.codebook for s in specs if s.codebook is not None}
+    reads_c_min = any(isinstance(s, VariableLengthBeamforming) for s in specs)
+    if (books and c_max is None) or (reads_c_min and c_min is None):
+        raise ValueError("a spec reads a node column that is None")
+    stats = {key: _BookStats(book.t, book.delta, (c_max, c_min, None))
+             for key, book in books.items()}
+    records = []
+    for P in P_grid:
+        prepared = [spec.prepare(P) for spec in specs]
+        for spec, values in zip(specs, _conditional_ser(specs, None, stats, P, prepared)):
+            ser, rate, hw = (
+                float(np.add.reduce(np.multiply(v, weights))) if isinstance(v, np.ndarray) else v
+                for v in values
+            )
+            records.append(SweepRecord(
+                quantizer_id=spec.quantizer_id, P=P, ser=min(ser, 0.5), ser_stderr=hw,
+                rate=rate, rate_stderr=0.0, samples=weights.size, seed=0,
             ))
     return records
 
@@ -703,22 +787,32 @@ def write_records_csv(records, path) -> None:
 
 
 def read_records_csv(path) -> list:
-    """The records of a sweep CSV; ValueError when it lacks the sweep columns."""
+    """The records of a sweep CSV.  ValueError, naming the file, when it
+    lacks the sweep columns, has a row with fewer fields than its header or
+    one that the csv module cannot read, such as a field of more than
+    131 072 characters."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        missing = [c for c in CSV_COLUMNS if c not in (reader.fieldnames or ())]
-        if missing:
-            raise ValueError(f"{path} lacks the sweep CSV columns {missing}")
-        return [
-            SweepRecord(
-                quantizer_id=row["quantizer"],
-                P=float(row["P_linear"]),
-                ser=float(row["ser"]),
-                ser_stderr=float(row["ser_stderr"]),
-                rate=float(row["rate"]),
-                rate_stderr=float(row["rate_stderr"]),
-                samples=int(row["samples"]),
-                seed=int(row["seed"]),
-            )
-            for row in reader
-        ]
+        try:
+            missing = [c for c in CSV_COLUMNS if c not in (reader.fieldnames or ())]
+            if missing:
+                raise ValueError(f"{path} lacks the sweep CSV columns {missing}")
+            rows = list(reader)
+        except csv.Error as exc:
+            raise ValueError(f"{path} is not a readable CSV: {exc}") from exc
+    for row in rows:
+        if None in row.values():
+            raise ValueError(f"{path} has a row with fewer fields than its header")
+    return [
+        SweepRecord(
+            quantizer_id=row["quantizer"],
+            P=float(row["P_linear"]),
+            ser=float(row["ser"]),
+            ser_stderr=float(row["ser_stderr"]),
+            rate=float(row["rate"]),
+            rate_stderr=float(row["rate_stderr"]),
+            samples=int(row["samples"]),
+            seed=int(row["seed"]),
+        )
+        for row in rows
+    ]

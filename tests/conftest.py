@@ -27,7 +27,8 @@ def _snr_bits(spec, H, P):
     stats = None
     if spec.codebook is not None:
         lifted = _lift(H / np.sqrt(norm2)[:, None])
-        stats = _BookStats(spec.codebook, spec.codebook.lifted_stats(lifted))
+        book = spec.codebook
+        stats = _BookStats(book.t, book.delta, book.lifted_stats(lifted))
     return spec.snr_bits(norm2, stats, P, spec.prepare(P))
 
 

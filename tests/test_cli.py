@@ -670,6 +670,20 @@ def _not_json(p):
     return ["sweep", "--config", str(path)]
 
 
+def _nested(p):
+    """A JSON file of 200 000 nested arrays, deeper than the parser recurses."""
+    path = p / "nested.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    return path
+
+
+def _csv_with_row(p, row):
+    """A sweep CSV header followed by one raw row."""
+    path = p / "row.csv"
+    path.write_text(",".join(estimate.CSV_COLUMNS) + "\n" + row + "\n")
+    return path
+
+
 # (name, argv builder, exit code, part of the message): bad paths, files
 # and configs that once raised, sampled or built before failing, or that
 # no other test reaches
@@ -742,6 +756,19 @@ _BAD_FILES = [
     ("verify-vectors-not-t-long", lambda p: [
         "codebook", "verify", "--input", str(_book_with(p, t=3))], 3,
      "vector length inconsistent with t"),
+    ("fit-short-row", lambda p: [
+        "fit", "--input", str(_csv_with_row(p, "bf-flq,10,10.0,0.001"))], 2,
+     "row.csv has a row with fewer fields than its header"),
+    ("fit-field-beyond-the-csv-limit", lambda p: [
+        "fit", "--input", str(_csv_with_row(p, "bf-flq," + "1" * 131_073))], 2,
+     "row.csv is not a readable CSV: field larger than field limit"),
+    ("sweep-config-nested-too-deeply", lambda p: ["sweep", "--config", str(_nested(p))], 2,
+     "config is nested too deeply to read"),
+    ("sweep-codebook-nested-too-deeply", lambda p: _sweep_on_book(p, _nested(p)), 3,
+     "failed validation: JSON nested too deeply to read"),
+    ("verify-nested-too-deeply", lambda p: [
+        "codebook", "verify", "--input", str(_nested(p))], 3,
+     "failed validation: JSON nested too deeply to read"),
 ]
 
 

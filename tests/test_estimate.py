@@ -7,14 +7,16 @@ import pickle
 import threading
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from conftest import chunk_lift
 
 from vlqsim import codebook, estimate
 from vlqsim.channel import RngStream, _block_width, sample_channels
-from vlqsim.codebook import BeamformingCodebook, _lift, build_covering_codebook
+from vlqsim.codebook import BeamformingCodebook, _lift, build_covering_codebook, load_codebook
 from vlqsim.estimate import (
     _BookStats,
     _CHUNK,
@@ -26,7 +28,9 @@ from vlqsim.estimate import (
     VariableLengthBeamforming,
     VariableLengthPrecoding,
     estimate_gains,
+    expect,
     paired_compare,
+    read_records_csv,
     ser_full_analytic,
     ser_rate_sweep,
     write_records_csv,
@@ -598,7 +602,9 @@ class TestDirectionSampler:
         for P in grid:
             prepared = [spec.prepare(P) for spec in specs]
             alone = [
-                spec.conditioned(_BookStats(book, book.lifted_stats(lifted)), P, values)
+                spec.conditioned(
+                    _BookStats(book.t, book.delta, book.lifted_stats(lifted)), P, values
+                )
                 for spec, values in zip(specs, prepared)
             ]
             monkeypatch.setattr(estimate, "_mrc_ser", counted)
@@ -712,7 +718,7 @@ class TestChunkState:
                 return float(other) - float(self)
 
         lifted = chunk_lift(RngStream(74), 2, 100)
-        stats = [_BookStats(book, book.lifted_stats(lifted)) for _ in range(2)]
+        stats = [_BookStats(book.t, book.delta, book.lifted_stats(lifted)) for _ in range(2)]
         for one in stats:
             one.delta = Meeting(book.delta)
         results, errors = [None, None], []
@@ -729,7 +735,7 @@ class TestChunkState:
         for thread in threads:
             thread.join(timeout=30.0)
         assert errors == []
-        expected = _BookStats(book, book.lifted_stats(lifted)).cheb_x
+        expected = _BookStats(book.t, book.delta, book.lifted_stats(lifted)).cheb_x
         assert all(np.array_equal(x, expected) for x in results)
 
     def test_moments_bit_for_bit(self):
@@ -773,7 +779,7 @@ class TestPrecodingKernel:
             spec = VariableLengthPrecoding(book)
             H = sample_channels(RngStream(61), t, 4000)
             Hbar = H / np.linalg.norm(H, axis=1, keepdims=True)
-            stats = _BookStats(book, book.lifted_stats(_lift(Hbar)))
+            stats = _BookStats(book.t, book.delta, book.lifted_stats(_lift(Hbar)))
             for P in (10.0, 1e3, 1e5, 1e7):
                 ser, _, _ = spec.conditioned(stats, P, spec.prepare(P))
                 s = book.max_correlation_sq(Hbar) * P
@@ -849,7 +855,7 @@ class TestPrecodingKernel:
         assert 100 <= np.count_nonzero(low) < len(Hbar)
         P = 100.0
         x0 = spec.threshold / P
-        stats = _BookStats(holed, holed.lifted_stats(_lift(Hbar)))
+        stats = _BookStats(holed.t, holed.delta, holed.lifted_stats(_lift(Hbar)))
         ser, _, _ = spec.conditioned(stats, P, spec.prepare(P))
         short = gamma_weighted_q_tail(2, P / 2.0, x0)
         s = c_max[low] * P
@@ -1144,3 +1150,170 @@ class TestGains:
         recs = [SweepRecord("x", P, 0.1 / P, 0, 0, 0, 1, 0) for P in (1.0, 2.0, 4.0)]
         with pytest.raises(ValueError):
             estimate_gains(recs, top_decades=2)
+
+
+REFERENCE_BOOKS = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
+
+# E[SER] of pc-vlq (r = 1, delta = 0.5) over a book of |B| i.i.d. isotropic
+# codewords at P = 10 and 1e3, by this mpmath script (30 digits, about 1-3 s
+# per value):
+#
+#   import mpmath as mp; mp.mp.dps = 30
+#   density = c_max_density  # defined below
+#   def gamma_pdf(t, x): return x**(t - 1) * mp.exp(-x) / mp.factorial(t - 1)
+#   def q(s, x): return mp.erfc(mp.sqrt(s * x)) / 2  # Q(sqrt(2 s x))
+#   def pc_vlq(t, size, P, delta=0.5):
+#       x0 = t / (delta * P)  # the threshold t/delta on ||h||^2 P
+#       long = mp.quad(lambda c: density(t, size, c) * mp.quad(
+#           lambda x: q(c * P, x) * gamma_pdf(t, x), [0, x0]), [0, 1])
+#       return long + mp.quad(lambda x: q(P / t, x) * gamma_pdf(t, x), [x0, mp.inf])
+_PC_VLQ_ENSEMBLE = {
+    (2, 8): (0.0031663609949146014, 4.5250761915874608e-7),
+    (3, 16): (0.0011455213804505265, 2.7619043570567632e-9),
+    (4, 32): (0.00067303953934131979, 2.8066466534346025e-11),
+}
+
+
+def c_max_density(t, size, c):
+    """The density at c of c_max, the best of |B| = size i.i.d. Beta(1, t - 1)
+    correlations, on floats, arrays or mpmath numbers."""
+    return size * (1 - (1 - c) ** (t - 1)) ** (size - 1) * (t - 1) * (1 - c) ** (t - 2)
+
+
+def ensemble_nodes(t, size, n):
+    """n Gauss-Legendre nodes in c_max on (0, 1), weighted by its density."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    c = 0.5 * (x + 1.0)
+    return c, 0.5 * w * c_max_density(t, size, c)
+
+
+def bf_flq_ensemble(t, size, P):
+    """E[bpsk_mrc_ser(t, c_max P)] over the same density, by mpmath."""
+    with mpmath.workdps(30):
+        def mrc(s):
+            mu = mpmath.sqrt(s / (1 + s))
+            return ((1 - mu) / 2) ** t * mpmath.fsum(
+                mpmath.binomial(t - 1 + k, k) * ((1 + mu) / 2) ** k for k in range(t)
+            )
+
+        return float(mpmath.quad(lambda c: c_max_density(t, size, c) * mrc(c * P), [0, 1]))
+
+
+class TestExpect:
+    """``expect`` evaluates the sweep's own ``prepare`` and ``conditioned``
+    at given nodes with given weights."""
+
+    @staticmethod
+    def every_scheme(t, book):
+        return [
+            FullCsitBeamforming(t),
+            FixedLengthBeamforming(book),
+            VariableLengthBeamforming(book),
+            VariableLengthPrecoding(book),
+            VariableLengthPrecoding(book, r=Fraction(1, 2)),
+            FullCsitPrecoding(t),
+            OpenLoopPrecoding(t),
+        ]
+
+    @pytest.mark.parametrize("t", [2, 4])
+    def test_one_chunk_is_the_sweep_bit_for_bit(self, t):
+        # the stats of one radial chunk of _CHUNK draws, weighted 2^-15,
+        # give that chunk's sweep means: one kernel behind both
+        book = load_codebook(REFERENCE_BOOKS / f"book-t{t}.json")
+        specs = self.every_scheme(t, book)
+        grid = [10.0, 1e2, 1e3, 1e4]
+        _, stats = estimate._draws(specs, RngStream(91), 0, _CHUNK, "radial")
+        chunk = stats[id(book)]
+        weights = np.full(_CHUNK, 2.0**-15)
+        got = expect(specs, grid, (chunk.c_max, chunk.c_min, None), weights)
+        want = ser_rate_sweep(specs, grid, _CHUNK, RngStream(91), workers=1)
+        assert len(got) == len(want) == len(specs) * len(grid)
+        for a, b in zip(got, want):
+            assert (a.quantizer_id, a.P) == (b.quantizer_id, b.P)
+            assert a.ser == b.ser and a.rate == b.rate, (a, b)
+            assert (a.rate_stderr, a.samples, a.seed) == (0.0, _CHUNK, 0)
+        # the bracket half-width is bf-vlq's alone, as the sweep adds it
+        for a, spec in zip(got, specs * len(grid)):
+            hw = spec.prepare(a.P)[1] if spec.quantizer_id == "bf-vlq" else 0.0
+            assert a.ser_stderr == hw
+
+    @pytest.mark.parametrize("t, size", [(2, 8), (3, 16), (4, 32)])
+    def test_random_book_quadrature_matches_mpmath(self, t, size):
+        book = random_book(t, size, 0.5)
+        c_max, weights = ensemble_nodes(t, size, 128)
+        grid = [10.0, 1e3]
+        recs = expect(
+            [FixedLengthBeamforming(book), VariableLengthPrecoding(book)], grid,
+            (c_max, None, None), weights,
+        )
+        flq = {r.P: r.ser for r in recs if r.quantizer_id == "bf-flq"}
+        pc = {r.P: r.ser for r in recs if r.quantizer_id == "pc-vlq"}
+        for P, want in zip(grid, _PC_VLQ_ENSEMBLE[t, size]):
+            assert flq[P] == pytest.approx(bf_flq_ensemble(t, size, P), rel=1e-12, abs=0)
+            assert pc[P] == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_input_checks_come_before_prepare(self, book, all_specs, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("prepared before the inputs were checked")
+
+        for spec in all_specs:
+            monkeypatch.setattr(type(spec), "prepare", refuse)
+        c = np.array([0.9, 0.95, 1.0])
+        w = np.full(3, 1.0 / 3.0)
+        vlq, flq = VariableLengthBeamforming(book), FixedLengthBeamforming(book)
+        bad = [
+            (all_specs, [], (c, c, None), w),
+            (all_specs, [10.0, math.nan], (c, c, None), w),
+            ([], [10.0], (c, c, None), w),
+            ([FullCsitBeamforming(2), FullCsitBeamforming(3)], [10.0], (c, c, None), w),
+            (all_specs, [10.0], (c, c), w),
+            (all_specs, [10.0], (c[:2], c, None), w),
+            (all_specs, [10.0], (c, c, c[1:]), w),
+            (all_specs, [10.0], (c, c, None), w[:, None]),
+            (all_specs, [10.0], (c, c, None), np.array([])),
+            (all_specs, [10.0], (np.array([0.9, math.nan, 1.0]), c, None), w),
+            (all_specs, [10.0], (np.array([0.9, 0.0, 1.0]), c, None), w),
+            (all_specs, [10.0], (c, np.array([0.9, -1e-300, 1.0]), None), w),
+            (all_specs, [10.0], (c + 2e-12, c, None), w),
+            (all_specs, [10.0], (c, c, np.array([0.5, 0.5, math.inf])), w),
+            (all_specs, [10.0], (c, c, None), np.array([0.5, 0.5, math.nan])),
+            (all_specs, [10.0], (c, c, None), np.array([1.5, -0.5, 0.0])),
+            (all_specs, [10.0], (c, c, None), np.full(3, 0.3)),
+            ([flq], [10.0], (None, None, None), w),
+            ([vlq], [10.0], (c, None, None), w),
+        ]
+        for args in bad:
+            with pytest.raises(ValueError):
+                expect(*args)
+        # a lift's rounding can pass 1, and feedback-free specs read no column
+        for args in (
+            ([flq], [10.0], (c + 1e-12, None, None), w),
+            ([FullCsitBeamforming(2)], [10.0], (None, None, None), w),
+        ):
+            with pytest.raises(AssertionError, match="prepared before"):
+                expect(*args)
+
+    def test_caller_nodes_are_not_written(self, book):
+        # _BookStats floors c_min in place at 1e-300, on expect's copy
+        c_max = np.array([0.9, 0.99, 1.0, 0.95])
+        c_min = np.array([0.0, 1e-320, 1e-301, 0.2])
+        nodes = (c_max, c_min, np.array([0.5, 0.5, 0.5, 0.5]))
+        before = [a.copy() for a in nodes]
+        recs = expect(
+            [VariableLengthBeamforming(book), VariableLengthPrecoding(book)], [10.0, 1e3], nodes,
+            np.full(4, 0.25),
+        )
+        assert len(recs) == 4
+        assert all(np.array_equal(a, b) for a, b in zip(nodes, before))
+
+    def test_records_round_trip_the_csv(self, book, all_specs, tmp_path):
+        c_max, weights = ensemble_nodes(2, len(book), 32)
+        c_min = 0.5 * c_max
+        recs = expect(all_specs, [10.0, 1e2, 1e3], (c_max, c_min, None), weights)
+        path = tmp_path / "expect.csv"
+        write_records_csv(recs, path)
+        assert read_records_csv(path) == recs
+        # a constant value is itself: the closed form, with stderr 0
+        full = [r for r in recs if r.quantizer_id == "bf-full"]
+        assert [r.ser for r in full] == [bpsk_mrc_ser(2, P) for P in (10.0, 1e2, 1e3)]
+        assert all(r.ser_stderr == 0.0 and r.samples == 32 for r in full)
