@@ -3,11 +3,13 @@
 Codebooks are built by greedy sequential covering (random unit probes are
 promoted to codewords whenever no existing codeword is close enough) and
 certified statistically, with adversarial local refinement of the worst
-probe.  The build's batch filter, the certificate and a sweep's codebook
-statistics all reduce through one blocked real-GEMM kernel, ``_reduce``,
-with one block rule, ``_corr_width``.  The precoding VLQ quantizes with the
-same codebook: its precoders {I/sqrt(t)} U {x x^H : x in B} are fixed by B
-and never built.
+probe.  Every cover decision runs on the lifted correlation kernel: the
+build's batch filter, the certificate and a sweep's codebook statistics
+all reduce through one blocked real-GEMM kernel, ``_reduce``, with one
+block rule, ``_corr_width``, and the build tests a probe against the
+codewords its own batch added by their lifted product.  The precoding VLQ
+quantizes with the same codebook: its precoders {I/sqrt(t)} U {x x^H :
+x in B} are fixed by B and never built.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -35,9 +38,6 @@ __all__ = [
 _DUPLICATE_CORR = 1.0 - 1e-9
 _PROBE_BATCH = 512  # build probes drawn per generator call
 _BUILD_MARGIN = 0.25  # share of delta the build threshold keeps inside the cover
-# a build probe whose batched correlation^2 clears the threshold by this
-# much needs no exact test: rounding moves correlations by ~1e-16
-_BATCH_GUARD = 1e-12
 _REFINE_STEPS = 30  # descent steps from the worst verification probe
 # input caps: 10^8 probes take about 40 s at t=2 (|B| = 12) and 130 s at t=4
 # (|B| = 239) on a 2-vCPU Xeon, and a build verifies with 10 x its streak,
@@ -191,9 +191,15 @@ def _lift(z: np.ndarray) -> np.ndarray:
     Rows: |z_k|^2, then Re and Im of z_k conj(z_l) for k < l.
     """
     zt = z.T
-    k, l = np.triu_indices(z.shape[1], 1)
+    k, l = _pairs(z.shape[1])
     cross = zt[k] * zt[l].conj()
     return np.concatenate((zt.real**2 + zt.imag**2, cross.real, cross.imag))
+
+
+@lru_cache(maxsize=None)
+def _pairs(t: int) -> tuple:
+    """``np.triu_indices(t, 1)``, which takes most of a one-row lift."""
+    return np.triu_indices(t, 1)
 
 
 @dataclass(frozen=True)
@@ -279,37 +285,38 @@ def _greedy_cover(t: int, threshold: float, gen: np.random.Generator, stop_strea
     probe at index i of a batch drawn after ``drawn`` others ends the build
     once drawn + i - last reaches stop_streak.  The book starts as one zero
     row, whose correlation with any probe is 0, and drops it on return.
-    Each batch of probes is first correlated with the book as it stood
-    before the batch, by the sweep's kernel ``_reduce``; a probe that clears
-    the threshold there by _BATCH_GUARD clears it against the grown book
-    too, so only the other probes take the exact per-probe test.  Codewords
-    and probe count are those of the exact test on every probe.  A codeword
-    past _MAX_CODEWORDS raises CoveringError before it is added.  Book and
-    lift grow in doubling buffers; a batch lifts only the new rows, whose
-    lifts read nothing else, so the bits are those of the whole book's lift.
+    Every decision runs on the lifted kernel: each batch of probes is lifted
+    once and correlated with the book as it stood before the batch by the
+    sweep's kernel ``_reduce``, and a probe below the threshold there is
+    then tested against the codewords added earlier in the same batch alone,
+    by their lifted product.  A codeword past _MAX_CODEWORDS raises
+    CoveringError before it is added.  Book and lift grow in doubling
+    buffers, and each codeword is lifted when it is added; a lift reads
+    its own row alone, so the bits are those of the whole book's lift.
     """
-    mat, lifted = np.zeros((64, t), dtype=complex), np.empty((64, t * t))
-    size, lifted_size = 1, 0
+    mat, lifted = np.zeros((64, t), dtype=complex), np.zeros((64, t * t))
+    size = 1
     drawn = last = 0
     batch_best = np.empty(_PROBE_BATCH)
     while drawn - last < stop_streak:
         batch = _unit_probes(gen, t, _PROBE_BATCH)
-        lifted[lifted_size:size] = _lifted_codewords(mat[lifted_size:size])
-        lifted_size = size
-        _reduce(lifted[:size], _PROBE_BATCH, lambda lo, hi: _lift(batch[lo:hi]), batch_best)
-        for i in np.flatnonzero(batch_best < threshold + _BATCH_GUARD).tolist():
+        probes = _lift(batch)
+        _reduce(lifted[:size], _PROBE_BATCH, lambda lo, hi: probes[:, lo:hi], batch_best)
+        start = size
+        for i in np.flatnonzero(batch_best < threshold).tolist():
             if drawn + i - last >= stop_streak:
                 break
-            p = batch[i]
-            if np.max(np.abs(mat[:size] @ p.conj()) ** 2) < threshold:
-                if size > _MAX_CODEWORDS:
-                    raise CoveringError(f"the cover needs more than {_MAX_CODEWORDS} codewords")
-                if size == len(mat):
-                    mat = np.concatenate((mat, np.empty_like(mat)))
-                    lifted = np.concatenate((lifted, np.empty_like(lifted)))
-                mat[size] = p / np.linalg.norm(p)
-                size += 1
-                last = drawn + i + 1
+            if size > start and np.max(lifted[start:size] @ probes[:, i]) >= threshold:
+                continue
+            if size > _MAX_CODEWORDS:
+                raise CoveringError(f"the cover needs more than {_MAX_CODEWORDS} codewords")
+            if size == len(mat):
+                mat = np.concatenate((mat, np.empty_like(mat)))
+                lifted = np.concatenate((lifted, np.empty_like(lifted)))
+            mat[size] = batch[i] / np.linalg.norm(batch[i])
+            lifted[size] = _lifted_codewords(mat[size : size + 1])[0]
+            size += 1
+            last = drawn + i + 1
         drawn += _PROBE_BATCH
     return mat[1:size].copy(), last + stop_streak
 

@@ -572,7 +572,7 @@ class TestDirectionSampler:
         )
         write_records_csv(recs, tmp_path / "t2.csv")
         digest = hashlib.sha256((tmp_path / "t2.csv").read_bytes()).hexdigest()
-        assert digest == "3ebe8935ecc763f41f5f4e334f0b96b7a1761c1e699133f5ced66398e66f4733"
+        assert digest == "d560f7eb1427eaa8ef05828b6021ad14e8897ac9ab22d54fcb75f9513fe70867"
 
     def test_csv_bytes_do_not_depend_on_workers(self, tmp_path, all_specs):
         samples = 2 * _CHUNK + 11  # three chunks

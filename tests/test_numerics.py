@@ -146,6 +146,31 @@ class TestGammaTail:
             assert want > 2.2e-308, (t, x)
             assert gamma_tail(t, x) == pytest.approx(want, rel=1e-13, abs=0.0), (t, x)
 
+    @pytest.mark.parametrize("t", range(1, 9))
+    def test_deep_band_against_mpmath(self, t):
+        # from x = 700 to where the product rounds to 0, with no second
+        # formula: relative error <= 1e-15 while the tail is a normal double,
+        # within 2 subnormal ulps below it, and 0 from x_hi on
+        x_hi = math.log(t) + (t - 1) * math.log(1e4) + 1076.0 * math.log(2.0)
+        xs = np.random.default_rng(t).uniform(700.0, x_hi, 400)
+        got = gamma_tail(t, xs)
+        want = np.array([float(mpmath.gammainc(t, x, mpmath.inf, regularized=True)) for x in xs])
+        normal = want >= np.finfo(float).tiny
+        assert np.count_nonzero(normal) >= 10
+        assert np.max(np.abs(got - want)[normal] / want[normal]) <= 1e-15
+        assert np.max(np.abs(got - want)[~normal]) <= 2.0 * np.spacing(0.0)
+        assert np.all(gamma_tail(t, np.array([x_hi, np.nextafter(x_hi, math.inf), 2e3])) == 0.0)
+
+    def test_non_finite_on_a_craig_grid(self):
+        # the (n, 64) shape gamma_weighted_q_tail passes
+        xs = np.random.default_rng(3).uniform(0.0, 900.0, (6, 64))
+        xs[1, 5], xs[2, 60], xs[4, 0] = math.inf, -math.inf, math.nan
+        for t in range(1, 9):
+            got = gamma_tail(t, xs)
+            assert got.shape == (6, 64)
+            assert got[1, 5] == 0.0 and got[2, 60] == 1.0 and math.isnan(got[4, 0])
+            assert np.count_nonzero(np.isnan(got)) == 1
+
     def test_vectorized(self):
         xs = np.array([-1.0, 0.0, 0.5, 2.0, 800.0, 1e4, 2e4, 1e300, math.inf])
         for t in (1, 2, 8):
@@ -400,16 +425,12 @@ class TestBufferedKernels:
                 acc += term
             return acc
 
-        a = np.atleast_1d(np.asarray(x, dtype=float))
-        pos = np.clip(a, 0.0, 700.0)
-        out = np.exp(-pos) * exp_sum(pos)
-        # from 700 on exp(ln sum - x), and 0 where that is surely not normal
-        x_hi = math.log(t) + (t - 1) * math.log(1e4) - math.log(np.finfo(float).tiny)
-        deep = np.clip(a, 700.0, x_hi)
+        # on x clipped to [0, x_hi], from where the product rounds to 0
+        x_hi = math.log(t) + (t - 1) * math.log(1e4) + 1076.0 * math.log(2.0)
+        pos = np.clip(np.atleast_1d(np.asarray(x, dtype=float)), 0.0, x_hi)
+        h = np.exp(-0.5 * pos)
         with np.errstate(under="ignore"):
-            far = np.exp(np.log(exp_sum(deep)) - deep)
-        far[a >= x_hi] = 0.0
-        return np.where(a <= 0.0, 1.0, np.where(a >= 700.0, far, out))
+            return exp_sum(pos) * h * h
 
     @staticmethod
     def mrc_formula(t, snr):
@@ -429,8 +450,7 @@ class TestBufferedKernels:
             gen.uniform(0.0, 60.0, 4000),
             [-5.0, -0.0, 0.0, 5e-324, 1e-300, 699.999, 700.0, 701.0, 1e300],
         ])
-        # a dense band about 700: the entries in [700, x_hi) are gathered
-        # into a free buffer, or a new one where they are most of the array
+        # a dense band about 700, where exp(-x) nears underflow
         band = gen.uniform(690.0, 730.0, 4096)
         shapes = (band, band[:512].reshape(8, 64), np.concatenate([x, band]),
                   np.concatenate([x[:448], band[:64]]).reshape(8, 64))
