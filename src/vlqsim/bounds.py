@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .numerics import bpsk_mrc_ser, gamma_lower, q_function
+from .numerics import _ipow, bpsk_mrc_ser, gamma_lower, q_function
 from .quantizer import index_bits
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -98,7 +98,7 @@ def vlq_rate_excess(t: int, size: int, P: float) -> float:
     else:
         ln_c0 = math.log(k) - _RATE_HEAD
         c = np.exp(0.5 * ln_c0 * (1.0 - _RATE_XI))
-        dens = (t - 1) * (1.0 - c) ** (t - 2) * c  # Beta(1, t-1) density by dc / d ln c
+        dens = (t - 1) * _ipow(1.0 - c, t - 2) * c  # Beta(1, t-1) density by dc / d ln c
         tail = float(np.dot(dens * gamma_lower(t, k / c), _RATE_W)) * -0.5 * ln_c0
         mean = -math.expm1((t - 1) * math.log1p(-math.exp(ln_c0))) + tail
     return min(bits, bits * size * mean)

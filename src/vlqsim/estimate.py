@@ -38,10 +38,10 @@ Because the draws are shared, so is the codebook correlation.  Each spec
 names the beamforming codebook it quantizes with (``spec.codebook``, None
 for full CSIT and open loop); per chunk, the correlation runs once per
 distinct codebook for the whole P grid, and every spec using it receives
-the same ``_BookStats``: per-draw (max, min, column-0) of
-|<x_i, hbar>|^2, column 0 only in plain mode, where bf-vlq's short branch
-reads it.  The kernel itself is one blocked real GEMM on the lift (see
-``BeamformingCodebook.lifted_stats``).  A chunk's lift is drawn in blocks
+the same ``_BookStats``: per-draw max of |<x_i, hbar>|^2, and for a book
+that bf-vlq quantizes with the min and, in plain mode, column 0, which
+only bf-vlq's rule reads.  The kernel is one blocked real GEMM on the lift
+(see ``BeamformingCodebook.lifted_stats``).  A chunk's lift is drawn in blocks
 of at most 1 MiB up to t = 5 and of 4 096 draws beyond (a whole chunk at
 t <= 2, 8 192 draws at t = 3 and 4, 4 096 at t >= 5), one buffer per
 chunk, and each block's stats are written into the chunk's arrays before
@@ -385,12 +385,12 @@ class _BookStats:
     |<x_i, hbar>|^2) on one chunk's lifted directions, or on ``expect``'s
     nodes, shared by every spec that quantizes with it, in either mode.
     It reads only the codebook's t and delta, so it is built from them and
-    the three arrays, not from the book.  Column 0 is None in radial mode,
-    which does not read it.  The min, when given, is floored at 1e-300 in
-    place, once per chunk: radial bf-vlq divides by it at every P, and
-    plain bf-vlq's test c_min ||h||^2 P >= beta reads the same for any
-    c_min below the floor unless ||h||^2 P >= 10^300 beta.  ``expect`` may
-    pass None for it when no spec reads it.
+    the three arrays, not from the book.  The min and column 0 are None
+    unless a bf-vlq spec reads them, column 0 always in radial mode.  The
+    min, when given, is floored at 1e-300 in place, once per chunk: radial
+    bf-vlq divides by it at every P, and plain bf-vlq's test
+    c_min ||h||^2 P >= beta reads the same for any c_min below the floor
+    unless ||h||^2 P >= 10^300 beta.
 
     ``mrc_ser(P, r)`` is ``bpsk_mrc_ser(t, c_max P / r)``, kept for the
     latest P only, one array per r: bf-flq, bf-vlq and pc-vlq at r = 1 read
@@ -443,18 +443,27 @@ class _BookStats:
         return self._mrc[r]
 
 
+def _min_readers(specs) -> set:
+    """Ids of the codebooks that a bf-vlq spec quantizes with: the only ones
+    whose per-draw min (and column 0) a scheme reads."""
+    return {id(s.codebook) for s in specs if isinstance(s, VariableLengthBeamforming)}
+
+
 def _draws(specs, stream, c_idx, n, conditioning):
     """P-free half of chunk c_idx: (norm2, stats).  stats maps each distinct
     codebook's id to its ``_BookStats`` on n directions from substream
     (0, c_idx), correlated one block of ``direction_blocks`` at a time into
     the chunk's stats arrays; no direction is drawn when no spec has a
-    codebook, and column 0 (``c_first``) only in plain mode.  norm2 holds
+    codebook, and the min and column 0 (``c_first``) only for the codebooks
+    that ``_min_readers`` names, column 0 in plain mode only.  norm2 holds
     each draw's ||h||^2 from substream (1, c_idx) in plain mode; it is None
     in radial mode, which never reads (1, c_idx)."""
     t = specs[0].t
     radial = conditioning == "radial"
     books = {id(s.codebook): s.codebook for s in specs if s.codebook is not None}
-    arrays = {key: (np.empty(n), np.empty(n), None if radial else np.empty(n)) for key in books}
+    mins = _min_readers(specs)
+    arrays = {key: (np.empty(n), np.empty(n) if key in mins else None,
+                    np.empty(n) if key in mins and not radial else None) for key in books}
     if books:
         for lo, lifted in direction_blocks(stream.child(0, c_idx), t, n):
             hi = lo + lifted.shape[1]
@@ -667,8 +676,7 @@ def expect(specs, P_grid, nodes, weights) -> list:
             and abs(math.fsum(weights) - 1.0) <= 1e-9):
         raise ValueError("weights must be finite, >= 0 and sum to 1 within 1e-9")
     books = {id(s.codebook): s.codebook for s in specs if s.codebook is not None}
-    reads_c_min = any(isinstance(s, VariableLengthBeamforming) for s in specs)
-    if (books and c_max is None) or (reads_c_min and c_min is None):
+    if (books and c_max is None) or (c_min is None and _min_readers(specs)):
         raise ValueError("a spec reads a node column that is None")
     stats = {key: _BookStats(book.t, book.delta, (c_max, c_min, None))
              for key, book in books.items()}

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -132,17 +133,18 @@ def q_function(x):
 
 def gamma_tail(t: int, x):
     """Regularized upper incomplete gamma Gamma(t, x)/Gamma(t) for integer
-    1 <= t <= 199 (the sum overflows beyond); vectorized in x.
+    1 <= t <= 171, where every 1/k! is a normal double; vectorized in x.
 
     One formula at every x: sum_{k < t} x^k / k! * h * h with h = e^{-x/2},
-    on x clipped to [0, x_hi].  So it is 1 for x <= 0 and NaN for NaN.
+    the sum by Horner's rule, on x clipped to [0, x_hi].  So it is 1 for
+    x <= 0 and NaN for NaN.
     The tail is below t x^(t-1) e^-x, which falls from x = t on, so from
     x_hi = ln t + (t-1) ln 1e4 + 1076 ln 2 (812 at t = 8) on it is below
     half the smallest subnormal double, and the product rounds to 0 there,
     +inf included; the sum stays finite and h is a normal double up to
     x = 1416, past x_hi for t <= 73.  Against mpmath at 40 digits for t in
     1..8, 7000 random x below 700 and 6000 on [700, 800) each: relative
-    error <= 6.7e-16 below 700 and <= 7.7e-16 on [700, 800) wherever the
+    error <= 8.9e-16 below 700 and <= 7.8e-16 on [700, 800) wherever the
     tail is a normal double.
     """
     if t < 1 or t != int(t):
@@ -154,18 +156,10 @@ def gamma_tail(t: int, x):
         a = a.reshape(1)
     x_hi = math.log(t) + (t - 1) * math.log(1e4) + 1076.0 * math.log(2.0)
     pos = np.clip(a, 0.0, x_hi)
-    # the sum from 1 + x on, each term from the last
-    out = np.add(pos, 1.0) if t > 1 else np.ones_like(pos)
-    if t > 2:
-        term = pos.copy()
-        for k in range(2, t):
-            np.multiply(term, pos, out=term)
-            np.divide(term, k, out=term)
-            out += term
-    h = np.multiply(pos, -0.5, out=pos)
+    h = np.multiply(pos, -0.5)
     np.exp(h, out=h)
     with np.errstate(under="ignore"):
-        out *= h
+        out = _horner(pos, _tail_coefs(t), h)
         out *= h
     return float(out[0]) if scalar else out
 
@@ -175,10 +169,11 @@ def gamma_lower(t: int, x):
     for integer 1 <= t <= about 140 (x^t overflows beyond); vectorized in x.
 
     From x = t + 1 on, where the tail is below 1/2, it is 1 - the tail;
-    below, e^-x x^t / t! (1 + x/(t+1) (1 + x/(t+2) (1 + ...))) (Abramowitz
-    & Stegun 6.5.29), summed backward from the first term below eps/4, so a
-    small P has no 1 - tail cancellation.  Against mpmath for t in 1..8 and
-    x in [1e-12, 1e3]: relative error <= 1e-14.
+    below, e^-x x^t / t! sum_k x^k / ((t+1) ... (t+k)) (Abramowitz & Stegun
+    6.5.29) by Horner's rule up to the first term below eps/4 at the largest
+    x, so a small P has no 1 - tail cancellation.  Against mpmath at 40
+    digits for t in 1..8 and 4000 x in [1e-12, 1e3]: relative error
+    <= 6.7e-16.
     """
     a = np.asarray(x, dtype=float)
     scalar = a.ndim == 0
@@ -188,15 +183,12 @@ def gamma_lower(t: int, x):
     low = a < t + 1
     if low.any():
         s = np.maximum(a[low], 0.0)
-        top, term, n = float(np.max(s)), 1.0, 0  # a NaN ends the count at once
+        top, term, n = float(np.max(s)), 1.0, 0
         while term > 0.25 * np.finfo(float).eps:
             n += 1
             term *= top / (t + n)
-        acc = np.ones_like(s)
-        for k in range(n, 0, -1):
-            acc *= s / (t + k)
-            acc += 1.0
-        out[low] = acc * (np.exp(-s) * s**t / math.factorial(t))
+        w = np.exp(-s) * _ipow(s.copy(), t) / math.factorial(t)
+        out[low] = _horner(s, _lower_coefs(t, n), w)
     return float(out[0]) if scalar else out
 
 
@@ -235,7 +227,8 @@ def gamma_weighted_q_tail(t: int, s, x0: float):
         a = np.where(inf, 0.0, a)
     with np.errstate(under="ignore"):
         ratio = _CRAIG_SIN2 / (_CRAIG_SIN2 + a[:, None])  # 1 / a(th)
-        res = (ratio**t * gamma_tail(t, x0 / ratio)) @ _CRAIG_WEIGHTS
+        tail = gamma_tail(t, x0 / ratio)
+        res = (_ipow(ratio, t) * tail) @ _CRAIG_WEIGHTS
     res[inf] = 0.0
     return float(res[0]) if scalar else res
 
@@ -337,7 +330,10 @@ def bpsk_mrc_ser(t: int, snr):
     """Closed-form average BPSK error rate with t-branch maximal-ratio
     combining over i.i.d. unit-power Rayleigh fading at the given linear SNR.
 
-    Vectorized in snr; an infinite SNR gives the limit 0.0.
+    Vectorized in snr; an infinite SNR gives the limit 0.0.  It reads only
+    +, *, / and sqrt, so its bytes do not depend on numpy's SIMD dispatch.
+    Against mpmath at 40 digits, t in 1..8 and 3000 SNRs in [1e-3, 1e12]:
+    relative error <= 2.2e-15.
     """
     if t < 1 or t != int(t):
         raise ValueError("t must be a positive integer")
@@ -359,32 +355,56 @@ def _mrc_ser(t: int, a: np.ndarray) -> np.ndarray:
     """``bpsk_mrc_ser`` on an array of finite a >= 0 (or NaN), unchecked."""
     # mu = sqrt(a / (1 + a)); 0.5 (1 - mu) is formed without the
     # cancellation at high SNR as lo = 0.5 / ((1 + a)(1 + mu)), since
-    # 1 - mu^2 = 1/(1+a); hi = 0.5 (1 + mu)
+    # 1 - mu^2 = 1/(1+a); res = lo^t sum_{k < t} C(t-1+k, k) 2^-k y^k, y = 1 + mu
     lo = np.add(1.0, a)
-    hi = np.divide(a, lo)
-    np.sqrt(hi, out=hi)
-    hi += 1.0
-    lo *= hi
+    y = np.divide(a, lo)
+    np.sqrt(y, out=y)
+    y += 1.0
+    lo *= y
     np.divide(0.5, lo, out=lo)
-    # res = lo^t sum_{k < t} C(t-1+k, k) hi^k, the powers as ``**`` forms
-    # them; the sum starts at 1 + C(t, 1) hi, since hi^1 is hi itself, and
-    # at t = 1 it is 1, which leaves res = lo
-    if t == 1:
-        return lo
-    if t == 2:  # 1 + 2 hi is 2 hi + 1 = (1 + mu) + 1, exactly
-        hi += 1.0
-        return np.multiply(np.square(lo, out=lo), hi, out=hi)
-    hi *= 0.5
-    acc = np.multiply(t, hi)
-    acc += 1.0
-    term = np.empty_like(a)
-    for k in range(2, t):
-        np.multiply(math.comb(t - 1 + k, k), _power(hi, k, term), out=term)
-        acc += term
-    return np.multiply(_power(lo, t, lo), acc, out=acc)
+    return _horner(y, _mrc_coefs(t), _ipow(lo, t))
 
 
-def _power(x: np.ndarray, k: int, out: np.ndarray) -> np.ndarray:
-    """``x ** k`` for an integer k >= 1, bit for bit, into out (which may be
-    x): ``**`` squares with ``np.square``."""
-    return np.square(x, out=out) if k == 2 else np.power(x, k, out=out)
+def _horner(x: np.ndarray, coefs: tuple, w: np.ndarray) -> np.ndarray:
+    """w sum_k coefs[k] x^k by Horner's rule for coefs[0] == 1, written over
+    x, or w itself when that is the whole sum; a leading coefficient of 1 is
+    added, not multiplied by, and the steps before the last use a temporary."""
+    if len(coefs) == 1:
+        return w
+    out = x if len(coefs) == 2 else None
+    if coefs[-1] == 1.0:
+        acc = np.add(x, coefs[-2], out=out)
+    else:
+        acc = np.multiply(x, coefs[-1], out=out)
+        acc += coefs[-2]
+    if len(coefs) > 2:
+        for c in coefs[-3:0:-1]:
+            acc *= x
+            acc += c
+        x *= acc
+        x += coefs[0]
+    x *= w
+    return x
+
+
+def _ipow(x: np.ndarray, k: int) -> np.ndarray:
+    """x**k for an integer k >= 0, written over x, by k - 1 products from
+    the left, which round alike on every SIMD path, unlike ``np.power``."""
+    if k == 0:
+        x.fill(1.0)
+    elif k > 1:
+        p = x if k == 2 else np.multiply(x, x)  # x^(k-1)
+        for _ in range(k - 3):
+            p *= x
+        np.multiply(p, x, out=x)
+    return x
+
+
+# The Horner coefficients, exact rationals each rounded once to a double:
+# 1/k! for gamma_tail's sum_{k < t} x^k / k!, C(t-1+k, k) / 2^k for the MRC
+# sum in 1 + mu, and 1 / ((t+1) ... (t+k)) up to k = n for gamma_lower's.
+_tail_coefs = lru_cache(lambda t: tuple(1 / math.factorial(k) for k in range(t)))
+_mrc_coefs = lru_cache(lambda t: tuple(math.comb(t - 1 + k, k) / 2**k for k in range(t)))
+_lower_coefs = lru_cache(
+    lambda t, n: tuple(1 / math.prod(range(t + 1, t + k + 1)) for k in range(n + 1))
+)

@@ -548,20 +548,48 @@ class TestDirectionSampler:
     @pytest.mark.parametrize("t, size", [(2, 12), (3, 51), (4, 239)])
     def test_blocks_change_no_bit(self, t, size):
         # a chunk correlated one block at a time has the stats of its whole
-        # lift, and chunk_lift is that lift; column 0 is read, and
-        # so kept, in plain mode only
+        # lift, and chunk_lift is that lift; bf-vlq reads the min, and
+        # column 0 in plain mode only
         book = random_book(t, size, 0.5)
         n = 2 * _block_width(t) + 5
         stream = RngStream(78)
         want = book.lifted_stats(chunk_lift(stream.child(0, 3), t, n))
         for conditioning in ("radial", "none"):
-            _, stats = estimate._draws([FixedLengthBeamforming(book)], stream, 3, n, conditioning)
+            specs = [VariableLengthBeamforming(book)]
+            _, stats = estimate._draws(specs, stream, 3, n, conditioning)
             got = stats[id(book)]
             assert np.array_equal(got.c_max, want[0]) and np.array_equal(got.c_min, want[1])
             if conditioning == "radial":
                 assert got.c_first is None
             else:
                 assert np.array_equal(got.c_first, want[2])
+
+    @pytest.mark.parametrize("conditioning", ["radial", "none"])
+    def test_min_and_column_0_only_for_bf_vlq(self, book, monkeypatch, conditioning):
+        # only bf-vlq reads a codebook's per-draw min, and only plain bf-vlq
+        # its column 0; a sweep without bf-vlq computes neither
+        built = []
+        original = estimate._BookStats
+
+        def recorded(t, delta, stats):
+            built.append(stats)
+            return original(t, delta, stats)
+
+        monkeypatch.setattr(estimate, "_BookStats", recorded)
+        alone = [[FixedLengthBeamforming(book)], [VariableLengthPrecoding(book)],
+                 [FixedLengthBeamforming(book), VariableLengthPrecoding(book)]]
+        for specs in alone:
+            built.clear()
+            ser_rate_sweep(specs, [1e2, 1e3], 1000, RngStream(82), conditioning=conditioning)
+            assert built and all(c_max is not None and c_min is None and c_first is None
+                                 for c_max, c_min, c_first in built)
+        built.clear()
+        specs = TestSharedCorrelation.coded_specs(book)
+        ser_rate_sweep(specs, [1e2, 1e3], 1000, RngStream(82), conditioning=conditioning)
+        assert len(built) == 1
+        c_max, c_min, c_first = built[0]
+        assert c_max is not None and c_min is not None
+        assert (c_first is None) == (conditioning == "radial")
 
     def test_t2_sweep_bytes_are_pinned(self, book, tmp_path):
         # these bytes pass through numpy's SIMD exp and log and a GEMM, so

@@ -1,6 +1,8 @@
 """Numerics kernel tests against independent high-precision oracles."""
 
+import hashlib
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -404,6 +406,33 @@ class TestBpskMrcSer:
             want = np.array([oracle(t, x) for x in snr])
             assert np.max(np.abs(bpsk_mrc_ser(t, snr) / want - 1.0)) <= 1e-13
 
+    @pytest.mark.parametrize("t", range(1, 9))
+    def test_relative_error_against_mpmath(self, t):
+        # Horner's sum in 1 + mu has positive terms, and lo^t is t - 1
+        # products: a few ulp at every SNR, with no cancellation
+        def oracle(snr):
+            a = mpmath.mpf(snr)
+            mu = mpmath.sqrt(a / (1 + a))
+            lo, hi = (1 - mu) / 2, (1 + mu) / 2
+            return float(lo**t * mpmath.fsum(mpmath.binomial(t - 1 + k, k) * hi**k for k in range(t)))
+
+        snr = np.geomspace(1e-3, 1e12, 301)
+        want = np.array([oracle(x) for x in snr])
+        assert np.max(np.abs(bpsk_mrc_ser(t, snr) / want - 1.0)) <= 2.5e-15
+
+    def test_mrc_bytes_are_pinned(self):
+        # exact inputs (integers times 2^-30) through +, *, / and sqrt only,
+        # which IEEE rounds the same on every SIMD path: these bytes hold
+        # under any CPU dispatch, so CI runs this pin under every setting
+        k = np.arange(1 << 17, dtype=np.int64)
+        snr = (k * k * k).astype(float) * 2.0**-30
+        digest = hashlib.sha256()
+        for t in range(1, 9):
+            digest.update(bpsk_mrc_ser(t, snr).tobytes())
+        assert digest.hexdigest() == (
+            "71d61ff03c1511871c2ed5d2ca301a136bf674cb76da4779130416b5478601f6"
+        )
+
     def test_diversity_slope(self):
         for t in (1, 2, 4):
             lo = float(bpsk_mrc_ser(t, 1e4))
@@ -413,35 +442,36 @@ class TestBpskMrcSer:
 
 class TestBufferedKernels:
     """``gamma_tail`` and ``bpsk_mrc_ser`` work in place but keep the
-    arithmetic of the allocating formulas below, in the same order."""
+    arithmetic of the allocating formulas below, in the same order: a Horner
+    sum with exact rational coefficients, each rounded once to a double."""
 
     @staticmethod
-    def gamma_tail_formula(t, x):
-        def exp_sum(x):
-            term = np.ones_like(x)
-            acc = np.ones_like(x)
-            for k in range(1, int(t)):
-                term = term * x / k
-                acc += term
-            return acc
+    def horner(x, coefs):
+        acc = np.full_like(x, coefs[-1])
+        for c in coefs[-2::-1]:
+            acc = acc * x + c
+        return acc
 
+    @classmethod
+    def gamma_tail_formula(cls, t, x):
         # on x clipped to [0, x_hi], from where the product rounds to 0
         x_hi = math.log(t) + (t - 1) * math.log(1e4) + 1076.0 * math.log(2.0)
         pos = np.clip(np.atleast_1d(np.asarray(x, dtype=float)), 0.0, x_hi)
         h = np.exp(-0.5 * pos)
+        coefs = [float(Fraction(1, math.factorial(k))) for k in range(t)]
         with np.errstate(under="ignore"):
-            return exp_sum(pos) * h * h
+            return cls.horner(pos, coefs) * h * h
 
-    @staticmethod
-    def mrc_formula(t, snr):
+    @classmethod
+    def mrc_formula(cls, t, snr):
         a = np.atleast_1d(np.asarray(snr, dtype=float))
         mu = np.sqrt(a / (1.0 + a))
         lo = 0.5 / ((1.0 + a) * (1.0 + mu))
-        hi = 0.5 * (1.0 + mu)
-        acc = np.zeros_like(a)
-        for k in range(t):
-            acc += math.comb(t - 1 + k, k) * hi**k
-        return lo**t * acc
+        lo_t = lo
+        for _ in range(t - 1):
+            lo_t = lo_t * lo
+        coefs = [float(Fraction(math.comb(t - 1 + k, k), 2**k)) for k in range(t)]
+        return cls.horner(1.0 + mu, coefs) * lo_t
 
     def test_gamma_tail_bit_for_bit(self):
         gen = np.random.default_rng(80)
