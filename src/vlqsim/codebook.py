@@ -7,7 +7,11 @@ probe.  Every cover decision runs on the lifted correlation kernel: the
 build's batch filter, the certificate and a sweep's codebook statistics
 all reduce through one blocked real-GEMM kernel, ``_reduce``, with one
 block rule, ``_corr_width``, and the build tests a probe against the
-codewords its own batch added by their lifted product.  The precoding VLQ
+codewords its own batch added by their lifted product.  A book's validity
+check runs on the same lift and block rule: each pair of codewords is
+tested in the block of ``_corr_width`` columns that holds the later one,
+against the codewords up to that block's end, so its scratch is one
+kernel block of |B| x ``_corr_width`` doubles.  The precoding VLQ
 quantizes with the same codebook: its precoders {I/sqrt(t)} U {x x^H :
 x in B} are fixed by B and never built.
 """
@@ -80,15 +84,20 @@ class BeamformingCodebook:
             raise ValueError("codewords must be unit norm to 1e-12")
         if len(self) > _MAX_CODEWORDS:
             raise ValueError(f"codebook has {len(self)} codewords, more than {_MAX_CODEWORDS}")
-        # about _CORR_ENTRIES correlations at a time: the whole |B| x |B|
-        # product and its abs take 24 |B|^2 bytes, 6.4 GB at the cap
-        step = max(1, _CORR_ENTRIES // len(self))
-        for lo in range(0, len(self), step):
-            corr = np.abs(self.vectors @ self.vectors[lo : lo + step].conj().T)
+        lifted = _lift(self.vectors)
+        self._lifted = _lifted_codewords(lifted)
+        # each pair in the block of its later codeword, against the codewords
+        # up to the block's end: one lifted product of at most 10^6
+        # multiply-adds per block, into one buffer of a kernel block
+        size, width = len(self), _corr_width(len(self), self.t)
+        buf = np.empty(size * min(size, width))
+        for lo in range(0, size, width):
+            hi = min(lo + width, size)
+            corr = buf[: hi * (hi - lo)].reshape(hi, hi - lo)
+            np.matmul(self._lifted[:hi], lifted[:, lo:hi], out=corr)
             np.fill_diagonal(corr[lo:], 0.0)
-            if np.max(corr) >= _DUPLICATE_CORR:
+            if np.max(corr) >= _DUPLICATE_CORR**2:
                 raise ValueError("duplicate codewords")
-        self._lifted = _lifted_codewords(self.vectors)
 
     @property
     def t(self) -> int:
@@ -164,6 +173,8 @@ def _corr_width(size: int, t: int) -> int:
     64 and at most 4096, and at most _GEMM_MNK // (size t^2), so that no
     product has more than 10^6 multiply-adds m n k: 4096 at t = 2, |B| = 12,
     256 at t = 4, |B| = 239 (m n k = 978 944), but 250 at t = 4, |B| = 250.
+    ``_reduce`` blocks its draws by it, and ``BeamformingCodebook``'s
+    duplicate check its codewords, whose products have at most |B| rows.
 
     OpenBLAS (0.3.31, SkylakeX kernels) runs a GEMM of m n k <= 10^6 on
     its small-matrix path, on one thread and without packing, and packs and
@@ -177,12 +188,13 @@ def _corr_width(size: int, t: int) -> int:
     return max(1, min(width, _GEMM_MNK // (size * t * t)))
 
 
-def _lifted_codewords(vectors: np.ndarray) -> np.ndarray:
-    """(|B|, t^2): each codeword's lift with its off-diagonal terms doubled,
-    so that its inner product with lift(h) is |<x, h>|^2."""
-    lifted = _lift(vectors)
-    lifted[vectors.shape[1] :] *= 2.0
-    return np.ascontiguousarray(lifted.T)
+def _lifted_codewords(lifted: np.ndarray) -> np.ndarray:
+    """(|B|, t^2): each codeword's lift, a column of the codewords' ``_lift``
+    ``lifted``, with its off-diagonal terms doubled, so that its inner
+    product with lift(h) is |<x, h>|^2; ``lifted`` is left as it is."""
+    weights = lifted.T.copy()
+    weights[:, math.isqrt(len(lifted)) :] *= 2.0
+    return weights
 
 
 def _lift(z: np.ndarray) -> np.ndarray:
@@ -314,7 +326,7 @@ def _greedy_cover(t: int, threshold: float, gen: np.random.Generator, stop_strea
                 mat = np.concatenate((mat, np.empty_like(mat)))
                 lifted = np.concatenate((lifted, np.empty_like(lifted)))
             mat[size] = batch[i] / np.linalg.norm(batch[i])
-            lifted[size] = _lifted_codewords(mat[size : size + 1])[0]
+            lifted[size] = _lifted_codewords(_lift(mat[size : size + 1]))[0]
             size += 1
             last = drawn + i + 1
         drawn += _PROBE_BATCH

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -72,11 +73,11 @@ class TestValidation:
         with pytest.raises(ValueError, match="finite"):
             BeamformingCodebook(vectors=v, delta=0.3)
 
-    @pytest.mark.parametrize("entries", [5, 8, 16, 1 << 16])
-    def test_duplicates_found_across_blocks(self, monkeypatch, entries):
-        # 5 codewords checked a block of 1, 1, 3 or 5 columns at a time:
+    @pytest.mark.parametrize("width", [1, 2, 3, 5])
+    def test_duplicates_found_across_blocks(self, monkeypatch, width):
+        # 5 codewords checked a block of 1, 2, 3 or 5 columns at a time:
         # the twin of row i sits in the last block
-        monkeypatch.setattr(codebook, "_CORR_ENTRIES", entries)
+        monkeypatch.setattr(codebook, "_corr_width", lambda size, t: width)
         v = sample_channels(RngStream(8), 3, 4)
         v /= np.linalg.norm(v, axis=1, keepdims=True)
         BeamformingCodebook(vectors=v, delta=0.3)
@@ -85,6 +86,53 @@ class TestValidation:
                 BeamformingCodebook(vectors=np.vstack((v, 1j * v[i : i + 1])), delta=0.3)
         for t in (1, 2, 5):
             BeamformingCodebook(vectors=np.eye(t, dtype=complex), delta=0.3)
+
+    @pytest.mark.parametrize("t", [2, 4])
+    def test_duplicate_boundary(self, t):
+        # y = cos(a) x + sin(a) x_perp has |<x, y>| = cos(a): a duplicate
+        # from 1 - 1e-9 up, under any phase, and distinct below; the check
+        # compares the squared correlation with (1 - 1e-9)^2
+        gen = np.random.default_rng(t)
+        x, x_perp = gen.standard_normal((2, t)) + 1j * gen.standard_normal((2, t))
+        x /= np.linalg.norm(x)
+        x_perp -= np.vdot(x, x_perp) * x
+        x_perp /= np.linalg.norm(x_perp)
+        for cos, duplicate in (
+            (1.0 - 1e-10, True),
+            (1.0 - 7e-10, True),
+            (1.0 - 1.5e-9, False),
+            (1.0 - 1e-8, False),
+        ):
+            y = cos * x + math.sqrt(1.0 - cos * cos) * x_perp
+            for phase in (1.0, np.exp(2.1j)):
+                v = np.vstack((x, phase * y))
+                if duplicate:
+                    with pytest.raises(ValueError, match="duplicate"):
+                        BeamformingCodebook(vectors=v, delta=0.3)
+                else:
+                    BeamformingCodebook(vectors=v, delta=0.3)
+
+    @pytest.mark.parametrize("size", [239, 2048])
+    def test_validity_check_scratch(self, size):
+        # the duplicate check holds one kernel block of |B| x _corr_width
+        # doubles next to the lifts: the stored t=4 book and a random one
+        t = 4
+        if size == 239:
+            vectors = load_codebook(REFERENCE_BOOKS / "book-t4.json").vectors
+        else:
+            gen = np.random.default_rng(size)
+            vectors = gen.standard_normal((size, t)) + 1j * gen.standard_normal((size, t))
+            vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+        assert vectors.shape == (size, t)
+        # a first construction fills the lift's index cache, which stays
+        BeamformingCodebook(vectors=vectors, delta=0.3)
+        tracemalloc.start()
+        try:
+            BeamformingCodebook(vectors=vectors, delta=0.3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * size * codebook._corr_width(size, t) + 3 * 8 * t * t * size
 
     def test_rejects_more_codewords_than_the_cap(self, monkeypatch):
         monkeypatch.setattr(codebook, "_MAX_CODEWORDS", 3)
