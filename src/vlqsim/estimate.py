@@ -19,8 +19,9 @@ that the correlation reads:
   unusable).
 
 In either mode a value that is the same for every draw, such as a constant
-rate or a radial feedback-free SER, is a float, not an array: its moments
-(n, n v, 0) have no spread, so its record is v, to one ulp, with stderr 0.
+rate, a radial feedback-free SER or bf-vlq's bracket half-width, is a float,
+not an array, and every chunk keeps it as itself: its record is v exactly,
+with stderr 0.
 
 Common random numbers: every quantizer at every grid point of one sweep
 sees the same draws, and the chunk partition is fixed, so outputs do not
@@ -110,6 +111,7 @@ from .numerics import (
     _mrc_ser,
     bpsk_mrc_ser,
     fit_loglog,
+    gamma_lower,
     gamma_tail,
     gamma_weighted_q_tail,
     integrate_gamma_weighted,
@@ -142,9 +144,10 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 15
-# input caps: a sweep keeps every chunk's moments until it ends, about
-# 3.15 KB per chunk for 3 schemes at 3 P, so 10^10 draws (305 176 chunks)
-# hold about 1 GB; each worker is an OS thread
+# input caps: a sweep keeps every chunk's moments until it ends, and at its
+# peak each chunk's pool future too, about 3.0 KB per chunk for bf-flq,
+# bf-vlq and pc-vlq at 3 P, so 10^10 draws (305 176 chunks) hold about
+# 0.9 GB; each worker is an OS thread
 MAX_SAMPLES = 10**10
 MAX_WORKERS = 1024
 
@@ -340,7 +343,7 @@ class VariableLengthPrecoding:
 
     def prepare(self, P: float):
         """(Chebyshev coefficients of log I in x, short-branch I, feedback
-        rate) for power P."""
+        rate 1 + bits P(t, x0) from the lower incomplete gamma) for power P."""
         t, r = self.t, self.r
         x0 = self.threshold / P
         lo, hi = math.log((1.0 - self.codebook.delta) * P / r), math.log(P / r)
@@ -354,7 +357,7 @@ class VariableLengthPrecoding:
         tol = np.finfo(float).eps * np.min(ser_nodes / tail_nodes)
         dropped = np.cumsum(np.abs(coef[::-1]))[::-1]
         keep = max(2, int(np.count_nonzero(dropped > tol)))
-        rate = 1.0 + self.bits * (1.0 - gamma_tail(t, x0))
+        rate = 1.0 + self.bits * gamma_lower(t, x0)
         return coef[:keep], tail_short, rate
 
     def conditioned(self, stats, P: float, prepared):
@@ -488,11 +491,11 @@ def _conditional_ser(specs, norm2, stats, P, prepared):
 
 def _moments(v, n: int):
     """(count, sum, sum of squared deviations from the mean) of a chunk of n
-    draws of v.  A float is the same for every draw: (n, n v, 0.0).  An
-    array's are ``np.sum(v)`` and ``np.sum((v - mean) ** 2)``, bit for bit,
-    with the ufunc's own reduce and the square in place."""
+    draws of an array v: ``np.sum(v)`` and ``np.sum((v - mean) ** 2)``, bit
+    for bit, with the ufunc's own reduce and the square in place.  A float
+    is the same for every draw and is returned as itself."""
     if not isinstance(v, np.ndarray):
-        return n, n * v, 0.0
+        return v
     total = float(np.add.reduce(v, axis=None))
     dev = np.subtract(v, total / n)
     np.square(dev, out=dev)
@@ -500,19 +503,16 @@ def _moments(v, n: int):
 
 
 def _mean_stderr(parts):
-    """Mean and its standard error from per-chunk moments.
+    """Mean and its standard error from per-chunk ``_moments``.
 
-    Chunks are combined in index order with the parallel-variance update
+    Float parts are one direction-free value, the same ``prepare(P)`` value
+    in every chunk, so the mean is that value exactly, with stderr 0.
+    Moments are combined in index order with the parallel-variance update
     (Chan, Golub & LeVeque), so a per-draw value that varies only by
     rounding gets a rounding-sized stderr, not the one-pass cancellation.
-    Chunks that all hold one value v, as a float's moments do, give v with
-    stderr 0.  Every chunk but the last has _CHUNK draws, a power of two, so
-    the first chunk's sum over its count is v exactly; the update would read
-    the last chunk's (k v) / k, an ulp off v for some k, as spread.
     """
-    c0, total0, _ = parts[0]
-    if all(m2 == 0.0 and total == c * (total0 / c0) for c, total, m2 in parts):
-        return total0 / c0, 0.0
+    if not isinstance(parts[0], tuple):
+        return parts[0], 0.0
     n = sum(c for c, _, _ in parts)
     mean = math.fsum(total for _, total, _ in parts) / n
     m2 = math.fsum(m2 + c * (total / c - mean) ** 2 for c, total, m2 in parts)
@@ -618,18 +618,16 @@ def ser_rate_sweep(
     P_grid, results = _chunk_loop(
         specs, P_grid, samples, stream, workers, conditioning,
         lambda values, n: list(starmap(
-            lambda ser, rate, hw: (_moments(ser, n), _moments(rate, n), hw), values
+            lambda ser, rate, hw: (_moments(ser, n), _moments(rate, n), _moments(hw, n)), values
         )),
     )
     records = []
     for P, point in zip(P_grid, zip(*results)):
         for spec, parts in zip(specs, zip(*point)):
-            ser_parts, rate_parts, hw = zip(*parts)
-            ser, ser_se = _mean_stderr(ser_parts)
-            rate, rate_se = _mean_stderr(rate_parts)
+            (ser, ser_se), (rate, rate_se), (hw, _) = map(_mean_stderr, zip(*parts))
             records.append(SweepRecord(
                 quantizer_id=spec.quantizer_id, P=P, ser=min(ser, 0.5),
-                ser_stderr=ser_se + max(hw), rate=rate, rate_stderr=rate_se,
+                ser_stderr=ser_se + hw, rate=rate, rate_stderr=rate_se,
                 samples=samples, seed=stream.master_seed,
             ))
     return records
@@ -646,11 +644,12 @@ def expect(specs, P_grid, nodes, weights) -> list:
     as ``weights``, or None, and c_first is never read.  Every spec with a
     codebook reads c_max, and bf-vlq reads c_min.  The nodes are copied, so
     the caller's arrays are never written.  A value that is the same at
-    every node is returned as itself, as in a sweep; an array reduces as
-    ``np.add.reduce(np.multiply(v, w))``, so a radial chunk's own stats with
-    weights 1/_CHUNK = 2^-15 give that chunk's sweep mean bit for bit.
-    ``ser_stderr`` is bf-vlq's half bracket width Q(sqrt(2 beta))/2, which a
-    sweep adds too, and 0 for every other scheme; ``rate_stderr`` is 0,
+    every node is returned as itself, exactly as a sweep records it; an
+    array reduces as ``np.add.reduce(np.multiply(v, w))``, so a radial
+    chunk's own stats with weights 1/_CHUNK = 2^-15 give that chunk's sweep
+    mean bit for bit.  ``ser_stderr`` is bf-vlq's half bracket width
+    Q(sqrt(2 beta))/2, which a sweep adds to its Monte Carlo stderr by the
+    same rule, and 0 for every other scheme; ``rate_stderr`` is 0,
     ``samples`` is the node count and ``seed`` is 0: no quadrature error is
     estimated.
 

@@ -35,7 +35,12 @@ from vlqsim.estimate import (
     ser_rate_sweep,
     write_records_csv,
 )
-from vlqsim.numerics import bpsk_mrc_ser, gamma_tail, gamma_weighted_q_tail, q_function
+from vlqsim.numerics import (
+    bpsk_mrc_ser,
+    gamma_lower,
+    gamma_weighted_q_tail,
+    q_function,
+)
 
 
 def random_book(t, size, delta):
@@ -106,8 +111,7 @@ class TestSweepUnbiasedness:
 
     def test_constant_draws_have_zero_stderr(self):
         # radial full-CSIT and open-loop values do not depend on the draw, so
-        # each chunk returns the closed form as a float, whose moments are
-        # exact; the short last chunk's (7 v) / 7 is one ulp off v at some P
+        # each chunk returns the closed form as a float, which is the record
         specs = [FullCsitBeamforming(4), OpenLoopPrecoding(4)]
         grid = [3.0, 10.0, 100.0, 1e3, 1e4]
         recs = [
@@ -119,12 +123,12 @@ class TestSweepUnbiasedness:
             divisor = 1.0 if rec.quantizer_id == "bf-full" else 4.0
             want = bpsk_mrc_ser(4, rec.P / divisor)
             assert rec.ser_stderr == 0.0 and rec.rate_stderr == 0.0, rec
-            assert abs(rec.ser - want) <= math.ulp(want), rec
+            assert rec.ser == want, rec
 
     def test_constant_rates_have_zero_stderr(self, all_specs):
         # every radial rate but bf-vlq's is exact and constant per direction,
-        # so its moments are taken in closed form, with no rounding noise; at
-        # P = 30 the pc-vlq rate's last chunk, (7 v) / 7, is an ulp off v
+        # so each chunk returns it as a float, which is the record, with no
+        # rounding noise
         grid = [3.0, 30.0, 1e2, 1e4]
         recs = ser_rate_sweep(all_specs, grid, 2 * _CHUNK + 7, RngStream(40), workers=2)
         constant = [rec for rec in recs if rec.quantizer_id != "bf-vlq"]
@@ -133,8 +137,54 @@ class TestSweepUnbiasedness:
         pc = all_specs[-1]
         for rec in constant:
             if rec.quantizer_id == "pc-vlq":
-                want = 1.0 + pc.bits * (1.0 - gamma_tail(2, 2 / (pc.codebook.delta * rec.P)))
-                assert abs(rec.rate - want) <= math.ulp(want), rec
+                want = 1.0 + pc.bits * gamma_lower(2, 2 / (pc.codebook.delta * rec.P))
+                assert rec.rate == want, rec
+
+    @pytest.mark.parametrize("samples", [7, 12345, 20000])
+    def test_direction_free_records_are_exact_on_one_short_chunk(self, book, samples):
+        # a sweep's only chunk is shorter than _CHUNK: a float is still its
+        # own record, not (n v) / n, which is an ulp off v for some n
+        specs = [
+            FullCsitBeamforming(2),
+            FixedLengthBeamforming(book),
+            FullCsitPrecoding(2, Fraction(3, 4)),
+            OpenLoopPrecoding(2, Fraction(3, 4)),
+            VariableLengthPrecoding(book),
+        ]
+        grid = [10.0 ** (dB / 10.0) for dB in range(41)]
+        recs = ser_rate_sweep(specs, grid, samples, RngStream(47), workers=2)
+        assert len(recs) == len(specs) * len(grid)
+        for rec, spec in zip(recs, specs * len(grid)):
+            assert rec.quantizer_id == spec.quantizer_id
+            if spec.codebook is None:
+                assert rec.ser == bpsk_mrc_ser(2, rec.P / spec.divisor), rec
+                assert rec.ser_stderr == 0.0, rec
+                assert rec.rate == 0.0, rec
+            else:
+                prepared = spec.prepare(rec.P)
+                assert rec.rate == (prepared if spec.quantizer_id == "bf-flq" else prepared[2])
+            assert rec.rate_stderr == 0.0, rec
+
+    def test_bf_vlq_stderr_adds_the_half_bracket(self, book):
+        # radial bf-vlq's ser_stderr is the Monte Carlo stderr of its
+        # per-direction midpoints plus the half-width Q(sqrt(2 beta)) / 2,
+        # added once, whatever the chunk count
+        vlq = VariableLengthBeamforming(book)
+        sizes = [_CHUNK, 100]
+        grid = [10.0, 1e2, 1e3]
+        recs = ser_rate_sweep([vlq], grid, sum(sizes), RngStream(48), workers=2)
+        chunks = [
+            estimate._draws([vlq], RngStream(48), c, n, "radial")[1] for c, n in enumerate(sizes)
+        ]
+        for rec in recs:
+            prepared = vlq.prepare(rec.P)
+            ser = np.concatenate(
+                [vlq.conditioned(stats[id(book)], rec.P, prepared)[0] for stats in chunks]
+            )
+            se = float(np.std(ser, ddof=1)) / math.sqrt(ser.size)
+            assert rec.ser == pytest.approx(float(np.mean(ser)), rel=1e-12)
+            assert rec.ser_stderr - prepared[1] == pytest.approx(se, rel=1e-6), rec
+            assert rec.ser_stderr == pytest.approx(se + prepared[1], rel=1e-12), rec
 
     def test_open_loop_radial_matches_quadrature(self):
         spec = OpenLoopPrecoding(2)
@@ -782,11 +832,29 @@ class TestChunkState:
                 gen.normal(size=n) * 1e-3,
             ):
                 assert estimate._moments(v, len(v)) == formula(v)
-            # a float is the same for every draw: its moments are exact
-            assert estimate._moments(0.1, n) == (n, n * 0.1, 0.0)
+            # a float is the same for every draw: it is its own record
+            assert estimate._moments(0.1, n) == 0.1
 
 
 class TestPrecodingKernel:
+    def test_rate_is_one_lower_gamma(self):
+        # 1 + bits P(t, x0) from the lower incomplete gamma, with no
+        # 1 - Gammabar(t, x0) cancellation: within 3 ulps of mpmath's value
+        # at x0 = t / (delta P), where the cancellation cost up to 12 ulps
+        worst = 0.0
+        for t in (2, 3, 4):
+            for delta in (0.2, 0.3, 0.5):
+                for size in (8, 16, 256):  # 3, 4 and 8 index bits
+                    spec = VariableLengthPrecoding(random_book(t, size, delta))
+                    for P in np.logspace(0.5, 12.0, 60):
+                        P = float(P)
+                        with mpmath.workdps(50):
+                            x0 = mpmath.mpf(spec.threshold) / P
+                            want = 1 + spec.bits * mpmath.gammainc(t, 0, x0, regularized=True)
+                            error = abs(spec.prepare(P)[2] - want) / math.ulp(float(want))
+                        worst = max(worst, float(error))
+        assert worst <= 3.0
+
     def test_sweep_runs_no_adaptive_quadrature(self, book, monkeypatch):
         calls = []
         original = estimate.integrate_gamma_weighted
@@ -943,8 +1011,23 @@ class TestPairedCompare:
         for P, (gap, se, frac, worst) in zip(grid, compared):
             want = bpsk_mrc_ser(2, P) - bpsk_mrc_ser(2, P / 2.0)
             assert want < 0.0
-            assert abs(gap - want) <= math.ulp(want)
+            assert gap == want
             assert se == 0.0 and frac == 0.0 and worst == want
+
+    @pytest.mark.parametrize("samples", [7, 12345])
+    def test_feedback_free_gap_is_exact_on_one_short_chunk(self, samples):
+        # the gap is a float on the sweep's only chunk, shorter than _CHUNK:
+        # it is the closed-form difference itself, not (n gap) / n
+        grid = [10.0 ** (dB / 10.0) for dB in range(41)]
+        compared = paired_compare(
+            FullCsitPrecoding(3, Fraction(3, 4)), FullCsitBeamforming(3), grid, samples,
+            RngStream(49), conditioning="radial",
+        )
+        for P, (gap, se, frac, worst) in zip(grid, compared):
+            want = bpsk_mrc_ser(3, P / 0.75) - bpsk_mrc_ser(3, P)
+            assert want < 0.0
+            assert gap == want and worst == want, P
+            assert se == 0.0 and frac == 0.0
 
     def test_mismatched_antennas_rejected(self, book):
         with pytest.raises(ValueError):
