@@ -4,10 +4,10 @@ The Gaussian-tail sandwich constant c1 = min Q(x) e^{x^2} is Q(x*) e^{x*^2}
 at the root x* of 2x Q(x) = phi(x), solved by Newton's method; the array
 gains and their gap constant c3 are closed forms, and every full-CSIT
 error rate here is the closed form ``numerics.bpsk_mrc_ser``.  The rate
-bounds take the size of the book a run actually uses: ``vlq_rate_bound``
-bounds the variable-length beamformer's rate by a fixed 1-D rule over the
-Beta(1, t-1) law of one codeword's correlation, and the sweep's delta
-schedule picks each power's book by it.
+bounds take the size of the book a run actually uses: ``vlq_rate_excess``
+bounds the variable-length beamformer's rate excess R - 1 by a fixed 1-D
+rule over the Beta(1, t-1) law of one codeword's correlation, and the
+sweep's delta schedule picks each power's book by it.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # Newton steps from the grid's best point, 0.6: the error in x* goes
 # 1.2e-2, 1.8e-4, 4.2e-8, 2.4e-15 and then to rounding
 _C1_NEWTON_STEPS = 4
-# vlq_rate_bound's rule: Gauss-Legendre nodes on [-1, 1] for ln c, and the
+# vlq_rate_excess's rule: Gauss-Legendre nodes on [-1, 1] for ln c, and the
 # head's depth in ln c below ln(beta / P): 1 - P(t, e^8) < 1e-1200 at t <= 8
 _RATE_XI, _RATE_W = np.polynomial.legendre.leggauss(128)
 _RATE_HEAD = 8.0
@@ -33,7 +33,6 @@ __all__ = [
     "derive_c1",
     "prop1_bounds",
     "vlq_rate_excess",
-    "vlq_rate_bound",
     "thm3_converse_lb",
     "thm6_constants",
     "prop4_bounds",
@@ -102,12 +101,6 @@ def vlq_rate_excess(t: int, size: int, P: float) -> float:
         tail = float(np.dot(dens * gamma_lower(t, k / c), _RATE_W)) * -0.5 * ln_c0
         mean = -math.expm1((t - 1) * math.log1p(-math.exp(ln_c0))) + tail
     return min(bits, bits * size * mean)
-
-
-def vlq_rate_bound(t: int, size: int, P: float) -> float:
-    """The rate bound 1 + ``vlq_rate_excess(t, size, P)``; the schedule
-    compares the excess itself, which keeps its digits below 1e-16."""
-    return 1.0 + vlq_rate_excess(t, size, P)
 
 
 def thm3_converse_lb(P: float, R: float, c1: float) -> float:

@@ -31,7 +31,8 @@ correlated; each record's mean and stderr are unchanged in distribution.
 Chunks of _CHUNK draws run on up to one thread per usable CPU by default;
 threads start on demand, up to the requested count, and the pool for that
 count persists across sweeps.  A single worker runs on such a thread too,
-not on the caller's.
+not on the caller's.  Chunks reach the pool in chunk order, in waves of
+max(64, 16 workers), so a sweep holds at most one wave's futures.
 ``paired_compare`` runs the same chunk loop and reduces each chunk to the
 moments of the per-draw gap between two specs, a float where both are.
 
@@ -79,13 +80,15 @@ rounding is rounding-sized.
 ``ser_full_analytic`` keeps the double-exponential quadrature
 ``integrate_gamma_weighted`` as an independent oracle.
 
-``expect(specs, P_grid, nodes, weights)`` runs the radial half of a sweep
-on given nodes instead of draws: the sweep's checks on the grid and the
-specs, its ``prepare(P)`` once per spec and P, one ``_BookStats`` per
-distinct codebook, built from the nodes as a chunk's are from its draws,
-and ``conditioned``; each record's means are the weighted sums of the
-per-direction values.  Exact oracles and P-free limits thus evaluate the
-same kernels as sweeps.
+``expect(specs, P_grid, nodes, weights)`` is a radial sweep of one chunk
+whose directions are given nodes instead of draws: after the sweep's checks
+on the grid and the specs and its own on the nodes, it runs the sweep's
+chunk loop, which prepares each spec once per P on the sweep's threads,
+over one ``_BookStats`` per distinct codebook, built from the nodes as a
+chunk's are from its draws; the chunk reduces each per-direction value to
+its weighted sum in place of its moments, and the sweep's record builder
+makes the records.  Exact oracles and P-free limits thus evaluate the same
+kernels, and the same record rules, as sweeps.
 """
 
 from __future__ import annotations
@@ -97,7 +100,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import starmap
 
 import numpy as np
@@ -144,10 +147,10 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 15
-# input caps: a sweep keeps every chunk's moments until it ends, and at its
-# peak each chunk's pool future too, about 3.0 KB per chunk for bf-flq,
+# input caps: a sweep keeps every chunk's moments until it ends (its pool
+# futures only for one wave of chunks), about 2.6 KB per chunk for bf-flq,
 # bf-vlq and pc-vlq at 3 P, so 10^10 draws (305 176 chunks) hold about
-# 0.9 GB; each worker is an OS thread
+# 0.8 GB; each worker is an OS thread
 MAX_SAMPLES = 10**10
 MAX_WORKERS = 1024
 
@@ -542,7 +545,7 @@ def _usable_cpus() -> int:
 
 
 def _checked_grid(specs, P_grid) -> list:
-    """The grid as floats, after the checks that ``_chunk_loop`` and
+    """The grid as floats, after the checks that sweeps, compares and
     ``expect`` share: ValueError for an empty grid or one with an entry that
     is not finite and positive, for no specs, or for specs whose antenna
     counts differ."""
@@ -556,16 +559,13 @@ def _checked_grid(specs, P_grid) -> list:
     return P_grid
 
 
-def _chunk_loop(specs, P_grid, samples, stream, workers, conditioning, reduce):
-    """The chunk loop of ``ser_rate_sweep`` and ``paired_compare``: checks
-    the arguments and returns (the grid as floats, results), where
-    results[c][p] is ``reduce(values, n)`` of the specs' per-draw values at
-    the p-th grid point on chunk c of n draws, which ``reduce`` must not
-    keep.  Each spec is prepared once per grid point before any draw, and
-    each chunk is drawn and correlated once for the whole grid on the
-    ``_pool`` of ``workers`` threads, by default one per usable CPU, which
-    start on demand, up to that count.
-    """
+def _sweep_args(specs, P_grid, samples, stream, workers, conditioning):
+    """(the grid as floats, each chunk's draw count, ``draw``) of a sweep or
+    compare of ``samples`` draws from ``stream``, where ``draw(c, n)`` is
+    ``_draws`` of chunk c, after the checks that both run before any spec
+    is prepared: ``_checked_grid``'s, and ValueError for ``samples``
+    outside [1, 10^10], a conditioning other than "none" and "radial" or
+    ``workers`` outside [1, 1024]."""
     P_grid = _checked_grid(specs, P_grid)
     if not 1 <= samples <= MAX_SAMPLES:
         raise ValueError("samples must be in [1, 10^10]")
@@ -574,20 +574,57 @@ def _chunk_loop(specs, P_grid, samples, stream, workers, conditioning, reduce):
     if workers is not None and not 1 <= workers <= MAX_WORKERS:
         raise ValueError("workers must be in [1, 1024]")
     sizes = [min(_CHUNK, samples - lo) for lo in range(0, samples, _CHUNK)]
-    pool = _pool(workers or _usable_cpus())
+    return P_grid, sizes, partial(_draws, specs, stream, conditioning=conditioning)
+
+
+def _chunk_loop(specs, P_grid, sizes, draw, workers, reduce):
+    """The chunk loop of sweeps, compares and ``expect``, on checked
+    arguments: results[c][p] is ``reduce(values, n)`` of the specs' values
+    at P_grid[p] on chunk c of n = sizes[c] draws, whose (norm2, stats)
+    ``draw(c, n)`` returns; ``reduce`` must not keep the values.  Each spec
+    is prepared once per grid point before any draw, and each chunk is
+    drawn once for the whole grid, on the ``_pool`` of ``workers`` threads,
+    by default one per usable CPU, which start on demand, up to that count.
+    The chunks go to the pool in chunk order, in waves of
+    max(64, 16 workers), so at most one wave's futures are held at once.
+    """
+    workers = workers or _usable_cpus()
+    pool = _pool(workers)
     # prepared on the pool too: on the calling thread, pc-vlq's fit raised a
     # radial-t2 benchmark run's peak RSS by about 0.5 MB (2-vCPU VM)
     points = list(pool.map(lambda P: (P, [spec.prepare(P) for spec in specs]), P_grid))
 
     def task(c_idx):
         n = sizes[c_idx]
-        norm2, stats = _draws(specs, stream, c_idx, n, conditioning)
+        norm2, stats = draw(c_idx, n)
         return [reduce(_conditional_ser(specs, norm2, stats, *point), n) for point in points]
 
     # one worker runs on the pool too: on the main thread, glibc trims the
     # main heap's top after every chunk, which costs a page fault per page
     # when the next chunk grows it again
-    return P_grid, list(pool.map(task, range(len(sizes))))
+    chunks, wave = range(len(sizes)), max(64, 16 * workers)
+    results = []
+    for lo in chunks[::wave]:
+        results += pool.map(task, chunks[lo:lo + wave])
+    return results
+
+
+def _records(specs, P_grid, results, samples: int, seed: int) -> list:
+    """One ``SweepRecord`` per grid point and spec, in that order, from
+    ``_chunk_loop`` results whose entries are one (ser, rate, half-width)
+    per spec, each the chunk's ``_moments`` or a float: the ``_mean_stderr``
+    of each, the SER clamped at 1/2 and the half-width added to its stderr.
+    """
+    records = []
+    for P, point in zip(P_grid, zip(*results)):
+        for spec, parts in zip(specs, zip(*point)):
+            (ser, ser_se), (rate, rate_se), (hw, _) = map(_mean_stderr, zip(*parts))
+            records.append(SweepRecord(
+                quantizer_id=spec.quantizer_id, P=P, ser=min(ser, 0.5),
+                ser_stderr=ser_se + hw, rate=rate, rate_stderr=rate_se,
+                samples=samples, seed=seed,
+            ))
+    return records
 
 
 def ser_rate_sweep(
@@ -612,32 +649,27 @@ def ser_rate_sweep(
     [1, 1024] raises ValueError before any spec is prepared or any draw.
     """
     specs = list(specs)
+    P_grid, sizes, draw = _sweep_args(specs, P_grid, samples, stream, workers, conditioning)
     # starmap lets go of one spec's arrays before the next spec's are made;
     # a comprehension's loop variables hold them, which raised the peak RSS
     # of the t=4 benchmark sweep by about 0.9 MB
-    P_grid, results = _chunk_loop(
-        specs, P_grid, samples, stream, workers, conditioning,
+    results = _chunk_loop(
+        specs, P_grid, sizes, draw, workers,
         lambda values, n: list(starmap(
             lambda ser, rate, hw: (_moments(ser, n), _moments(rate, n), _moments(hw, n)), values
         )),
     )
-    records = []
-    for P, point in zip(P_grid, zip(*results)):
-        for spec, parts in zip(specs, zip(*point)):
-            (ser, ser_se), (rate, rate_se), (hw, _) = map(_mean_stderr, zip(*parts))
-            records.append(SweepRecord(
-                quantizer_id=spec.quantizer_id, P=P, ser=min(ser, 0.5),
-                ser_stderr=ser_se + hw, rate=rate, rate_stderr=rate_se,
-                samples=samples, seed=stream.master_seed,
-            ))
-    return records
+    return _records(specs, P_grid, results, samples, stream.master_seed)
 
 
 def expect(specs, P_grid, nodes, weights) -> list:
     """Records of every (spec, P) pair whose means are the weighted sums
-    sum_i w_i v_i of each spec's radial per-direction values over the nodes,
-    evaluated by the sweep's own ``prepare(P)``, once per spec and P, and
-    ``conditioned``: a quadrature rule over directions in place of draws.
+    sum_i w_i v_i of each spec's radial per-direction values over the nodes:
+    a quadrature rule over directions in place of draws.  It is a sweep of
+    one chunk, on the sweep's ``_chunk_loop`` and record builder: each spec
+    is prepared once per P on the sweep's threads, ``conditioned`` reads
+    the nodes' ``_BookStats``, and the chunk reduces each value by the
+    weights in place of its moments.
 
     ``nodes`` is the (c_max, c_min, c_first) triple in the layout of
     ``BeamformingCodebook.lifted_stats``; each entry is a 1-D array as long
@@ -647,11 +679,11 @@ def expect(specs, P_grid, nodes, weights) -> list:
     every node is returned as itself, exactly as a sweep records it; an
     array reduces as ``np.add.reduce(np.multiply(v, w))``, so a radial
     chunk's own stats with weights 1/_CHUNK = 2^-15 give that chunk's sweep
-    mean bit for bit.  ``ser_stderr`` is bf-vlq's half bracket width
-    Q(sqrt(2 beta))/2, which a sweep adds to its Monte Carlo stderr by the
-    same rule, and 0 for every other scheme; ``rate_stderr`` is 0,
-    ``samples`` is the node count and ``seed`` is 0: no quadrature error is
-    estimated.
+    mean bit for bit.  Each weighted sum is one float, its own mean with
+    stderr 0, so ``ser_stderr`` is bf-vlq's half bracket width
+    Q(sqrt(2 beta))/2, as a sweep adds it, and 0 for every other scheme;
+    ``rate_stderr`` is 0, ``samples`` is the node count and ``seed`` is 0:
+    no quadrature error is estimated.
 
     Besides the sweep's checks on the grid and the specs, nodes that are
     not a triple, unequal lengths, a column that is not finite, a c_max <= 0,
@@ -679,19 +711,13 @@ def expect(specs, P_grid, nodes, weights) -> list:
         raise ValueError("a spec reads a node column that is None")
     stats = {key: _BookStats(book.t, book.delta, (c_max, c_min, None))
              for key, book in books.items()}
-    records = []
-    for P in P_grid:
-        prepared = [spec.prepare(P) for spec in specs]
-        for spec, values in zip(specs, _conditional_ser(specs, None, stats, P, prepared)):
-            ser, rate, hw = (
-                float(np.add.reduce(np.multiply(v, weights))) if isinstance(v, np.ndarray) else v
-                for v in values
-            )
-            records.append(SweepRecord(
-                quantizer_id=spec.quantizer_id, P=P, ser=min(ser, 0.5), ser_stderr=hw,
-                rate=rate, rate_stderr=0.0, samples=weights.size, seed=0,
-            ))
-    return records
+
+    def weighted(values, n):
+        return [tuple(float(np.add.reduce(np.multiply(v, weights)))
+                      if isinstance(v, np.ndarray) else v for v in parts) for parts in values]
+
+    results = _chunk_loop(specs, P_grid, [weights.size], lambda c, n: (None, stats), None, weighted)
+    return _records(specs, P_grid, results, weights.size, 0)
 
 
 def estimate_gains(records, top_decades: int = 2) -> GainEstimate:
@@ -750,8 +776,9 @@ def paired_compare(
     bracket (``VariableLengthBeamforming``), so its mean gap is biased by up
     to Q(sqrt(2 beta))/2 per direction; plain mode has no such bias.
     """
-    _, results = _chunk_loop(
-        (spec_a, spec_b), P_grid, samples, stream, None, conditioning, _gap_stats
+    specs = (spec_a, spec_b)
+    results = _chunk_loop(
+        specs, *_sweep_args(specs, P_grid, samples, stream, None, conditioning), None, _gap_stats
     )
     out = []
     for point in zip(*results):

@@ -19,7 +19,6 @@ from vlqsim.bounds import (
     prop4_bounds,
     thm3_converse_lb,
     thm6_constants,
-    vlq_rate_bound,
     vlq_rate_excess,
 )
 from vlqsim.channel import RngStream
@@ -118,7 +117,7 @@ class TestVlqRateBound:
                 want = min(bits, bits * size * mean)
                 got = vlq_rate_excess(t, size, P)
                 assert abs(got - want) <= 1e-12 * want, (t, P, size)
-                rate = vlq_rate_bound(t, size, P)
+                rate = 1.0 + vlq_rate_excess(t, size, P)
                 assert rate == 1.0 + got and abs(rate - (1 + want)) <= 1e-12 * (1 + want)
 
     def test_one_antenna_and_one_codeword(self):
@@ -127,7 +126,7 @@ class TestVlqRateBound:
             want = min(1.0, 2.0 * numerics.gamma_lower(1, 2.0 * math.log(P) / P))
             assert vlq_rate_excess(1, 2, P) == want
             for t in (1, 2, 4):
-                assert vlq_rate_excess(t, 1, P) == 0.0 and vlq_rate_bound(t, 1, P) == 1.0
+                assert vlq_rate_excess(t, 1, P) == 0.0 and 1.0 + vlq_rate_excess(t, 1, P) == 1.0
 
     def test_capped_at_the_index_bits(self):
         # the long branch costs bits at most, whatever the union sum
@@ -139,7 +138,8 @@ class TestVlqRateBound:
         for t in (1, 2, 3, 4, 8):
             for P in np.geomspace(1e2, 1e12, 21):
                 for size in sizes:
-                    assert vlq_rate_bound(t, size, P) <= prop1_bounds(size, t, P)[1], (t, P, size)
+                    rate = 1.0 + vlq_rate_excess(t, size, P)
+                    assert rate <= prop1_bounds(size, t, P)[1], (t, P, size)
 
     def test_rejects_bad_arguments(self):
         for args in ((0, 2, 10.0), (1.5, 2, 10.0), (2, 0, 10.0), (2, 2, 1.0), (2, 2, math.nan)):

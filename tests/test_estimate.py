@@ -387,6 +387,35 @@ class TestDeterminism:
         assert set(threads) == {threading.main_thread()}
         assert pooled == in_turn
 
+    @pytest.mark.parametrize("workers, wave", [(1, 64), (5, 80)])
+    def test_chunks_reach_the_pool_in_bounded_waves(
+        self, all_specs, monkeypatch, workers, wave
+    ):
+        # map submits a future per chunk it is given before the first result
+        # is read; waves of max(64, 16 workers) chunks, in chunk order, bound
+        # them and give the records of the chunks run one after another
+        calls = []
+        pool = estimate._pool(workers)
+
+        class Recorded:  # the pool, counting the items of each map call
+            @staticmethod
+            def map(fn, items):
+                items = list(items)
+                calls.append(len(items))
+                return pool.map(fn, items)
+
+        class InTurn:
+            map = staticmethod(map)
+
+        monkeypatch.setattr(estimate, "_CHUNK", 256)
+        grid, samples = [3.0, 300.0], 2 * wave * 256 + 7  # two waves and one chunk
+        monkeypatch.setattr(estimate, "_pool", lambda workers: Recorded)
+        waved = ser_rate_sweep(all_specs, grid, samples, RngStream(45), workers=workers)
+        # the first call prepares the grid
+        assert calls == [len(grid), wave, wave, 1]
+        monkeypatch.setattr(estimate, "_pool", lambda workers: InTurn)
+        assert waved == ser_rate_sweep(all_specs, grid, samples, RngStream(45), workers=workers)
+
     def test_csv_bytes_stable(self, tmp_path, all_specs):
         recs = ser_rate_sweep(all_specs, [3.0], 50000, RngStream(41), workers=2)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -1403,6 +1432,24 @@ class TestExpect:
         ):
             with pytest.raises(AssertionError, match="prepared before"):
                 expect(*args)
+
+    def test_prepares_once_per_point_on_the_sweep_threads(self, book, all_specs, monkeypatch):
+        # expect runs the sweep's chunk loop, so it prepares as a sweep does:
+        # once per spec and grid point, on a pool thread, not the caller's
+        calls = []
+        for cls in {type(spec) for spec in all_specs}:
+            def recorded(spec, P, prepare=cls.prepare):
+                calls.append((id(spec), P, threading.current_thread()))
+                return prepare(spec, P)
+
+            monkeypatch.setattr(cls, "prepare", recorded)
+        c_max, weights = ensemble_nodes(2, len(book), 32)
+        grid = [10.0, 1e2, 1e3]
+        recs = expect(all_specs, grid, (c_max, 0.5 * c_max, None), weights)
+        assert len(recs) == len(all_specs) * len(grid)
+        want = [(id(spec), P) for spec in all_specs for P in grid]
+        assert sorted(call[:2] for call in calls) == sorted(want)
+        assert threading.current_thread() not in {call[2] for call in calls}
 
     def test_caller_nodes_are_not_written(self, book):
         # _BookStats floors c_min in place at 1e-300, on expect's copy
